@@ -2,24 +2,33 @@
 
 Budget fields are part of every key so changed budgets can never serve a
 stale decision.  The optional directory back-end stores one JSON file per
-entry; writes go through a single process (the CLI parent).
+entry; writes go through a single process (the CLI parent) and are atomic
+(a temporary file, then a rename), and an entry that cannot be parsed is
+counted in ``corrupt`` and treated as a miss.
 """
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
+
+# Salts every file name: entries written under an older layout (witnesses
+# in the caller's labeling rather than the canonical one) are never read.
+SCHEMA = 2
 
 
 class DecisionCache:
     def __init__(self, directory=None):
         self._mem = {}
         self._dir = Path(directory) if directory else None
+        self.corrupt = 0
         if self._dir:
             self._dir.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
     def _filename(key):
-        blob = json.dumps(key, sort_keys=True)
+        blob = json.dumps([SCHEMA, key], sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest() + ".json"
 
     def get(self, key):
@@ -27,17 +36,28 @@ class DecisionCache:
             return self._mem[key]
         if self._dir:
             path = self._dir / self._filename(key)
-            if path.exists():
+            try:
                 value = json.loads(path.read_text())
-                self._mem[key] = value
-                return value
+            except FileNotFoundError:
+                return None
+            except ValueError:  # truncated or otherwise unreadable
+                self.corrupt += 1
+                return None
+            self._mem[key] = value
+            return value
         return None
 
     def put(self, key, value):
         self._mem[key] = value
         if self._dir:
-            path = self._dir / self._filename(key)
-            path.write_text(json.dumps(value, sort_keys=True))
+            fd, tmp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(json.dumps(value, sort_keys=True))
+                os.replace(tmp, self._dir / self._filename(key))
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
     def __len__(self):
         return len(self._mem)

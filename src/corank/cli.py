@@ -38,7 +38,11 @@ def _read_input(token, digraph_lists=False):
         text = sys.stdin.read()
     else:
         p = Path(token)
-        text = p.read_text() if p.exists() else token
+        try:
+            is_file = p.exists()
+        except OSError:  # e.g. an inline graph6 token longer than a file name may be
+            is_file = False
+        text = p.read_text() if is_file else token
     return autodetect(text, digraph_lists=digraph_lists)
 
 

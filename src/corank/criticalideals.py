@@ -13,7 +13,7 @@ from itertools import combinations, product
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
 from .graphs import Digraph, canonical_form, degree_vector
-from .linalg import exact_rank, rank_mod_p
+from .linalg import scan_ranks
 from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, Polynomial,
                        buchberger, is_trivial_over_field, is_trivial_over_Z)
 from .zeroforcing import certificate_minor, zero_forcing_number
@@ -181,11 +181,13 @@ def field_points(n, p, budget):
         yield tuple(x % p for x in pt)
 
 
-def _eval_rank(matrix, point, domain):
-    rows = matrix.evaluate(point)
-    if isinstance(domain, GF):
-        return rank_mod_p(rows, domain.p)
-    return exact_rank(rows).rank
+def evaluation_ranks(matrix, points, domain):
+    """Lazily yield (point, rank of the matrix at the point) over the domain.
+
+    Ranks over Z are taken over Q; the points keep their order.
+    """
+    p = domain.p if isinstance(domain, GF) else None
+    return scan_ranks(matrix.evaluate((0,) * matrix.n), points, p)
 
 
 @dataclass
@@ -213,11 +215,10 @@ def variety_box_search(g, r, box_radius=None, domain=QQ,
         points = field_points(g.n, domain.p, config.box_point_budget)
     else:
         points = box_points(g.n, box_radius)
-    for pt in points:
+    for pt, rk in evaluation_ranks(matrix, points, domain):
         if scanned >= config.box_point_budget:
             return BoxSearchResult(None, None, False, scanned)
         scanned += 1
-        rk = _eval_rank(matrix, pt, domain)
         if rk <= r:
             return BoxSearchResult(pt, rk, True, scanned)
     return BoxSearchResult(None, None, True, scanned)
@@ -235,25 +236,77 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
         raise ValueError("index out of range")
     if domain is QQ:
         scanned = 0
-        for pt in box_points(n, config.box_radius):
+        for pt, rk in evaluation_ranks(matrix, box_points(n, config.box_radius), QQ):
             scanned += 1
             if scanned > config.box_point_budget:
                 return None
-            if exact_rank(matrix.evaluate(pt)).rank <= i - 1:
+            if rk <= i - 1:
                 return pt
         return None
     if domain is ZZ:
         for p in config.primes:
-            for pt in field_points(n, p, config.modp_point_budget):
-                if rank_mod_p(matrix.evaluate(pt), p) <= i - 1:
+            points = field_points(n, p, config.modp_point_budget)
+            for pt, rk in evaluation_ranks(matrix, points, GF(p)):
+                if rk <= i - 1:
                     return (p, pt)
         return None
     if isinstance(domain, GF):
-        for pt in field_points(n, domain.p, config.modp_point_budget):
-            if rank_mod_p(matrix.evaluate(pt), domain.p) <= i - 1:
+        points = field_points(n, domain.p, config.modp_point_budget)
+        for pt, rk in evaluation_ranks(matrix, points, domain):
+            if rk <= i - 1:
                 return pt
         return None
     raise ValueError(f"unsupported domain {domain!r}")
+
+
+# ---------------------------------------------------------------------------
+# certificates in the canonical labeling
+#
+# Cache keys are canonical forms, so cached witnesses are stored in the
+# canonical labeling and mapped back to the caller's labeling on a hit.
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return inv
+
+
+def _relabel_point(point, perm):
+    """The diagonal point under the relabeling perm (old label -> new label)."""
+    out = [0] * len(point)
+    for v, x in enumerate(point):
+        out[perm[v]] = x
+    return tuple(out)
+
+
+def _order_sign(seq):
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return -1 if inversions % 2 else 1
+
+
+def _relabel_minor(rows, cols, value, perm):
+    """The minor (rows, cols, value) under the relabeling perm.
+
+    Rows and columns are re-sorted in the new labels, and the sign of each
+    reordering multiplies the value.
+    """
+    rows = [perm[r] for r in rows]
+    cols = [perm[c] for c in cols]
+    return (tuple(sorted(rows)), tuple(sorted(cols)),
+            value * _order_sign(rows) * _order_sign(cols))
+
+
+def _relabel_detail(method, detail, domain, perm):
+    """A triviality decision's certificate under the relabeling perm."""
+    if method == "point-certificate":
+        if domain is ZZ:
+            p, point = detail
+            return (p, _relabel_point(point, perm))
+        return _relabel_point(detail, perm)
+    if method in ("unit-minor", "constant-minor"):
+        return _relabel_minor(*detail, perm)
+    return detail
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +352,21 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None,
         return TrivialityDecision(True, "empty-minor")
     if i > n:
         raise ValueError(f"minor size {i} exceeds n={n}")
-    key = ("ideal_trivial", canonical_form(g).hex(), i, domain_name(domain),
+    form = canonical_form(g)
+    key = ("ideal_trivial", form.hex(), i, domain_name(domain),
            config.budget_hash())
     hit = cache.get(key)
     if hit is not None:
-        return TrivialityDecision(hit["trivial"], hit["method"], hit.get("detail"))
+        detail = _relabel_detail(hit["method"], hit.get("detail"), domain,
+                                 _inverse(form.perm))
+        return TrivialityDecision(hit["trivial"], hit["method"], detail)
 
     decision = _decide_trivial(g, i, domain, config, skip_point_search)
     if decision.trivial is not None:  # budget-undecided results are not cached
-        cache.put(key, decision.to_json())
+        stored = TrivialityDecision(decision.trivial, decision.method,
+                                    _relabel_detail(decision.method, decision.detail,
+                                                    domain, form.perm))
+        cache.put(key, stored.to_json())
     return decision
 
 
@@ -397,30 +456,31 @@ def _budgeted_box_scan(g, matrix, lower, upper, upper_point, domain, config, cac
     rational = not isinstance(domain, GF)
     key = None
     if rational:
-        key = ("gamma-box-scan", canonical_form(g).hex(), lower,
+        form = canonical_form(g)
+        key = ("gamma-box-scan", form.hex(), lower,
                config.box_radius, config.gamma_box_budget)
         hit = cache.get(key)
         if hit is not None:
             rank, pt = hit
             if rank is not None and rank < upper:
-                return rank, tuple(pt)
+                return rank, _relabel_point(pt, _inverse(form.perm))
             return upper, upper_point
     if rational:
         points = box_points(g.n, config.box_radius)
     else:
         points = field_points(g.n, domain.p, config.gamma_box_budget)
     scanned = 0
-    for pt in points:
+    for pt, rk in evaluation_ranks(matrix, points, domain):
         scanned += 1
         if scanned > config.gamma_box_budget:
             break
-        rk = _eval_rank(matrix, pt, domain)
         if rk < upper:
             upper, upper_point = rk, pt
         if upper <= lower:
             break
     if key is not None:
-        cache.put(key, [upper, list(upper_point) if upper_point else None])
+        cache.put(key, [upper, list(_relabel_point(upper_point, form.perm))
+                        if upper_point else None])
     return upper, upper_point
 
 
@@ -468,8 +528,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     matrix = generalized_laplacian(g)
     upper = n
     upper_point = None
-    for pt in _probe_points(g):
-        rk = _eval_rank(matrix, pt, domain)
+    for pt, rk in evaluation_ranks(matrix, _probe_points(g), domain):
         if rk < upper:
             upper, upper_point = rk, pt
         if upper <= lower:

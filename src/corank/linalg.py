@@ -1,8 +1,17 @@
 """Exact matrix rank and determinants.
 
 Rational input is scaled row-wise to integers, then eliminated with the
-fraction-free Bareiss scheme: division-free growth control, bit-exact, and
-the pivot trail doubles as a nonsingular-submatrix witness.
+fraction-free Bareiss scheme (Bareiss 1968): division-free growth control,
+bit-exact, and the pivot trail doubles as a nonsingular-submatrix witness.
+
+Evaluation scans (the rank of one integer matrix at many diagonals) go
+through ``scan_ranks``.  Points that differ only in their last coordinate t
+share one elimination: pivots restricted to the leading (n-1) x (n-1) block
+give its rank r, which border sides (last column and last row beyond the
+pivots) are left nonzero, the corner R0 at t = 0 and the last pivot D.  The
+rank at t is then r + (number of nonzero sides) when a side is nonzero, and
+r + [R0 + t*D != 0] otherwise, so every t after the first costs O(1).  The
+same holds over F_p with ordinary elimination and D = 1.
 """
 
 from dataclasses import dataclass
@@ -131,3 +140,87 @@ def rank_mod_p(rows, p) -> int:
         if rank == nr:
             break
     return rank
+
+
+def scan_ranks(base_rows, points, p=None):
+    """Lazily yield (point, rank) for each point, in the points' order.
+
+    The rank is that of the square integer matrix base_rows with the point
+    on its diagonal (the base diagonal is ignored), over Q, or over F_p when
+    p is given.  Runs of points that share all but the last coordinate share
+    one elimination of the leading block (see the module docstring).
+    """
+    n = len(base_rows)
+    if n == 0:
+        for pt in points:
+            yield pt, 0
+        return
+    if p:
+        base_rows = [[c % p for c in row] for row in base_rows]
+    last = n - 1
+    head = None
+    for pt in points:
+        if pt[:last] != head:
+            head = pt[:last]
+            rank, sides, corner, lead = _bordered_elimination(base_rows, head, p)
+        if sides:
+            yield pt, rank + sides
+        else:
+            z = corner + pt[last] * lead
+            yield pt, rank + ((z % p if p else z) != 0)
+
+
+def _bordered_elimination(base_rows, head, p):
+    """Eliminate with pivots from the leading (n-1) x (n-1) block only.
+
+    The block's diagonal is head and the corner is 0.  Returns the block's
+    rank, the number of nonzero border sides left beside the pivots, the
+    corner entry and its coefficient in t (the last Bareiss pivot over Q,
+    1 over F_p).
+    """
+    n = len(base_rows)
+    last = n - 1
+    m = [row[:] for row in base_rows]
+    for u in range(last):
+        m[u][u] = head[u] % p if p else head[u]
+    m[last][last] = 0
+    prev = 1
+    k = 0
+    while k < last:
+        pr = pc = -1
+        for i in range(k, last):
+            row = m[i]
+            for j in range(k, last):
+                if row[j]:
+                    pr, pc = i, j
+                    break
+            if pr >= 0:
+                break
+        if pr < 0:
+            break
+        if pr != k:
+            m[k], m[pr] = m[pr], m[k]
+        if pc != k:
+            for row in m:
+                row[k], row[pc] = row[pc], row[k]
+        pivot_row = m[k]
+        piv = pivot_row[k]
+        if p:
+            inv = pow(piv, p - 2, p)
+            for i in range(k + 1, n):
+                row = m[i]
+                f = row[k] * inv % p
+                if f:
+                    for j in range(k + 1, n):
+                        row[j] = (row[j] - f * pivot_row[j]) % p
+        else:
+            for i in range(k + 1, n):
+                row = m[i]
+                f = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * piv - f * pivot_row[j]) // prev
+            prev = piv
+        k += 1
+    sides = (any(m[i][last] for i in range(k, last))
+             + any(m[last][j] for j in range(k, last)))
+    return k, sides, m[last][last], prev

@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .config import DEFAULT_CONFIG
-from .criticalideals import box_points, domain_name, gamma, generalized_laplacian
+from .criticalideals import (box_points, domain_name, evaluation_ranks, gamma,
+                             generalized_laplacian)
 from .graphs import Graph, is_tree
-from .linalg import RankComputation, exact_rank, rank_mod_p
-from .polyring import QQ, ZZ, GF
+from .linalg import RankComputation, exact_rank
+from .polyring import QQ, ZZ
 from .zeroforcing import zero_forcing_number
 
 __all__ = ["exact_rank", "RankComputation", "mr_small", "mrcr_bounds",
@@ -89,15 +90,11 @@ def mrcr_bounds(g, domain=ZZ, box_radius=None, config=DEFAULT_CONFIG,
     witness = None
     scanned = 0
     exhaustive = True
-    for pt in box_points(g.n, box_radius):
+    for pt, rk in evaluation_ranks(matrix, box_points(g.n, box_radius), domain):
         scanned += 1
         if scanned > config.box_point_budget:
             exhaustive = False
             break
-        if isinstance(domain, GF):
-            rk = rank_mod_p(matrix.evaluate(pt), domain.p)
-        else:
-            rk = exact_rank(matrix.evaluate(pt)).rank
         if rk < upper:
             upper, witness = rk, pt
         if upper <= lower:
@@ -524,8 +521,8 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG) -> TreeParams:
 
     matrix = generalized_laplacian(t)
     diag = None
-    for pt in product((-1, 0), repeat=n):
-        if exact_rank(matrix.evaluate(pt)).rank == m_z:
+    for pt, rk in evaluation_ranks(matrix, product((-1, 0), repeat=n), QQ):
+        if rk == m_z:
             diag = pt
             break
 

@@ -199,3 +199,17 @@ def test_cache_correctness_sample(tmp_path, capsys):
     code_none, out_none = run(capsys, "gamma", str(src))
     assert code_cold == code_warm == code_none == 0
     assert out_cold == out_warm == out_none
+
+
+def test_long_inline_input_is_read_as_graph_data(capsys):
+    """An inline token longer than a file name may be is graph data, not a path."""
+    from corank.cli import _read_input
+    from corank.generators import cycle
+    token = write_graph6(cycle(300))
+    assert len(token) > 255
+    assert _read_input(token) == [cycle(300)]
+    lines = "\n".join([write_graph6(path(4))] * 100)
+    assert len(lines) > 255
+    code, out = run(capsys, "zf", lines)
+    assert code == 0
+    assert len(json.loads(out)) == 100
