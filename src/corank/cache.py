@@ -2,9 +2,10 @@
 
 Budget fields are part of every key so changed budgets can never serve a
 stale decision.  The optional directory back-end stores one JSON file per
-entry; writes go through a single process (the CLI parent) and are atomic
-(a temporary file, then a rename), and an entry that cannot be parsed is
-counted in ``corrupt`` and treated as a miss.
+entry.  Every process, including each ``--jobs`` worker, writes directly;
+writes are atomic (a temporary file, then a rename), so concurrent writers
+of the same entry are safe, and an entry that cannot be parsed is counted
+in ``corrupt`` and treated as a miss.
 """
 
 import hashlib
@@ -14,8 +15,10 @@ import tempfile
 from pathlib import Path
 
 # Salts every file name: entries written under an older layout (witnesses
-# in the caller's labeling rather than the canonical one) are never read.
-SCHEMA = 2
+# in the caller's labeling rather than the canonical one, or a field
+# Groebner decision carrying basis polynomials in the filler's labeling)
+# are never read.
+SCHEMA = 3
 
 
 class DecisionCache:

@@ -11,6 +11,7 @@ carry agreement=False rather than hiding it.
 
 from dataclasses import dataclass, field
 
+from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
 from .criticalideals import gamma
 from .generators import forbidden_family_named, path
@@ -62,6 +63,8 @@ def classify_rank1_graph(g: Graph, config=DEFAULT_CONFIG, cache=None) -> Equival
     p3_free = p3_hit is None
     zf = zero_forcing_number(g, config)
     m_z = g.n - zf.z
+    # one cache for both gamma calls: gamma_Z reuses gamma_Q's box scan
+    cache = cache if cache is not None else DecisionCache()
     gq = gamma(g, QQ, config, cache)
     gz = gamma(g, ZZ, config, cache)
     mr_le_1 = complete  # the all-ones matrix is the rank-one witness
@@ -223,6 +226,8 @@ def classify_digraph1(d: Digraph, config=DEFAULT_CONFIG, cache=None) -> Equivale
 
     zf = zero_forcing_number(d, config)
     m_z = d.n - zf.z
+    # one cache for both gamma calls: gamma_Z reuses gamma_Q's box scan
+    cache = cache if cache is not None else DecisionCache()
     gq = gamma(d, QQ, config, cache)
     gz = gamma(d, ZZ, config, cache)
 

@@ -21,7 +21,7 @@ from .goldens import gap_table
 from .graphs import Digraph
 from .minrank import mrcr_bounds, tree_suite
 from .polyring import (ORDERS, QQ, ZZ, buchberger, format_polynomial,
-                       parse_polynomial)
+                       ideals_equal, parse_polynomial)
 from .report import (RENDERERS, build_parameter_report, parse_domain,
                      render_json, report_undecided)
 from .sweeps import SWEEPS, reproduce_gap_table
@@ -71,35 +71,27 @@ def _emit(args, text):
 
 
 def _report_worker(payload):
-    g6, digraph, config_kwargs, domains_text, timings = payload
-    from .formats import parse_digraph6, parse_graph6 as pg
-    g = parse_digraph6(g6) if digraph else pg(g6)
-    config = RunConfig(**config_kwargs)
+    """One graph's report, from its own cache, whatever the --jobs width.
+
+    Domains travel as text: QQ and ZZ are compared by identity, so they are
+    parsed again inside each worker process.
+    """
+    g, config, domains_text, cache_dir, timings = payload
     doms = [parse_domain(d) for d in domains_text]
-    return build_parameter_report(g, config, DecisionCache(), doms,
+    return build_parameter_report(g, config, DecisionCache(cache_dir), doms,
                                   include_timings=timings)
 
 
 def cmd_params(args):
     graphs = _read_input(args.input, args.digraph)
     config = _config_from_args(args)
-    domains = _domains(args)
-    cache = DecisionCache(args.cache)
+    payloads = [(g, config, args.domain or ["z", "q"], args.cache, args.timings)
+                for g in graphs]
     if args.jobs > 1:
-        payloads = []
-        for g in graphs:
-            from .formats import write_digraph6, write_graph6
-            blob = write_digraph6(g) if isinstance(g, Digraph) else write_graph6(g)
-            payloads.append((blob, isinstance(g, Digraph),
-                             dict(config.as_dict(), primes=tuple(config.primes)),
-                             [d for d in args.domain] if args.domain else ["z", "q"],
-                             args.timings))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_report_worker, payloads))
     else:
-        reports = [build_parameter_report(g, config, cache, domains,
-                                          include_timings=args.timings)
-                   for g in graphs]
+        reports = list(map(_report_worker, payloads))
     _emit(args, RENDERERS[args.format](reports))
     if args.strict and any(report_undecided(r) for r in reports):
         return EXIT_UNDECIDED
@@ -156,9 +148,10 @@ def cmd_mrcr(args):
 def cmd_trees(args):
     graphs = _read_input(args.input, False)
     config = _config_from_args(args)
+    cache = DecisionCache(args.cache)
     out = []
     for g in graphs:
-        out.append(tree_suite(g, config).to_json())
+        out.append(tree_suite(g, config, cache).to_json())
     _emit(args, render_json(out))
     return EXIT_OK
 
@@ -167,11 +160,12 @@ def cmd_classify(args):
     from .classify import classify_digraph1, classify_rank1_graph
     graphs = _read_input(args.input, args.digraph)
     config = _config_from_args(args)
+    cache = DecisionCache(args.cache)
     out = []
     disagreements = 0
     for g in graphs:
-        rep = classify_digraph1(g, config) if isinstance(g, Digraph) \
-            else classify_rank1_graph(g, config)
+        rep = classify_digraph1(g, config, cache) if isinstance(g, Digraph) \
+            else classify_rank1_graph(g, config, cache)
         out.append({"graph_id": canonical_graph6(g), **rep.to_json()})
         disagreements += 0 if rep.agreement else 1
     _emit(args, render_json(out))
@@ -205,9 +199,8 @@ def cmd_gb(args):
         texts = [ln.strip() for ln in Path(args.compare).read_text().splitlines()
                  if ln.strip() and not ln.startswith("#")]
         gens = [parse_polynomial(t, g.n, basis.domain) for t in texts]
-        other = buchberger(gens, order, config.spair_cap, config.degree_cap)
-        equal = (all(basis.contains(p) for p in other.generators)
-                 and all(other.contains(p) for p in basis.generators))
+        equal = ideals_equal(basis, buchberger(gens, order, config.spair_cap,
+                                               config.degree_cap))
         payload["compare"] = {"file": args.compare, "ideal_equal": equal}
         if not equal:
             exit_code = EXIT_FAIL

@@ -18,8 +18,6 @@ from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, Polynomial,
                        buchberger, is_trivial_over_field, is_trivial_over_Z)
 from .zeroforcing import certificate_minor, zero_forcing_number
 
-_GLOBAL_CACHE = DecisionCache()
-
 
 def domain_name(domain):
     if domain is ZZ:
@@ -190,6 +188,25 @@ def evaluation_ranks(matrix, points, domain):
     return scan_ranks(matrix.evaluate((0,) * matrix.n), points, p)
 
 
+def min_rank_scan(matrix, points, domain, lower, upper, upper_point, budget):
+    """Lower the evaluation bound (upper, upper_point) over the points.
+
+    Stops once the bound reaches lower, or when a point past the first
+    budget ones comes up.  Returns (upper, point, exhaustive), exhaustive
+    being False when the budget ended the scan.
+    """
+    scanned = 0
+    for pt, rk in evaluation_ranks(matrix, points, domain):
+        scanned += 1
+        if scanned > budget:
+            return upper, upper_point, False
+        if rk < upper:
+            upper, upper_point = rk, pt
+        if upper <= lower:
+            break
+    return upper, upper_point, True
+
+
 @dataclass
 class BoxSearchResult:
     point: tuple | None
@@ -230,19 +247,12 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
     Over Q the point is an integer box point; over Z it is a pair
     (p, point) with all i-minors vanishing mod p; over F_p a field point.
     """
-    matrix = generalized_laplacian(g)
     n = g.n
     if i < 1 or i > n:
         raise ValueError("index out of range")
     if domain is QQ:
-        scanned = 0
-        for pt, rk in evaluation_ranks(matrix, box_points(n, config.box_radius), QQ):
-            scanned += 1
-            if scanned > config.box_point_budget:
-                return None
-            if rk <= i - 1:
-                return pt
-        return None
+        return variety_box_search(g, i - 1, config.box_radius, QQ, config).point
+    matrix = generalized_laplacian(g)
     if domain is ZZ:
         for p in config.primes:
             points = field_points(n, p, config.modp_point_budget)
@@ -338,15 +348,14 @@ def _jsonable(obj):
 _MINOR_SCAN_CAP = 250_000  # skip the unit-minor scan when C(n,i)^2 exceeds this
 
 
-def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None,
-                  skip_point_search=False) -> TrivialityDecision:
+def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> TrivialityDecision:
     """Decide 1 in I_i(g) over the domain, with certificates preferred.
 
     Order of attack: unit constant minor (trivial, every domain), point
     certificate (non-trivial), Groebner fallback.  Decisions are cached by
     (canonical form, i, domain, budget hash).
     """
-    cache = cache if cache is not None else _GLOBAL_CACHE
+    cache = cache if cache is not None else DecisionCache()
     n = g.n
     if i <= 0:
         return TrivialityDecision(True, "empty-minor")
@@ -361,7 +370,7 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None,
                                  _inverse(form.perm))
         return TrivialityDecision(hit["trivial"], hit["method"], detail)
 
-    decision = _decide_trivial(g, i, domain, config, skip_point_search)
+    decision = _decide_trivial(g, i, domain, config)
     if decision.trivial is not None:  # budget-undecided results are not cached
         stored = TrivialityDecision(decision.trivial, decision.method,
                                     _relabel_detail(decision.method, decision.detail,
@@ -370,7 +379,7 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None,
     return decision
 
 
-def _decide_trivial(g, i, domain, config, skip_point_search):
+def _decide_trivial(g, i, domain, config):
     from math import comb
     matrix = generalized_laplacian(g)
     n = g.n
@@ -391,10 +400,9 @@ def _decide_trivial(g, i, domain, config, skip_point_search):
         if not gens.generators:
             return TrivialityDecision(False, "zero-ideal")
 
-    if not skip_point_search:
-        cert = nontriviality_certificate(g, i, domain, config)
-        if cert is not None:
-            return TrivialityDecision(False, "point-certificate", cert)
+    cert = nontriviality_certificate(g, i, domain, config)
+    if cert is not None:
+        return TrivialityDecision(False, "point-certificate", cert)
 
     if gens is None or (gens.unit_minor is None and scan_ok is False):
         return TrivialityDecision(None, "budget", "minor scan too large")
@@ -405,13 +413,9 @@ def _decide_trivial(g, i, domain, config, skip_point_search):
             ok, cert = is_trivial_over_Z(gens.generators, DEGREVLEX,
                                          config.spair_cap, config.degree_cap)
             return TrivialityDecision(ok, "groebner", _describe_z_cert(cert))
-        field_gens = gens.to_domain(domain)
-        ok, payload = is_trivial_over_field(field_gens, DEGREVLEX,
-                                            config.spair_cap, config.degree_cap)
-        if ok:
-            return TrivialityDecision(True, "groebner", None)
-        return TrivialityDecision(False, "groebner",
-                                  [str(p.terms) for p in payload.generators[:4]])
+        ok, _ = is_trivial_over_field(gens.to_domain(domain), DEGREVLEX,
+                                      config.spair_cap, config.degree_cap)
+        return TrivialityDecision(ok, "groebner", None)
     except BudgetExceeded as exc:
         return TrivialityDecision(None, "budget", exc.reason)
 
@@ -469,15 +473,8 @@ def _budgeted_box_scan(g, matrix, lower, upper, upper_point, domain, config, cac
         points = box_points(g.n, config.box_radius)
     else:
         points = field_points(g.n, domain.p, config.gamma_box_budget)
-    scanned = 0
-    for pt, rk in evaluation_ranks(matrix, points, domain):
-        scanned += 1
-        if scanned > config.gamma_box_budget:
-            break
-        if rk < upper:
-            upper, upper_point = rk, pt
-        if upper <= lower:
-            break
+    upper, upper_point, _ = min_rank_scan(matrix, points, domain, lower, upper,
+                                          upper_point, config.gamma_box_budget)
     if key is not None:
         cache.put(key, [upper, list(_relabel_point(upper_point, form.perm))
                         if upper_point else None])
@@ -507,7 +504,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     bound, evaluation ranks give the upper bound; no Groebner machinery
     runs unless a gap survives.
     """
-    cache = cache if cache is not None else _GLOBAL_CACHE
+    cache = cache if cache is not None else DecisionCache()
     n = g.n
     result = GammaResult(domain_name(domain), 0, n, None)
 
@@ -526,13 +523,9 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
         result.lower_witness = {"note": "zero forcing bound not exact at this order"}
 
     matrix = generalized_laplacian(g)
-    upper = n
-    upper_point = None
-    for pt, rk in evaluation_ranks(matrix, _probe_points(g), domain):
-        if rk < upper:
-            upper, upper_point = rk, pt
-        if upper <= lower:
-            break
+    probes = _probe_points(g)
+    upper, upper_point, _ = min_rank_scan(matrix, probes, domain, lower, n, None,
+                                          len(probes))
     if upper > lower:
         upper, upper_point = _budgeted_box_scan(g, matrix, lower, upper,
                                                 upper_point, domain, config, cache)
@@ -543,7 +536,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
 
     while lower < upper:
         i = lower + 1
-        dec = ideal_trivial(g, i, domain, config, cache, skip_point_search=False)
+        dec = ideal_trivial(g, i, domain, config, cache)
         if dec.trivial is True:
             lower = i
             provenance[i] = dec.method

@@ -71,13 +71,6 @@ def gap_table():
     return rows
 
 
-def gap_table_csv():
-    lines = ["graph6,mz,gamma_z,gamma_r"]
-    for g6, m_z, gz, gr in gap_table():
-        lines.append(f"{g6},{m_z},{gz},{gr}")
-    return "\n".join(lines) + "\n"
-
-
 # reduced Groebner bases this artifact must reproduce up to ideal equality
 OCTAHEDRON_I3_OVER_Z = ["x0", "x1", "x2", "x3", "x4", "x5", "2"]
 

@@ -9,9 +9,10 @@ with each other and with exponential oracles is part of the test gate.
 from dataclasses import dataclass, field
 from itertools import product
 
+from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
 from .criticalideals import (box_points, domain_name, evaluation_ranks, gamma,
-                             generalized_laplacian)
+                             generalized_laplacian, min_rank_scan)
 from .graphs import Graph, is_tree
 from .linalg import RankComputation, exact_rank
 from .polyring import QQ, ZZ
@@ -85,20 +86,9 @@ def mrcr_bounds(g, domain=ZZ, box_radius=None, config=DEFAULT_CONFIG,
     if gamma_result is None:
         gamma_result = gamma(g, domain, config)
     lower = gamma_result.value if gamma_result.value is not None else gamma_result.lower
-    matrix = generalized_laplacian(g)
-    upper = g.n
-    witness = None
-    scanned = 0
-    exhaustive = True
-    for pt, rk in evaluation_ranks(matrix, box_points(g.n, box_radius), domain):
-        scanned += 1
-        if scanned > config.box_point_budget:
-            exhaustive = False
-            break
-        if rk < upper:
-            upper, witness = rk, pt
-        if upper <= lower:
-            break
+    upper, witness, exhaustive = min_rank_scan(
+        generalized_laplacian(g), box_points(g.n, box_radius), domain, lower,
+        g.n, None, config.box_point_budget)
     return MrcrBounds(domain_name(domain), lower, upper, witness, exhaustive)
 
 
@@ -498,12 +488,14 @@ class TreeParams:
                 "deletion_set": self.deletion_set}
 
 
-def tree_suite(t: Graph, config=DEFAULT_CONFIG) -> TreeParams:
+def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
     """Every tree parameter, with all the provable equalities asserted.
 
     mz = gamma_Z = gamma_Q = mr = n - P = n - Delta = nu2, plus a diagonal
     d in {-1,0}^n with rank L(t,d) = mz.  Any failed equality raises
     TreeTheoremViolation: the theorems hold, so only a bug can trip it.
+    Both gamma calls share the cache (a fresh one by default), so gamma_Q
+    reuses gamma_Z's box scan.
     """
     _require_tree(t)
     n = t.n
@@ -516,8 +508,9 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG) -> TreeParams:
     nu2, matching = _nu2_tree(t)
     p_cover, cover = path_cover_number(t)
     delta, deletion, paths = delta_parameter(t)
-    gz = gamma(t, ZZ, config)
-    gq = gamma(t, QQ, config)
+    cache = cache if cache is not None else DecisionCache()
+    gz = gamma(t, ZZ, config, cache)
+    gq = gamma(t, QQ, config, cache)
 
     matrix = generalized_laplacian(t)
     diag = None

@@ -463,6 +463,43 @@ def parse_polynomial(text, nvars, domain=ZZ):
 # ---------------------------------------------------------------------------
 # division
 
+def _divide(terms, divisors, heads, order, dom):
+    """Multivariate division of a term dict by the divisors.
+
+    Each step reduces the leading term by the first divisor whose leading
+    monomial divides it (heads[i] is divisors[i]'s leading monomial and
+    coefficient); terms no divisor reduces move to the remainder.  Returns
+    (remainder terms, one quotient term dict per divisor).
+    """
+    add, mul, neg, inv = dom.add, dom.mul, dom.neg, dom.inv
+    pterms = dict(terms)
+    r_terms = {}
+    quots = [{} for _ in divisors]
+    while pterms:
+        lm = max(pterms, key=order.key)
+        lc = pterms.pop(lm)
+        for i, (gm, gc) in enumerate(heads):
+            if mono_divides(gm, lm):
+                break
+        else:
+            r_terms[lm] = lc
+            continue
+        q_coeff = mul(lc, inv(gc))
+        q_mono = mono_div(lm, gm)
+        # leading monomials strictly decrease, so q_mono is new for divisor i
+        quots[i][q_mono] = q_coeff
+        for mm, cc in divisors[i].terms.items():
+            if mm == gm:
+                continue
+            key = mono_mul(mm, q_mono)
+            s = add(pterms.get(key, 0), neg(mul(cc, q_coeff)))
+            if s == 0:
+                pterms.pop(key, None)
+            else:
+                pterms[key] = s
+    return r_terms, quots
+
+
 def normal_form(f, divisors, order=DEGREVLEX, with_quotients=False):
     """Remainder of f under multivariate division by the given divisors.
 
@@ -475,30 +512,11 @@ def normal_form(f, divisors, order=DEGREVLEX, with_quotients=False):
     for g in divisors:
         if g.nvars != f.nvars or g.domain != f.domain:
             raise DomainMismatch("divisor domain/variable mismatch")
-    dom = f.domain
-    heads = [(g.lead_monomial(order), g.lead_coeff(order), g) for g in divisors]
-    quots = [Polynomial.zero(f.nvars, dom) for _ in divisors] if with_quotients else None
-    r_terms = {}
-    p = f
-    while not p.is_zero():
-        lm = p.lead_monomial(order)
-        lc = p.terms[lm]
-        for i, (gm, gc, g) in enumerate(heads):
-            if mono_divides(gm, lm):
-                q_coeff = dom.mul(lc, dom.inv(gc))
-                q_mono = mono_div(lm, gm)
-                p = p - g.mul_term(q_coeff, q_mono)
-                if with_quotients:
-                    quots[i] = quots[i] + Polynomial(
-                        f.nvars, dom, {q_mono: q_coeff}, _clean=True)
-                break
-        else:
-            r_terms[lm] = lc
-            p = Polynomial(f.nvars, dom,
-                           {m: c for m, c in p.terms.items() if m != lm}, _clean=True)
-    r = Polynomial(f.nvars, dom, r_terms, _clean=True)
+    heads = [(g.lead_monomial(order), g.lead_coeff(order)) for g in divisors]
+    r_terms, quots = _divide(f.terms, divisors, heads, order, f.domain)
+    r = Polynomial(f.nvars, f.domain, r_terms, _clean=True)
     if with_quotients:
-        return r, quots
+        return r, [Polynomial(f.nvars, f.domain, q, _clean=True) for q in quots]
     return r
 
 
@@ -585,39 +603,19 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
     heads = []       # cached (lead monomial, lead coeff)
     cofs = []        # parallel cofactor vectors when tracking
 
-    def reduce_with_cof(p, pcof):
-        """Fully reduce p by the current basis, updating its cofactor vector."""
-        r_terms = {}
-        pterms = dict(p.terms)
-        while pterms:
-            lm = max(pterms, key=order.key)
-            lc = pterms.pop(lm)
-            hit = -1
-            for i, (gm, gc) in enumerate(heads):
-                if mono_divides(gm, lm):
-                    hit = i
-                    break
-            if hit < 0:
-                r_terms[lm] = lc
-                continue
-            gm, gc = heads[hit]
-            q_coeff = dom.mul(lc, dom.inv(gc))
-            q_mono = mono_div(lm, gm)
-            add, mul, neg = dom.add, dom.mul, dom.neg
-            for mm, cc in basis[hit].terms.items():
-                if mm == gm:
-                    continue
-                key = mono_mul(mm, q_mono)
-                s = add(pterms.get(key, 0), neg(mul(cc, q_coeff)))
-                if s == 0:
-                    pterms.pop(key, None)
-                else:
-                    pterms[key] = s
-            if pcof is not None:
-                gcof = cofs[hit]
-                pcof = [a - b.mul_term(q_coeff, q_mono) for a, b in zip(pcof, gcof)]
-        r = Polynomial(nvars, dom, r_terms, _clean=True)
-        return r, pcof
+    def reduce_with_cof(p, pcof, idx=None):
+        """Fully reduce p by the basis elements listed in idx (default all),
+        updating its cofactor vector by pcof - sum q_j * cofs[j]."""
+        if idx is None:
+            idx = range(len(basis))
+        r_terms, quots = _divide(p.terms, [basis[j] for j in idx],
+                                 [heads[j] for j in idx], order, dom)
+        if pcof is not None:
+            for q, j in zip(quots, idx):
+                if q:
+                    qp = Polynomial(nvars, dom, q, _clean=True)
+                    pcof = [a - qp * b for a, b in zip(pcof, cofs[j])]
+        return Polynomial(nvars, dom, r_terms, _clean=True), pcof
 
     def trivial_result(one_cof):
         one = Polynomial.constant(nvars, dom, 1)
@@ -715,30 +713,17 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
                and (lms[j] != lms[i] or j < i) for j in range(len(basis))):
             continue
         keep.append(i)
-    reduced, red_cofs = [], []
+    packed = []
     for i in keep:
-        others = [basis[j] for j in keep if j != i]
-        if track_cofactors:
-            r, quots = normal_form(basis[i], others, order, with_quotients=True)
-            cvec = list(cofs[i])
-            for q, j in zip(quots, [jj for jj in keep if jj != i]):
-                if q.is_zero():
-                    continue
-                cvec = [a - q * b for a, b in zip(cvec, cofs[j])]
-            if not r.is_zero():
-                inv = dom.inv(r.lead_coeff(order))
-                reduced.append(r.scale(inv))
-                red_cofs.append([c.scale(inv) for c in cvec])
-        else:
-            r = normal_form(basis[i], others, order)
-            if not r.is_zero():
-                reduced.append(r.monic(order))
+        r, cvec = reduce_with_cof(basis[i], cofs[i], [j for j in keep if j != i])
+        if not r.is_zero():
+            inv = dom.inv(r.lead_coeff(order))
+            packed.append((r.scale(inv),
+                           None if cvec is None else [c.scale(inv) for c in cvec]))
     # deterministic output order: descending leading monomial
-    packed = list(zip(reduced, red_cofs)) if track_cofactors else [(g, None) for g in reduced]
     packed.sort(key=lambda t: order.key(t[0].lead_monomial(order)), reverse=True)
-    result = IdealBasis([g for g, _ in packed], dom, order, is_groebner=True,
-                        cofactors=[c for _, c in packed] if track_cofactors else None)
-    return result
+    return IdealBasis([g for g, _ in packed], dom, order, is_groebner=True,
+                      cofactors=[c for _, c in packed] if track_cofactors else None)
 
 
 def is_trivial_over_field(generators, order=DEGREVLEX, spair_cap=50000,
@@ -827,12 +812,7 @@ def is_trivial_over_Z(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=3
     return True, ("denominator", d)
 
 
-def ideals_equal(basis_a, gens_b, order=DEGREVLEX):
-    """Mutual-reduction ideal equality: basis_a must be a Groebner basis.
-
-    gens_b may be any generating set; builds its Groebner basis and checks
-    containment both ways.
-    """
-    other = buchberger(list(gens_b), order)
-    return (all(basis_a.contains(g) for g in other.generators)
-            and all(other.contains(g) for g in basis_a.generators))
+def ideals_equal(basis_a, basis_b):
+    """Equality of two ideals given by Groebner bases, by mutual containment."""
+    return (all(basis_a.contains(g) for g in basis_b.generators)
+            and all(basis_b.contains(g) for g in basis_a.generators))

@@ -23,7 +23,7 @@ from .graphs import Digraph, Graph, canonical_form, induced_subgraph, is_connect
     line_graph
 from .linalg import exact_rank
 from .minrank import mrcr_bounds, tree_suite
-from .polyring import (DEGREVLEX, QQ, ZZ, buchberger, normal_form,
+from .polyring import (DEGREVLEX, QQ, ZZ, buchberger, ideals_equal, normal_form,
                        parse_polynomial)
 from .zeroforcing import certificate_minor, mz, zero_forcing_number
 
@@ -163,7 +163,7 @@ def sweep_trees(config=DEFAULT_CONFIG, cache=None, max_n=10):
         for t in all_trees(n):
             count += 1
             try:
-                tree_suite(t, config)
+                tree_suite(t, config, cache)
             except Exception as exc:  # noqa: BLE001
                 failures.append({"tree": repr(t), "error": str(exc)})
     return SweepResult("thm-trees", not failures,
@@ -392,9 +392,7 @@ def _verify_exceptional_points(config):
         ref_basis = buchberger(ref, DEGREVLEX, config.spair_cap, config.degree_cap)
         computed = buchberger([p.to_domain(QQ) for p in gens.generators],
                               DEGREVLEX, config.spair_cap, config.degree_cap)
-        mutual = (all(ref_basis.contains(p) for p in computed.generators)
-                  and all(computed.contains(p) for p in ref_basis.generators))
-        if not mutual:
+        if not ideals_equal(ref_basis, computed):
             failures.append({"graph": name, "kind": "reference basis mismatch"})
         # every 4-minor reduces to zero against the reference basis
         bad = [p for p in gens.generators

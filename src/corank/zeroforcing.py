@@ -176,22 +176,14 @@ def certificate_minor(g, record: ForceRecord) -> CertificateMinor:
     diagonal variables of the ambient matrix).  This certifies the k-minor
     ideal trivial over every commutative ring with unity.
     """
+    from .criticalideals import generalized_laplacian  # imports this module
+
     if not validate_record(g, record):
         raise CertificateError("force record does not replay on this graph")
     k = len(record.forces)
     rows = tuple(a for a, _ in record.forces)
     cols = tuple(b for _, b in record.forces)
-    directed = isinstance(g, Digraph)
-    n = g.n
-
-    def entry(u, v):
-        if u == v:
-            return Polynomial.variable(n, ZZ, u)
-        if directed:
-            mult = 1 if g.has_arc(u, v) else 0
-        else:
-            mult = 1 if g.has_edge(u, v) else 0
-        return Polynomial.constant(n, ZZ, -mult)
+    entry = generalized_laplacian(g).entry
 
     grid = []
     for t, a in enumerate(rows):
@@ -199,7 +191,7 @@ def certificate_minor(g, record: ForceRecord) -> CertificateMinor:
         for s, b in enumerate(cols):
             e = entry(a, b)
             if s == t:
-                if e != Polynomial.constant(n, ZZ, -1):
+                if e != Polynomial.constant(g.n, ZZ, -1):
                     raise CertificateError(
                         f"diagonal entry at step {t} is not -1; "
                         f"replay admitted an illegal force")

@@ -66,7 +66,9 @@ def test_params_deterministic_and_cached(tmp_path, capsys):
 
 def test_params_jobs_parallel_identical(capsys, tmp_path):
     graphs = tmp_path / "graphs.g6"
-    graphs.write_text("Bw\nBg\nD{c\n")
+    # E`]o and EygW are one graph in two labelings: the second report must
+    # not read the first one's cached box scan in either run
+    graphs.write_text("Bw\nBg\nD{c\nE`]o\nEygW\n")
     code1, out1 = run(capsys, "params", str(graphs))
     code2, out2 = run(capsys, "params", "--jobs", "2", str(graphs))
     assert code1 == code2 == 0

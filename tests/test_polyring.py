@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corank.polyring import (DEGREVLEX, GRLEX, LEX, GF, QQ, ZZ, BudgetExceeded,
                              Polynomial, buchberger, format_polynomial,
@@ -120,6 +121,28 @@ def test_division_property_over_prime_field():
         assert normal_form(f - r, divisors).is_zero()
 
 
+@st.composite
+def small_ideals(draw):
+    """Nonzero generators in three variables over Q or a small prime field."""
+    domain = draw(st.sampled_from([QQ, GF(2), GF(3), GF(7)]))
+    monomial = st.tuples(*[st.integers(0, 2)] * 3)
+    terms = st.dictionaries(monomial, st.integers(-4, 4), min_size=1, max_size=4)
+    gens = [Polynomial(3, domain, t) for t in draw(st.lists(terms, min_size=1, max_size=4))]
+    return [g for g in gens if not g.is_zero()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_ideals())
+def test_buchberger_cofactors_express_every_basis_element(gens):
+    basis = buchberger(gens, track_cofactors=True)
+    assert len(basis.cofactors) == len(basis.generators)
+    for g, cof in zip(basis.generators, basis.cofactors):
+        total = Polynomial.zero(3, g.domain)
+        for h, f in zip(cof, gens):
+            total = total + h * f
+        assert total == g
+
+
 def test_trivial_over_field_with_cofactors():
     gens = [poly("x0"), poly("x0 + 1")]
     ok, cof = is_trivial_over_field(gens, want_cofactors=True)
@@ -162,8 +185,8 @@ def test_degrevlex_vs_lex_disagree_when_expected():
 
 def test_ideals_equal_by_mutual_reduction():
     a = buchberger([poly("x0 + x1", 2), poly("x1^2", 2)])
-    assert ideals_equal(a, [poly("x0*x1", 2), poly("x0 + x1", 2)])
-    assert not ideals_equal(a, [poly("x0", 2)])
+    assert ideals_equal(a, buchberger([poly("x0*x1", 2), poly("x0 + x1", 2)]))
+    assert not ideals_equal(a, buchberger([poly("x0", 2)]))
 
 
 def test_evaluate():

@@ -108,9 +108,7 @@ def _site_outputs(graphs):
     return out
 
 
-def _tree_outputs(monkeypatch, trees):
-    # tree_suite's gamma calls use the module cache: give each run its own
-    monkeypatch.setattr(ci, "_GLOBAL_CACHE", DecisionCache())
+def _tree_outputs(trees):
     return [tree_suite(t).to_json() for t in trees]
 
 
@@ -118,7 +116,7 @@ def test_sites_unchanged_by_the_kernel(monkeypatch):
     graphs = enumerate_connected_graphs(6)
     trees = [t for n in range(1, 8) for t in all_trees(n)]
     fast = _site_outputs(graphs)
-    fast_trees = _tree_outputs(monkeypatch, trees)
+    fast_trees = _tree_outputs(trees)
     monkeypatch.setattr(ci, "scan_ranks", _per_point_ranks)
     assert _site_outputs(graphs) == fast
-    assert _tree_outputs(monkeypatch, trees) == fast_trees
+    assert _tree_outputs(trees) == fast_trees
