@@ -13,7 +13,7 @@ from itertools import combinations, product
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
 from .graphs import Digraph, canonical_form, degree_vector
-from .linalg import scan_ranks
+from .linalg import rank_scan
 from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, Polynomial,
                        buchberger, is_trivial_over_field, is_trivial_over_Z)
 from .zeroforcing import certificate_minor, zero_forcing_number
@@ -179,32 +179,29 @@ def field_points(n, p, budget):
         yield tuple(x % p for x in pt)
 
 
-def evaluation_ranks(matrix, points, domain):
-    """Lazily yield (point, rank of the matrix at the point) over the domain.
+def box_blocks(n, radius):
+    """box_points(n, radius) as lex product blocks: shell m is the product
+    of (-m..m) kept where some coordinate is +-m."""
+    return [((tuple(range(-m, m + 1)),) * n, frozenset((-m, m)) if m else None)
+            for m in range(radius + 1)]
 
-    Ranks over Z are taken over Q; the points keep their order.
-    """
+
+def field_blocks(n, p):
+    """The points of field_points(n, p, budget) before the budget, as blocks."""
+    if p == 2:
+        return [(((0, 1),) * n, None)]
+    return [(tuple(tuple(x % p for x in axis) for axis in axes),
+             rim and frozenset(x % p for x in rim))
+            for axes, rim in box_blocks(n, (p - 1) // 2)]
+
+
+def min_rank_scan(matrix, blocks, domain, lower, upper, upper_point, budget=None,
+                  limit=None):
+    """linalg.rank_scan of the matrix over the domain (ranks over Z taken
+    over Q): (upper, point, exhaustive, points scanned)."""
     p = domain.p if isinstance(domain, GF) else None
-    return scan_ranks(matrix.evaluate((0,) * matrix.n), points, p)
-
-
-def min_rank_scan(matrix, points, domain, lower, upper, upper_point, budget):
-    """Lower the evaluation bound (upper, upper_point) over the points.
-
-    Stops once the bound reaches lower, or when a point past the first
-    budget ones comes up.  Returns (upper, point, exhaustive), exhaustive
-    being False when the budget ended the scan.
-    """
-    scanned = 0
-    for pt, rk in evaluation_ranks(matrix, points, domain):
-        scanned += 1
-        if scanned > budget:
-            return upper, upper_point, False
-        if rk < upper:
-            upper, upper_point = rk, pt
-        if upper <= lower:
-            break
-    return upper, upper_point, True
+    return rank_scan(matrix.evaluate((0,) * matrix.n), blocks, p, lower, upper,
+                     upper_point, budget, limit)
 
 
 @dataclass
@@ -226,19 +223,14 @@ def variety_box_search(g, r, box_radius=None, domain=QQ,
         box_radius = config.box_radius
     if r + 1 > g.n:
         raise ValueError("r + 1 must be at most n")
-    matrix = generalized_laplacian(g)
-    scanned = 0
     if isinstance(domain, GF):
-        points = field_points(g.n, domain.p, config.box_point_budget)
+        blocks, limit = field_blocks(g.n, domain.p), config.box_point_budget
     else:
-        points = box_points(g.n, box_radius)
-    for pt, rk in evaluation_ranks(matrix, points, domain):
-        if scanned >= config.box_point_budget:
-            return BoxSearchResult(None, None, False, scanned)
-        scanned += 1
-        if rk <= r:
-            return BoxSearchResult(pt, rk, True, scanned)
-    return BoxSearchResult(None, None, True, scanned)
+        blocks, limit = box_blocks(g.n, box_radius), None
+    rank, point, exhaustive, scanned = min_rank_scan(
+        generalized_laplacian(g), blocks, domain, r, r + 1, None,
+        config.box_point_budget, limit)
+    return BoxSearchResult(point, None if point is None else rank, exhaustive, scanned)
 
 
 def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
@@ -255,17 +247,14 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
     matrix = generalized_laplacian(g)
     if domain is ZZ:
         for p in config.primes:
-            points = field_points(n, p, config.modp_point_budget)
-            for pt, rk in evaluation_ranks(matrix, points, GF(p)):
-                if rk <= i - 1:
-                    return (p, pt)
+            _, point, _, _ = min_rank_scan(matrix, field_blocks(n, p), GF(p), i - 1, i,
+                                           None, None, config.modp_point_budget)
+            if point is not None:
+                return (p, point)
         return None
     if isinstance(domain, GF):
-        points = field_points(n, domain.p, config.modp_point_budget)
-        for pt, rk in evaluation_ranks(matrix, points, domain):
-            if rk <= i - 1:
-                return pt
-        return None
+        return min_rank_scan(matrix, field_blocks(n, domain.p), domain, i - 1, i, None,
+                             None, config.modp_point_budget)[1]
     raise ValueError(f"unsupported domain {domain!r}")
 
 
@@ -417,7 +406,8 @@ def _decide_trivial(g, i, domain, config):
                                       config.spair_cap, config.degree_cap)
         return TrivialityDecision(ok, "groebner", None)
     except BudgetExceeded as exc:
-        return TrivialityDecision(None, "budget", exc.reason)
+        return TrivialityDecision(None, "budget", f"{exc.reason}, partial basis of "
+                                                  f"{len(exc.partial)} polynomials")
 
 
 def _describe_z_cert(cert):
@@ -470,11 +460,12 @@ def _budgeted_box_scan(g, matrix, lower, upper, upper_point, domain, config, cac
                 return rank, _relabel_point(pt, _inverse(form.perm))
             return upper, upper_point
     if rational:
-        points = box_points(g.n, config.box_radius)
+        blocks, limit = box_blocks(g.n, config.box_radius), None
     else:
-        points = field_points(g.n, domain.p, config.gamma_box_budget)
-    upper, upper_point, _ = min_rank_scan(matrix, points, domain, lower, upper,
-                                          upper_point, config.gamma_box_budget)
+        blocks, limit = field_blocks(g.n, domain.p), config.gamma_box_budget
+    upper, upper_point, _, _ = min_rank_scan(matrix, blocks, domain, lower, upper,
+                                             upper_point, config.gamma_box_budget,
+                                             limit)
     if key is not None:
         cache.put(key, [upper, list(_relabel_point(upper_point, form.perm))
                         if upper_point else None])
@@ -482,6 +473,7 @@ def _budgeted_box_scan(g, matrix, lower, upper, upper_point, domain, config, cac
 
 
 def _probe_points(g):
+    """The distinct probe diagonals, each as a one-point block."""
     n = g.n
     pts = [(0,) * n, (1,) * n, (-1,) * n]
     if isinstance(g, Digraph):
@@ -490,11 +482,7 @@ def _probe_points(g):
         deg = degree_vector(g)
     pts.append(tuple(deg))
     pts.append(tuple(-d for d in deg))
-    out = []
-    for p in pts:
-        if p not in out:
-            out.append(p)
-    return out
+    return [(tuple(zip(p)), None) for p in dict.fromkeys(pts)]
 
 
 def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
@@ -523,9 +511,8 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
         result.lower_witness = {"note": "zero forcing bound not exact at this order"}
 
     matrix = generalized_laplacian(g)
-    probes = _probe_points(g)
-    upper, upper_point, _ = min_rank_scan(matrix, probes, domain, lower, n, None,
-                                          len(probes))
+    upper, upper_point, _, _ = min_rank_scan(matrix, _probe_points(g), domain, lower,
+                                             n, None)
     if upper > lower:
         upper, upper_point = _budgeted_box_scan(g, matrix, lower, upper,
                                                 upper_point, domain, config, cache)
@@ -544,6 +531,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
             upper = i - 1
             provenance[i] = dec.method
         else:
+            provenance[i] = f"budget: {dec.detail}"
             result.lower, result.upper = lower, upper
             result.provenance = provenance
             result.status = "undecided"

@@ -4,19 +4,23 @@ Rational input is scaled row-wise to integers, then eliminated with the
 fraction-free Bareiss scheme (Bareiss 1968): division-free growth control,
 bit-exact, and the pivot trail doubles as a nonsingular-submatrix witness.
 
-Evaluation scans (the rank of one integer matrix at many diagonals) go
-through ``scan_ranks``.  Points that differ only in their last coordinate t
-share one elimination: pivots restricted to the leading (n-1) x (n-1) block
-give its rank r, which border sides (last column and last row beyond the
-pivots) are left nonzero, the corner R0 at t = 0 and the last pivot D.  The
-rank at t is then r + (number of nonzero sides) when a side is nonzero, and
-r + [R0 + t*D != 0] otherwise, so every t after the first costs O(1).  The
-same holds over F_p with ordinary elimination and D = 1.
+Evaluation scans (the least rank of one integer matrix over many
+diagonals) go through ``rank_scan``: a depth-first walk over lex product
+blocks of points that resumes its parent's elimination at each depth.
+Setting coordinate k adds d_k times the last pivot (1 over F_p) to entry
+(k, k); pivots are then taken inside the leading (k+1) x (k+1) block only,
+whose unpivoted rest is zero.  Every diagonal below a node therefore keeps
+rank r + [rows beside that zero block are nonzero] + [columns are], so a
+subtree whose bound reaches the running minimum is skipped and its points
+are counted by product sizes.  At the last coordinate a nonzero side gives
+the rank outright, and otherwise the corner does: O(1) per value.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import mul
 
 
 def _to_integer_rows(rows):
@@ -142,85 +146,154 @@ def rank_mod_p(rows, p) -> int:
     return rank
 
 
-def scan_ranks(base_rows, points, p=None):
-    """Lazily yield (point, rank) for each point, in the points' order.
+def rank_scan(base_rows, blocks, p, lower, upper, upper_point, budget=None,
+              limit=None):
+    """Lower the bound (upper, upper_point) to the least rank over a point set.
 
-    The rank is that of the square integer matrix base_rows with the point
-    on its diagonal (the base diagonal is ignored), over Q, or over F_p when
-    p is given.  Runs of points that share all but the last coordinate share
-    one elimination of the leading block (see the module docstring).
+    The rank is that of the square integer matrix base_rows, whose diagonal
+    is zero, with the point on its diagonal, over Q, or over F_p when p is
+    given.  The points are those of the blocks in order, cut after the
+    first `limit` of them.  A block (axes, rim) is the lex product of its
+    axes, one value sequence per coordinate, keeping only the points with a
+    coordinate in the set rim unless rim is None.  The scan stops once
+    upper <= lower, and when a point past the first `budget` comes up; with
+    upper <= lower on entry it still takes the first point.
+
+    Returns (upper, point, exhaustive, scanned): the first point of the
+    least rank found below upper (else upper_point), whether the scan ended
+    before the budget did, and the number of points taken.
     """
     n = len(base_rows)
-    if n == 0:
-        for pt in points:
-            yield pt, 0
-        return
-    if p:
-        base_rows = [[c % p for c in row] for row in base_rows]
-    last = n - 1
-    head = None
-    for pt in points:
-        if pt[:last] != head:
-            head = pt[:last]
-            rank, sides, corner, lead = _bordered_elimination(base_rows, head, p)
-        if sides:
-            yield pt, rank + sides
-        else:
-            z = corner + pt[last] * lead
-            yield pt, rank + ((z % p if p else z) != 0)
+    if upper <= lower:
+        rank, point, exhaustive, scanned = rank_scan(base_rows, blocks, p, n, n + 1,
+                                                     None, budget, limit)
+        if point is not None and rank < upper:
+            upper, upper_point = rank, point
+        return upper, upper_point, exhaustive, scanned
+    cap = min((c for c in (budget, limit) if c is not None), default=float("inf"))
+    cap_ends_points = limit is not None and cap == limit
+    base = [[c % p for c in row] for row in base_rows] if p else base_rows
+    point, scanned, exhaustive = [None] * n, 0, True
 
+    def skip(count):
+        # take count points none of which lowers upper; True ends the scan
+        nonlocal scanned, exhaustive
+        if scanned + count > cap:
+            scanned, exhaustive = cap, cap_ends_points
+            return True
+        scanned += count
+        return False
 
-def _bordered_elimination(base_rows, head, p):
-    """Eliminate with pivots from the leading (n-1) x (n-1) block only.
+    def take(rank):
+        # take the point now in `point`; True ends the scan
+        nonlocal upper, upper_point, scanned, exhaustive
+        if scanned >= cap:
+            exhaustive = cap_ends_points
+            return True
+        scanned += 1
+        if rank < upper:
+            upper, upper_point = rank, tuple(point)
+        return upper <= lower
 
-    The block's diagonal is head and the corner is 0.  Returns the block's
-    rank, the number of nonzero border sides left beside the pivots, the
-    corner entry and its coefficient in t (the last Bareiss pivot over Q,
-    1 over F_p).
-    """
-    n = len(base_rows)
-    last = n - 1
-    m = [row[:] for row in base_rows]
-    for u in range(last):
-        m[u][u] = head[u] % p if p else head[u]
-    m[last][last] = 0
-    prev = 1
-    k = 0
-    while k < last:
-        pr = pc = -1
-        for i in range(k, last):
-            row = m[i]
-            for j in range(k, last):
-                if row[j]:
-                    pr, pc = i, j
+    def visit(k, m, r, prev, hit):
+        # coordinates < k are set, and m holds r Bareiss pivots at (0..r-1,
+        # 0..r-1), all taken inside the leading k x k block; the rest of
+        # that block, rows and columns r..k-1, is zero
+        count = sizes[k] if hit else sizes[k] - free[k]
+        if not count:
+            return False
+        if k == n - 1:
+            # the last coordinate: its row and column beside the zero block
+            # give the rank alone when one is nonzero, else the corner does
+            sides = any(row[k] for row in m[r:k]) + any(m[k][r:k])
+            if r + sides >= upper:
+                return skip(count)
+            values = axes[k] if hit else last_rim
+            if sides:
+                point[k] = values[0]
+                return take(r + sides) or skip(count - 1)
+            c = m[k][k]
+            for v in values:
+                point[k] = v
+                z = c + v * prev
+                if take(r + bool(z % p if p else z)):
+                    return True
+            return False
+        if r >= upper or r + 2 >= upper and r + _sides(m, r, k) >= upper:
+            return skip(count)
+        c = m[k][k]
+        for v in axes[k]:
+            point[k] = v
+            m2 = m[:r] + [row[:] for row in m[r:]]
+            m2[k][k] = (c + v * prev) % p if p else c + v * prev
+            if visit(k + 1, m2, *_eliminate(m2, r, prev, p, k + 1), hit or v in rim):
+                return True
+        return False
+
+    for axes, rim in blocks:
+        if max(map(len, axes), default=1) == 1:
+            # a single point, eliminated at once
+            point[:] = [v for v, in axes]
+            if rim is None or not rim.isdisjoint(point):
+                m = [row[:] for row in base]
+                for u, v in enumerate([v % p for v in point] if p else point):
+                    m[u][u] = v
+                if take(_eliminate(m, 0, 1, p, n)[0]):
                     break
-            if pr >= 0:
-                break
-        if pr < 0:
+            continue
+        # points below depth k: all of them, and those with no rim value
+        sizes = list(accumulate(map(len, reversed(axes)), mul, initial=1))[::-1]
+        if rim is not None:
+            free = list(accumulate((sum(v not in rim for v in a) for a in reversed(axes)),
+                                   mul, initial=1))[::-1]
+            last_rim = [v for v in axes[-1] if v in rim]
+        if visit(0, base, 0, 1, rim is None):
             break
-        if pr != k:
-            m[k], m[pr] = m[pr], m[k]
-        if pc != k:
-            for row in m:
-                row[k], row[pc] = row[pc], row[k]
-        pivot_row = m[k]
-        piv = pivot_row[k]
+    visit = None  # it refers to itself: free the cycle now, not at a collection
+    return upper, upper_point, exhaustive, scanned
+
+
+def _sides(m, r, k):
+    """How many of the two blocks beside the zero block r..k-1 are nonzero:
+    rank above the r pivots that every diagonal from k on keeps."""
+    return (any(any(row[k:]) for row in m[r:k])
+            + any(any(row[r:k]) for row in m[k:]))
+
+
+def _eliminate(m, r, prev, p, end):
+    """Pivot m in place inside rows and columns r..end-1, past the r pivots
+    at (0..r-1, 0..r-1), until that block is zero (Bareiss over Q, plain
+    elimination over F_p).  Returns the pivot count and the last pivot."""
+    size = len(m)
+    while r < end:
+        for pr in range(r, end):
+            row = m[pr]
+            for pc in range(r, end):
+                if row[pc]:
+                    break
+            else:
+                continue
+            break
+        else:
+            break
+        m[r], m[pr] = row, m[r]
+        if pc != r:
+            for row in m[r:]:
+                row[r], row[pc] = row[pc], row[r]
+        prow = m[r]
+        piv = prow[r]
         if p:
             inv = pow(piv, p - 2, p)
-            for i in range(k + 1, n):
-                row = m[i]
-                f = row[k] * inv % p
+            for row in m[r + 1:]:
+                f = row[r] * inv % p
                 if f:
-                    for j in range(k + 1, n):
-                        row[j] = (row[j] - f * pivot_row[j]) % p
+                    for j in range(r + 1, size):
+                        row[j] = (row[j] - f * prow[j]) % p
         else:
-            for i in range(k + 1, n):
-                row = m[i]
-                f = row[k]
-                for j in range(k + 1, n):
-                    row[j] = (row[j] * piv - f * pivot_row[j]) // prev
+            for row in m[r + 1:]:
+                f = row[r]
+                for j in range(r + 1, size):
+                    row[j] = (row[j] * piv - f * prow[j]) // prev
             prev = piv
-        k += 1
-    sides = (any(m[i][last] for i in range(k, last))
-             + any(m[last][j] for j in range(k, last)))
-    return k, sides, m[last][last], prev
+        r += 1
+    return r, prev

@@ -7,12 +7,11 @@ with each other and with exponential oracles is part of the test gate.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
-from .criticalideals import (box_points, domain_name, evaluation_ranks, gamma,
-                             generalized_laplacian, min_rank_scan)
+from .criticalideals import (box_blocks, domain_name, gamma, generalized_laplacian,
+                             min_rank_scan)
 from .graphs import Graph, is_tree
 from .linalg import RankComputation, exact_rank
 from .polyring import QQ, ZZ
@@ -86,8 +85,8 @@ def mrcr_bounds(g, domain=ZZ, box_radius=None, config=DEFAULT_CONFIG,
     if gamma_result is None:
         gamma_result = gamma(g, domain, config)
     lower = gamma_result.value if gamma_result.value is not None else gamma_result.lower
-    upper, witness, exhaustive = min_rank_scan(
-        generalized_laplacian(g), box_points(g.n, box_radius), domain, lower,
+    upper, witness, exhaustive, _ = min_rank_scan(
+        generalized_laplacian(g), box_blocks(g.n, box_radius), domain, lower,
         g.n, None, config.box_point_budget)
     return MrcrBounds(domain_name(domain), lower, upper, witness, exhaustive)
 
@@ -512,12 +511,10 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
     gz = gamma(t, ZZ, config, cache)
     gq = gamma(t, QQ, config, cache)
 
-    matrix = generalized_laplacian(t)
-    diag = None
-    for pt, rk in evaluation_ranks(matrix, product((-1, 0), repeat=n), QQ):
-        if rk == m_z:
-            diag = pt
-            break
+    # no diagonal has rank below n - Z, so the first of rank <= mz has rank mz
+    diag_rank, diag, _, _ = min_rank_scan(generalized_laplacian(t),
+                                          [(((-1, 0),) * n, None)], QQ, m_z,
+                                          m_z + 1, None)
 
     checks = {
         "nu2 == n - P": nu2 == n - p_cover,
@@ -525,7 +522,7 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
         "mz == n - P": m_z == n - p_cover,
         "gamma_Z == mz": gz.value == m_z,
         "gamma_Q == mz": gq.value == m_z,
-        "diagonal in {-1,0}^n achieving rank mz": diag is not None,
+        "diagonal in {-1,0}^n achieving rank mz": diag_rank == m_z,
     }
     failures = [name for name, ok in checks.items() if not ok]
     if failures:

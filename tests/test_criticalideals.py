@@ -12,7 +12,8 @@ from corank.criticalideals import (box_points, gamma, generalized_laplacian,
                                    ideal_trivial, minor_generators,
                                    nontriviality_certificate, variety_box_search)
 from corank.generators import (bull, complete, complete_multipartite, cycle,
-                               graph_b, matching_3k2, octahedron, path, petersen)
+                               graph_a, graph_b, matching_3k2, octahedron, path,
+                               petersen)
 from corank.goldens import OCTAHEDRON_I3_OVER_Z, OCTAHEDRON_I4_OVER_R, GRAPH_B_I4
 from corank.graphs import Digraph, Graph, relabel
 from corank.linalg import exact_rank
@@ -277,6 +278,15 @@ def test_budget_yields_undecided_not_wrong():
                       box_point_budget=3, modp_point_budget=1, primes=(2,))
     r = gamma(graph_b(), QQ, tight, DecisionCache())
     assert r.status == "undecided" or r.value == 3
+
+
+def test_undecided_gamma_names_its_budget():
+    r = gamma(graph_a(), QQ, RunConfig(spair_cap=1), DecisionCache())
+    assert r.status == "undecided" and r.value is None
+    stuck = r.provenance[r.lower + 1]
+    prefix = "budget: S-pair cap exceeded, partial basis of "
+    assert stuck.startswith(prefix) and stuck.endswith(" polynomials")
+    assert int(stuck[len(prefix):].split()[0]) > 0
 
 
 def test_cache_respects_budget_hash():

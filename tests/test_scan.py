@@ -1,83 +1,164 @@
 """The evaluation-rank scan kernel and the scan sites routed through it."""
 
-from itertools import product
+from itertools import islice, product
 
 from hypothesis import given, settings, strategies as st
 
-import corank.criticalideals as ci
+import corank
+import corank.linalg as linalg
 from corank.config import RunConfig
-from corank.criticalideals import (gamma, generalized_laplacian,
+from corank.criticalideals import (box_blocks, box_points, field_blocks, field_points,
+                                   gamma, generalized_laplacian,
                                    nontriviality_certificate, variety_box_search)
 from corank.cache import DecisionCache
 from corank.enumeration import all_trees, enumerate_connected_graphs
 from corank.graphs import Digraph, Graph
-from corank.linalg import exact_rank, rank_mod_p, scan_ranks
+from corank.linalg import exact_rank, rank_mod_p, rank_scan
 from corank.minrank import mrcr_bounds, tree_suite
 from corank.polyring import GF, QQ, ZZ
 
 
 def _per_point_ranks(base_rows, points, p=None):
-    """The scan as one full elimination per point: the reference route."""
+    """Lazily, (point, rank) by one full elimination per point."""
     for pt in points:
         rows = [[pt[u] if u == v else c for v, c in enumerate(row)]
                 for u, row in enumerate(base_rows)]
         yield pt, exact_rank(rows).rank if p is None else rank_mod_p(rows, p)
 
 
-@st.composite
-def scans(draw):
-    """A random graph or digraph on 0..6 vertices, points and a modulus.
+def _reference_scan(ranked, lower, upper, upper_point, budget=None):
+    """The min-rank scan loop over (point, rank) pairs, point by point."""
+    scanned = 0
+    for pt, rk in ranked:
+        scanned += 1
+        if budget is not None and scanned > budget:
+            return upper, upper_point, False, budget
+        if rk < upper:
+            upper, upper_point = rk, pt
+        if upper <= lower:
+            break
+    return upper, upper_point, True, scanned
 
-    The points come in runs that share all but the last coordinate, with
-    the runs' prefixes in random order (repeats allowed).
-    """
-    n = draw(st.integers(0, 6))
+
+def _block_points(blocks, limit=None):
+    """The blocks' points by definition: each block's lex product, keeping
+    the points with a coordinate in its rim, cut after limit points."""
+    return islice((pt for axes, rim in blocks for pt in product(*axes)
+                   if rim is None or any(x in rim for x in pt)), limit)
+
+
+def _reference_kernel(base_rows, blocks, p, lower, upper, upper_point, budget=None,
+                      limit=None):
+    """rank_scan as one full elimination per point."""
+    return _reference_scan(_per_point_ranks(base_rows, _block_points(blocks, limit), p),
+                           lower, upper, upper_point, budget)
+
+
+@st.composite
+def graphs(draw, max_n=6):
+    n = draw(st.integers(0, max_n))
     directed = draw(st.booleans())
     pairs = [(u, v) for u in range(n) for v in range(n)
              if u != v and (directed or u < v)]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [e for e, keep in zip(pairs, mask) if keep]
-    g = Digraph(n, edges) if directed else Graph(n, edges)
+    return Digraph(n, edges) if directed else Graph(n, edges)
+
+
+@st.composite
+def scans(draw):
+    """A random graph or digraph on 0..6 vertices, a point set given both as
+    blocks and as the point iterator it stands for, a modulus, bounds and a
+    budget.
+
+    The point sets are a box (box_points), a field-point set cut at its own
+    budget (field_points), explicit points as single-value blocks, and
+    arbitrary blocks (random axes, rims and limit).
+    """
+    g = draw(graphs())
+    n = g.n
     radius = draw(st.integers(0, 2))
     p = draw(st.sampled_from([None, 2, 3, 5, 7]))
-    coord = st.integers(-radius, radius)
-    if n == 0:
-        points = [()]
+    kinds = ["box", "explicit", "blocks"] + (["field"] if p else [])
+    kind = draw(st.sampled_from(kinds))
+    limit = None
+    if kind == "box":
+        blocks, points = box_blocks(n, radius), box_points(n, radius)
+        size = (2 * radius + 1) ** n
+    elif kind == "field":
+        limit = draw(st.integers(0, 300))
+        blocks, points = field_blocks(n, p), field_points(n, p, limit)
+        size = limit
     else:
-        heads = draw(st.lists(st.tuples(*[coord] * (n - 1)), min_size=1, max_size=12))
-        points = [h + (t,) for h in heads for t in range(-radius, radius + 1)]
-    return g, points, p
+        coord = st.integers(-radius - 1, radius + 1)
+        if kind == "explicit":
+            pts = draw(st.lists(st.tuples(*[coord] * n), max_size=6))
+            blocks = [(tuple((x,) for x in pt), None) for pt in pts]
+        else:
+            axis = st.lists(coord, min_size=1, max_size=4, unique=True).map(tuple)
+            rims = st.none() | st.frozensets(coord, max_size=3)
+            blocks = draw(st.lists(st.tuples(st.tuples(*[axis] * n), rims), max_size=3))
+            limit = draw(st.none() | st.integers(0, 300))
+        points = _block_points(blocks, limit)
+        size = sum(1 for _ in _block_points(blocks, limit))
+    # scans from no bound down to rank 0 are the common case at the sites
+    lower = draw(st.just(0) | st.integers(0, n))
+    upper = draw(st.sampled_from([n, n + 1]) | st.integers(0, n + 1))
+    upper_point = draw(st.none() | st.just((7,) * n))
+    # budgets may end the scan mid-shell or inside a skipped subtree; large
+    # sets always get one, so that the reference stays cheap
+    budget = draw(st.integers(0, min(size + 1, 400)) if size > 400
+                  else st.none() | st.integers(0, size + 1))
+    return g, blocks, points, p, lower, upper, upper_point, budget, limit
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(scans())
-def test_scan_ranks_matches_per_point_rank(case):
-    g, points, p = case
+def test_rank_scan_matches_per_point_scan(case):
+    g, blocks, points, p, lower, upper, upper_point, budget, limit = case
     base = generalized_laplacian(g).evaluate((0,) * g.n)
-    assert list(scan_ranks(base, iter(points), p)) == \
-        list(_per_point_ranks(base, points, p))
+    assert rank_scan(base, blocks, p, lower, upper, upper_point, budget, limit) == \
+        _reference_scan(_per_point_ranks(base, points, p), lower, upper, upper_point,
+                        budget)
 
 
-def test_scan_ranks_whole_boxes():
-    # every point of the radius-2 box, lex order, on a few fixed graphs
-    for g in (Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
-              Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]), Graph(5)):
+def test_rank_scan_every_budget():
+    # every budget from 0 past the point count, so each one ends the scan at
+    # a different point, inside skipped subtrees included, and the first
+    # point of each rank bound.  In the last case
+    # d_0 = d_1 = 0 leave both border sides of the last coordinate nonzero:
+    # the first value lowers the bound and the others are only counted.
+    cases = [(g, box_blocks(4, 2), box_points(4, 2), 4)
+             for g in (Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+                       Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 2), (3, 1)]), Graph(4),
+                       Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))]
+    blocks = [(((0,), (0,), (0, 1, 2)), None)] * 2
+    cases.append((Graph(3, [(0, 2)]), blocks, _block_points(blocks), 3))
+    for g, blocks, points, upper in cases:
         base = generalized_laplacian(g).evaluate((0,) * g.n)
-        points = list(product(range(-2, 3), repeat=g.n))
+        points = list(points)
         for p in (None, 3):
-            assert list(scan_ranks(base, points, p)) == \
-                list(_per_point_ranks(base, points, p))
+            ranked = list(_per_point_ranks(base, points, p))
+            lowest = min(rk for _, rk in ranked)
+            for budget in range(len(ranked) + 2):
+                for lower in (0, lowest):
+                    assert rank_scan(base, blocks, p, lower, upper, None, budget) == \
+                        _reference_scan(ranked, lower, upper, None, budget)
+            # the first point of rank <= r, for every r
+            for r in range(g.n):
+                assert rank_scan(base, blocks, p, r, r + 1, None) == \
+                    _reference_scan(ranked, r, r + 1, None)
 
 
-def test_scan_ranks_is_lazy():
-    def points():
-        yield (0, 0)
-        yield (0, 1)
-        raise AssertionError("read past the point the caller stopped at")
-
-    scan = scan_ranks([[0, -1], [-1, 0]], points())
-    assert next(scan) == ((0, 0), 2)
-    assert next(scan) == ((0, 1), 2)
+def test_rank_scan_stops_at_the_first_point_reaching_lower():
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    base = generalized_laplacian(c5).evaluate((0,) * 5)
+    ranked = list(_per_point_ranks(base, box_points(5, 2)))
+    lowest = min(rk for _, rk in ranked)
+    first = next(i for i, (_, rk) in enumerate(ranked) if rk == lowest)
+    result = rank_scan(base, box_blocks(5, 2), None, lowest, 5, None)
+    assert result == (lowest, ranked[first][0], True, first + 1)
+    assert result == _reference_scan(iter(ranked), lowest, 5, None)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +198,12 @@ def test_sites_unchanged_by_the_kernel(monkeypatch):
     trees = [t for n in range(1, 8) for t in all_trees(n)]
     fast = _site_outputs(graphs)
     fast_trees = _tree_outputs(trees)
-    monkeypatch.setattr(ci, "scan_ranks", _per_point_ranks)
+    bound = [(module, name) for module in vars(corank).values()
+             if getattr(module, "__name__", "").startswith("corank.")
+             for name, value in vars(module).items() if value is linalg.rank_scan]
+    assert ("corank.criticalideals", "rank_scan") in \
+        [(module.__name__, name) for module, name in bound]
+    for module, name in bound:
+        monkeypatch.setattr(module, name, _reference_kernel)
     assert _site_outputs(graphs) == fast
     assert _tree_outputs(trees) == fast_trees
