@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
-from .criticalideals import gamma
+from .criticalideals import gamma, jsonable
 from .generators import forbidden_family_named, path
 from .graphs import Digraph, Graph, contains_induced, is_connected
 from .polyring import QQ, ZZ
@@ -33,17 +33,7 @@ class EquivalenceReport:
     def to_json(self):
         return {"kind": self.kind, "conditions": dict(self.conditions),
                 "agreement": self.agreement,
-                "witnesses": {k: _plain(v) for k, v in self.witnesses.items()}}
-
-
-def _plain(v):
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    if isinstance(v, (frozenset, set)):
-        return sorted(v)
-    if isinstance(v, dict):
-        return {str(k): _plain(x) for k, x in v.items()}
-    return v
+                "witnesses": jsonable(self.witnesses)}
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +105,28 @@ def check_mr2_corollary(g: Graph, config=DEFAULT_CONFIG, cache=None) -> Mr2Corol
 # ---------------------------------------------------------------------------
 # digraphs
 
+def _arc_decompositions(d: Digraph):
+    """Every (A, B) with arcs(d) = A x B minus the diagonal; only
+    (empty, empty) when there are no arcs.
+
+    A is the out-support and B the in-support, except that a one-element
+    side may absorb its counterpart without changing A x B.  Every
+    decomposition covers the same vertices, and the rest are isolated.
+    """
+    if not d.arcs:
+        yield frozenset(), frozenset()
+        return
+    out_support = frozenset(u for u in range(d.n) if d.out_adj[u])
+    in_support = frozenset(v for v in range(d.n) if d.in_adj[v])
+    cand_a = [out_support] + ([out_support | in_support] if len(in_support) == 1 else [])
+    cand_b = [in_support] + ([in_support | out_support] if len(out_support) == 1 else [])
+    arcs = set(d.arcs)
+    for a in cand_a:
+        for b in cand_b:
+            if {(u, v) for u in a for v in b if u != v} == arcs:
+                yield a, b
+
+
 def rank1_arc_decomposition(d: Digraph):
     """Sets (A, B) with arcs(d) = A x B minus the diagonal, or None.
 
@@ -122,40 +134,17 @@ def rank1_arc_decomposition(d: Digraph):
     matrix with rows A and columns B realizes the arc pattern off the
     diagonal.  Vertices outside A and B are necessarily isolated.
     """
-    if not d.arcs:
-        return frozenset(), frozenset()
-    out_support = frozenset(u for u in range(d.n) if d.out_adj[u])
-    in_support = frozenset(v for v in range(d.n) if d.in_adj[v])
-    # a one-element side may absorb its counterpart without changing A x B
-    cand_a = [out_support] + ([out_support | in_support] if len(in_support) == 1 else [])
-    cand_b = [in_support] + ([in_support | out_support] if len(out_support) == 1 else [])
-    arcs = set(d.arcs)
-    for a in cand_a:
-        for b in cand_b:
-            if {(u, v) for u in a for v in b if u != v} == arcs:
-                return a, b
-    return None
+    return next(_arc_decompositions(d), None)
 
 
-def _lambda_witnesses(d: Digraph, require_cover):
+def _lambda_parts(d: Digraph, require_cover):
+    """Sorted distinct (|A - B|, |A & B|, |B - A|) over the decompositions,
+    only those covering every vertex when required; (0, 0, n) without arcs."""
     if not d.arcs:
-        if require_cover:
-            return [(0, 0, d.n)]
         return [(0, 0, d.n)]
-    out_support = frozenset(u for u in range(d.n) if d.out_adj[u])
-    in_support = frozenset(v for v in range(d.n) if d.in_adj[v])
-    cand_a = [out_support] + ([out_support | in_support] if len(in_support) == 1 else [])
-    cand_b = [in_support] + ([in_support | out_support] if len(out_support) == 1 else [])
-    arcs = set(d.arcs)
-    found = []
-    for a in cand_a:
-        for b in cand_b:
-            if {(u, v) for u in a for v in b if u != v} != arcs:
-                continue
-            if require_cover and (a | b) != set(range(d.n)):
-                continue
-            found.append((len(a - b), len(a & b), len(b - a)))
-    return sorted(set(found))
+    return sorted({(len(a - b), len(a & b), len(b - a))
+                   for a, b in _arc_decompositions(d)
+                   if not require_cover or len(a | b) == d.n})
 
 
 def is_lambda(d: Digraph):
@@ -165,7 +154,7 @@ def is_lambda(d: Digraph):
     fine); ties resolve to the lexicographically least witness.  Returns
     None otherwise.
     """
-    found = _lambda_witnesses(d, require_cover=True)
+    found = _lambda_parts(d, require_cover=True)
     return found[0] if found else None
 
 
@@ -177,16 +166,11 @@ def is_lambda_up_to_isolated(d: Digraph):
     digraph classification stays an equivalence; an exact Lambda is the
     special case isolated = 0.
     """
-    deco = rank1_arc_decomposition(d)
-    if deco is None:
+    found = _lambda_parts(d, require_cover=False)
+    if not found:
         return None
-    a, b = deco
-    if not d.arcs:
-        return (0, 0, d.n, 0)
-    isolated = d.n - len(a | b)
-    witnesses = _lambda_witnesses(d, require_cover=False)
-    n1, n2, n3 = witnesses[0]
-    return (n1, n2, n3, isolated)
+    parts = found[0]
+    return (*parts, d.n - sum(parts))
 
 
 def lambda_pattern_matrix(d: Digraph):

@@ -4,8 +4,10 @@
 
 Inputs are graph6/digraph6 lines or an edge/arc list; `-` reads stdin, an
 existing path reads a file, anything else parses as inline text.  Exit
-codes: 0 success, 1 assertion or diff failure, 2 parse error, 3 a
-budget-undecided result was produced under --strict.
+codes: 0 success; 1 assertion or diff failure, invalid argument, or a file
+that cannot be read or written; 2 parse error; 3 a budget-undecided result,
+under --strict, or always when a command stops at a budget (gb over its
+S-pair or degree cap).
 """
 
 import argparse
@@ -20,7 +22,7 @@ from .formats import FormatError, autodetect, canonical_graph6
 from .goldens import gap_table
 from .graphs import Digraph
 from .minrank import mrcr_bounds, tree_suite
-from .polyring import (ORDERS, QQ, ZZ, buchberger, format_polynomial,
+from .polyring import (ORDERS, QQ, ZZ, BudgetExceeded, buchberger, format_polynomial,
                        ideals_equal, parse_polynomial)
 from .report import (RENDERERS, build_parameter_report, parse_domain,
                      render_json, report_undecided)
@@ -302,9 +304,13 @@ def main(argv=None):
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except BudgetExceeded as exc:
+        print(f"undecided: {exc.reason}, partial basis of {len(exc.partial)} "
+              f"polynomials", file=sys.stderr)
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

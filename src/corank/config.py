@@ -8,13 +8,10 @@ from dataclasses import dataclass, field, asdict
 @dataclass(frozen=True)
 class RunConfig:
     box_radius: int = 2            # evaluation-point search box {-r..r}^n
-    tree_box_radius: int = 1       # trees only need diagonals in {-1, 0}
     primes: tuple = (2, 3, 5, 7, 11, 13)
     spair_cap: int = 50000
     degree_cap: int = 30
     zf_exact_max_n: int = 12       # exact zero-forcing search tier
-    enum_graph_max_n: int = 7
-    enum_digraph_max_n: int = 4
     modp_point_budget: int = 20000  # points tried per prime in mod-p searches
     box_point_budget: int = 200_000   # explicit variety box searches
     gamma_box_budget: int = 20_000    # upper-bound scan inside gamma

@@ -14,7 +14,7 @@ from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
 from .graphs import Digraph, canonical_form, degree_vector
 from .linalg import rank_scan
-from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, Polynomial,
+from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, IdealBasis, Polynomial,
                        buchberger, is_trivial_over_field, is_trivial_over_Z)
 from .zeroforcing import certificate_minor, zero_forcing_number
 
@@ -105,7 +105,6 @@ def generalized_laplacian(g) -> SymbolicMatrix:
 
 @dataclass
 class MinorGenerators:
-    size: int
     generators: list           # deduplicated up to sign, zero minors dropped
     unit_minor: tuple | None   # (rows, cols, value) with value in {1,-1}
     constant_minors: list      # (rows, cols, value), nonzero constants
@@ -145,8 +144,8 @@ def minor_generators(matrix: SymbolicMatrix, size: int,
             seen.add(key)
             gens.append(p)
             if unit is not None and stop_at_unit:
-                return MinorGenerators(size, gens, unit, constants)
-    return MinorGenerators(size, gens, unit, constants)
+                return MinorGenerators(gens, unit, constants)
+    return MinorGenerators(gens, unit, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def box_points(n, radius):
     yield (0,) * n
     for m in range(1, radius + 1):
         for pt in product(range(-m, m + 1), repeat=n):
-            if max(map(abs, pt)) == m:
+            if max(map(abs, pt), default=0) == m:
                 yield pt
 
 
@@ -319,18 +318,22 @@ class TrivialityDecision:
 
     def to_json(self):
         return {"trivial": self.trivial, "method": self.method,
-                "detail": _jsonable(self.detail)}
+                "detail": jsonable(self.detail)}
 
 
-def _jsonable(obj):
+def jsonable(obj):
+    """obj as plain JSON data: tuples become lists, sets sorted lists,
+    fractions strings and dictionary keys strings."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
+        return [jsonable(x) for x in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [jsonable(x) for x in sorted(obj)]
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     return repr(obj)
 
 
@@ -393,10 +396,8 @@ def _decide_trivial(g, i, domain, config):
     if cert is not None:
         return TrivialityDecision(False, "point-certificate", cert)
 
-    if gens is None or (gens.unit_minor is None and scan_ok is False):
+    if gens is None:
         return TrivialityDecision(None, "budget", "minor scan too large")
-    # regenerate fully (the stop_at_unit pass may have ended early only when
-    # a unit was found, which was handled above, so gens is complete here)
     try:
         if domain is ZZ:
             ok, cert = is_trivial_over_Z(gens.generators, DEGREVLEX,
@@ -435,8 +436,8 @@ class GammaResult:
 
     def to_json(self):
         return {"domain": self.domain, "lower": self.lower, "upper": self.upper,
-                "value": self.value, "lower_witness": _jsonable(self.lower_witness),
-                "upper_witness": _jsonable(self.upper_witness),
+                "value": self.value, "lower_witness": jsonable(self.lower_witness),
+                "upper_witness": jsonable(self.upper_witness),
                 "provenance": {str(k): v for k, v in sorted(self.provenance.items())},
                 "status": self.status}
 
@@ -548,9 +549,11 @@ def groebner_basis_of_critical_ideal(g, i, domain=QQ, order=DEGREVLEX,
                                      config=DEFAULT_CONFIG):
     """Reduced Groebner basis of I_i(g) for reporting and ideal comparison.
 
-    Field domains return the basis directly.  For Z the field computation
-    runs over Q and is paired with the exact Z-triviality decision; true
-    basis computation over Z is out of scope by design.
+    Field domains return the basis directly.  For Z the basis over Q is
+    paired with the exact Z-triviality decision, which computes that basis
+    first: its certificate carries it when the ideal is proper over Q, and
+    otherwise it is {1}.  The decision's cofactors are not kept.  True basis
+    computation over Z is out of scope by design.
     """
     matrix = generalized_laplacian(g)
     gens = minor_generators(matrix, i)
@@ -558,10 +561,11 @@ def groebner_basis_of_critical_ideal(g, i, domain=QQ, order=DEGREVLEX,
         return buchberger(gens.to_domain(domain), order,
                           config.spair_cap, config.degree_cap)
     if domain is ZZ:
-        q_basis = buchberger(gens.to_domain(QQ), order,
-                             config.spair_cap, config.degree_cap)
         ok, cert = is_trivial_over_Z(gens.generators, order,
                                      config.spair_cap, config.degree_cap)
+        q_gens = (cert[1].generators if cert[0] == "rational-basis"
+                  else [Polynomial.constant(g.n, QQ, 1)])
+        q_basis = IdealBasis(q_gens, QQ, order, is_groebner=True)
         return q_basis, TrivialityDecision(ok, "groebner", _describe_z_cert(cert))
     raise ValueError(f"unsupported domain {domain!r}")
 

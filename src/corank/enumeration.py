@@ -65,21 +65,22 @@ def _graphs_exactly(n):
             edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
             graphs.append(Graph(n, edges))
     elif n == 7:
-        seen = {}
-        for parent in _graphs_exactly(6):
-            for sub in range(64):
-                extra = [(v, 6) for v in range(6) if sub >> v & 1]
-                g = Graph(7, list(parent.edges) + extra)
-                cf = canonical_form(g)
-                if cf.key not in seen:
-                    seen[cf.key] = relabel(g, cf.perm)
-        graphs = list(seen.values())
+        graphs = (Graph(7, list(parent.edges) + [(v, 6) for v in range(6) if sub >> v & 1])
+                  for parent in _graphs_exactly(6) for sub in range(64))
     else:
         raise EnumerationRangeError(f"exhaustive graph tier stops at n=7, got {n}")
-    keyed = [(canonical_form(g).key, relabel(g, canonical_form(g).perm))
-             for g in graphs]
-    keyed.sort(key=lambda t: t[0])
-    return tuple(g for _, g in keyed)
+    return _canonical_classes(graphs)
+
+
+def _canonical_classes(graphs):
+    """The first graph of each isomorphism class, canonically relabeled,
+    sorted by canonical key; one canonical form per graph."""
+    seen = {}
+    for g in graphs:
+        cf = canonical_form(g)
+        if cf.key not in seen:
+            seen[cf.key] = relabel(g, cf.perm)
+    return tuple(seen[key] for key in sorted(seen))
 
 
 def enumerate_graphs(max_n):
@@ -114,10 +115,7 @@ def _digraphs_exactly(n):
     for mask in _orbit_min_reps(n, arcs_all, perm_maps):
         arcs = [arcs_all[k] for k in range(len(arcs_all)) if mask >> k & 1]
         digraphs.append(Digraph(n, arcs))
-    keyed = [(canonical_form(d).key, relabel(d, canonical_form(d).perm))
-             for d in digraphs]
-    keyed.sort(key=lambda t: t[0])
-    return tuple(d for _, d in keyed)
+    return _canonical_classes(digraphs)
 
 
 def enumerate_digraphs(max_n):

@@ -27,31 +27,22 @@ def _read_size(text, pos):
     if pos >= len(text):
         raise FormatError("missing size field", pos)
     c = ord(text[pos])
-    if c == 126:  # '~'
-        if pos + 1 < len(text) and ord(text[pos + 1]) == 126:
-            chars = text[pos + 2:pos + 8]
-            if len(chars) < 6:
-                raise FormatError("truncated 8-byte size field", pos)
-            n = 0
-            for i, ch in enumerate(chars):
-                v = ord(ch) - 63
-                if not 0 <= v < 64:
-                    raise FormatError(f"size byte {ch!r} out of range", pos + 2 + i)
-                n = n << 6 | v
-            return n, pos + 8
-        chars = text[pos + 1:pos + 4]
-        if len(chars) < 3:
-            raise FormatError("truncated 4-byte size field", pos)
-        n = 0
-        for i, ch in enumerate(chars):
-            v = ord(ch) - 63
-            if not 0 <= v < 64:
-                raise FormatError(f"size byte {ch!r} out of range", pos + 1 + i)
-            n = n << 6 | v
-        return n, pos + 4
-    if not 63 <= c <= 125:
-        raise FormatError(f"size byte {text[pos]!r} out of range", pos)
-    return c - 63, pos + 1
+    if c != 126:  # not '~': one byte
+        if not 63 <= c <= 125:
+            raise FormatError(f"size byte {text[pos]!r} out of range", pos)
+        return c - 63, pos + 1
+    # '~' then 3 bytes, or '~~' then 6 bytes, of 6 bits each
+    start, width = (pos + 2, 6) if text[pos + 1:pos + 2] == "~" else (pos + 1, 3)
+    chars = text[start:start + width]
+    if len(chars) < width:
+        raise FormatError(f"truncated {start - pos + width}-byte size field", pos)
+    n = 0
+    for i, ch in enumerate(chars):
+        v = ord(ch) - 63
+        if not 0 <= v < 64:
+            raise FormatError(f"size byte {ch!r} out of range", start + i)
+        n = n << 6 | v
+    return n, start + width
 
 
 def _write_size(n):

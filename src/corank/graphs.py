@@ -266,13 +266,12 @@ def contains_induced(g, pattern):
 # for n <= 8; beyond that it is merely increasingly slow, never wrong.
 
 class CanonicalForm:
-    __slots__ = ("key", "perm", "n", "directed")
+    __slots__ = ("key", "perm", "n")
 
-    def __init__(self, key, perm, n, directed):
+    def __init__(self, key, perm, n):
         self.key = key          # bytes; equal iff isomorphic
         self.perm = perm        # old label -> canonical label witness
         self.n = n
-        self.directed = directed
 
     def __eq__(self, other):
         return isinstance(other, CanonicalForm) and self.key == other.key
@@ -329,11 +328,10 @@ def canonical_form(g) -> CanonicalForm:
     directed = isinstance(g, Digraph)
     n = g.n
     if n == 0:
-        return CanonicalForm(b"D0" if directed else b"G0", (), 0, directed)
-
-    full = (1 << n) - 1
+        return CanonicalForm(b"D0" if directed else b"G0", (), 0)
 
     if directed:
+        out_adj, in_adj = g.out_adj, g.in_adj
         outd = tuple(a.bit_count() for a in g.out_adj)
         ind = tuple(a.bit_count() for a in g.in_adj)
 
@@ -342,21 +340,8 @@ def canonical_form(g) -> CanonicalForm:
             for p in placed:
                 bits = bits << 2 | (g.out_adj[p] >> v & 1) << 1 | (g.out_adj[v] >> p & 1)
             return (outd[v], ind[v], bits)
-
-        def interchangeable(remaining):
-            rem_mask = 0
-            for v in remaining:
-                rem_mask |= 1 << v
-            rs = list(remaining)
-            ro = g.out_adj[rs[0]] & ~rem_mask
-            ri = g.in_adj[rs[0]] & ~rem_mask
-            for v in rs[1:]:
-                if g.out_adj[v] & ~rem_mask != ro or g.in_adj[v] & ~rem_mask != ri:
-                    return False
-            k = len(rs)
-            inner = sum((g.out_adj[v] & rem_mask).bit_count() for v in rs)
-            return inner == 0 or inner == k * (k - 1)
     else:
+        out_adj = in_adj = g.adj   # a graph is the digraph with both arcs of each edge
         deg = g.degrees()
 
         def seg_of(v, placed):
@@ -365,25 +350,26 @@ def canonical_form(g) -> CanonicalForm:
                 bits = bits << 1 | (g.adj[v] >> p & 1)
             return (deg[v], bits)
 
-        def interchangeable(remaining):
-            rem_mask = 0
-            for v in remaining:
-                rem_mask |= 1 << v
-            rs = list(remaining)
-            outside = g.adj[rs[0]] & ~rem_mask
-            for v in rs[1:]:
-                if g.adj[v] & ~rem_mask != outside:
-                    return False
-            k = len(rs)
-            inner = sum((g.adj[v] & rem_mask).bit_count() for v in rs)
-            return inner == 0 or inner == k * (k - 1)
+    def interchangeable(remaining):
+        rem_mask = 0
+        for v in remaining:
+            rem_mask |= 1 << v
+        rs = list(remaining)
+        ro = out_adj[rs[0]] & ~rem_mask
+        ri = in_adj[rs[0]] & ~rem_mask
+        for v in rs[1:]:
+            if out_adj[v] & ~rem_mask != ro or in_adj[v] & ~rem_mask != ri:
+                return False
+        k = len(rs)
+        inner = sum((out_adj[v] & rem_mask).bit_count() for v in rs)
+        return inner == 0 or inner == k * (k - 1)
 
     segments, order = _canonical_order(n, seg_of, interchangeable)
     perm = [0] * n
     for new, old in enumerate(order):
         perm[old] = new
     key = _pack_key(n, segments, directed)
-    return CanonicalForm(key, tuple(perm), n, directed)
+    return CanonicalForm(key, tuple(perm), n)
 
 
 def _pack_key(n, segments, directed):

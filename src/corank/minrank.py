@@ -126,8 +126,9 @@ def _require_tree(g):
 
 
 def _rooted_order(adj, n, root=0):
-    """Iterative DFS order and parents, avoiding recursion on big trees."""
+    """Iterative DFS order and child lists, avoiding recursion on big trees."""
     parent = [-2] * n
+    children = [[] for _ in range(n)]
     order = []
     stack = [root]
     parent[root] = -1
@@ -138,15 +139,14 @@ def _rooted_order(adj, n, root=0):
             if parent[w] == -2:
                 parent[w] = v
                 stack.append(w)
-    return order, parent
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    return order, children
 
 
 def _nu2_tree(g: Graph):
     """Maximum 2-matching on a tree: DP over (vertex, parent-edge-used)."""
-    order, parent = _rooted_order(_adjacency_lists(g), g.n)
-    children = [[] for _ in range(g.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
+    order, children = _rooted_order(_adjacency_lists(g), g.n)
     dp0 = [0] * g.n   # parent edge unused: up to two child edges
     dp1 = [0] * g.n   # parent edge used: up to one child edge
     pick0 = [[] for _ in range(g.n)]
@@ -324,10 +324,7 @@ def delta_parameter(t: Graph):
     """
     adj = _require_tree(t)
     n = t.n
-    order, parent = _rooted_order(adj, n)
-    children = [[] for _ in range(n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
+    order, children = _rooted_order(adj, n)
 
     dpD = [0] * n
     dp0 = [0] * n
@@ -341,6 +338,11 @@ def delta_parameter(t: Graph):
 
     def open_up(c):
         return max(dp0[c], dp1[c])
+
+    def closed_state(c):
+        # the state achieving closed(c); ties go to D, 0, 1, 2 in that order
+        values = {"D": dpD[c], "0": dp0[c] + 1, "1": dp1[c] + 1, "2": dp2[c] + 1}
+        return max(values, key=values.get)
 
     for v in reversed(order):
         kids = children[v]
@@ -359,24 +361,18 @@ def delta_parameter(t: Graph):
             choice2[v] = (c1, c2)
 
     root = order[0]
-    delta = max(dpD[root], dp0[root] + 1, dp1[root] + 1, dp2[root] + 1)
+    delta = closed(root)
 
     # witness reconstruction
     deleted = set()
-    start = max(("D", "0", "1", "2"),
-                key=lambda s: {"D": dpD[root], "0": dp0[root] + 1,
-                               "1": dp1[root] + 1, "2": dp2[root] + 1}[s])
-    stack = [(root, start)]
+    stack = [(root, closed_state(root))]
     while stack:
         v, state = stack.pop()
         kids = children[v]
         if state == "D":
             deleted.add(v)
             for c in kids:
-                sub = max(("D", "0", "1", "2"),
-                          key=lambda s: {"D": dpD[c], "0": dp0[c] + 1,
-                                         "1": dp1[c] + 1, "2": dp2[c] + 1}[s])
-                stack.append((c, sub))
+                stack.append((c, closed_state(c)))
             continue
         keep_open = []
         if state == "1":

@@ -318,29 +318,6 @@ class Polynomial:
     def scale(self, coeff):
         return self.mul_term(self.domain.coerce(coeff), (0,) * self.nvars)
 
-    def monic(self, order):
-        if self.is_zero():
-            return self
-        lc = self.lead_coeff(order)
-        if lc == self.domain.coerce(1):
-            return self
-        return self.scale(self.domain.inv(lc))
-
-    def primitive(self):
-        """Divide out the integer content and normalise the leading sign."""
-        if self.is_zero() or self.domain is not ZZ:
-            return self
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, abs(c))
-        lead = self.terms[max(self.terms, key=DEGREVLEX.key)]
-        if lead < 0:
-            g = -g
-        if g in (0, 1):
-            return self
-        return Polynomial(self.nvars, self.domain,
-                          {m: c // g for m, c in self.terms.items()}, _clean=True)
-
     def to_domain(self, domain):
         return Polynomial(self.nvars, domain,
                           {m: domain.coerce(c) for m, c in self.terms.items()})
@@ -378,10 +355,10 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # text form: "x0*x1 - x1 - 2", powers as "x5^2"
 
-def format_polynomial(p, order=DEGREVLEX, varnames=None):
+def format_polynomial(p, order=DEGREVLEX):
     if p.is_zero():
         return "0"
-    names = varnames or [f"x{i}" for i in range(p.nvars)]
+    names = [f"x{i}" for i in range(p.nvars)]
     out = []
     for m in sorted(p.terms, key=order.key, reverse=True):
         c = p.terms[m]
@@ -560,15 +537,6 @@ class IdealBasis:
         return f"IdealBasis<{tag}|{self.domain}|{self.order}>[{gens}]"
 
 
-def _spair(f, g, order, nvars, dom):
-    fm, gm = f.lead_monomial(order), g.lead_monomial(order)
-    lcm = mono_lcm(fm, gm)
-    cf = dom.inv(f.lead_coeff(order))
-    cg = dom.inv(g.lead_coeff(order))
-    return (f.mul_term(cf, mono_div(lcm, fm))
-            - g.mul_term(cg, mono_div(lcm, gm)))
-
-
 def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
                track_cofactors=False):
     """Reduced Groebner basis over a field domain.
@@ -617,28 +585,21 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
                     pcof = [a - qp * b for a, b in zip(pcof, cofs[j])]
         return Polynomial(nvars, dom, r_terms, _clean=True), pcof
 
-    def trivial_result(one_cof):
-        one = Polynomial.constant(nvars, dom, 1)
-        return IdealBasis([one], dom, order, is_groebner=True,
-                          cofactors=[one_cof] if track_cofactors else None)
+    def monic(p, pcof):
+        """p and its cofactor vector scaled to leading coefficient one."""
+        inv = dom.inv(p.lead_coeff(order))
+        return p.scale(inv), None if pcof is None else [q.scale(inv) for q in pcof]
 
     heap = []        # (lcm degree, i, j, lcm)
     pending = set()  # {(i, j)} mirror of the heap for the chain criterion
 
     def add_to_basis(p, pcof):
-        """Insert a fully reduced nonzero polynomial; returns 'trivial' cofactor."""
+        """Insert a fully reduced nonzero polynomial made monic; a constant
+        ends the run, and the basis {1} is returned."""
+        p, pcof = monic(p, pcof)
         if p.is_constant():
-            c = p.constant_value()
-            if pcof is not None:
-                inv = dom.inv(c)
-                return [q.scale(inv) for q in pcof]
-            return True
-        if pcof is not None:
-            inv = dom.inv(p.lead_coeff(order))
-            pcof = [q.scale(inv) for q in pcof]
-            p = p.scale(inv)
-        else:
-            p = p.monic(order)
+            return IdealBasis([p], dom, order, is_groebner=True,
+                              cofactors=None if pcof is None else [pcof])
         k = len(basis)
         lmk = p.lead_monomial(order)
         basis.append(p)
@@ -660,9 +621,9 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
         if r.total_degree() > degree_cap:
             raise BudgetExceeded("degree cap exceeded",
                                  IdealBasis(basis, dom, order))
-        tv = add_to_basis(r, rc)
-        if tv is not None:
-            return trivial_result(tv if track_cofactors else None)
+        done = add_to_basis(r, rc)
+        if done is not None:
+            return done
 
     spairs_done = 0
     while heap:
@@ -688,12 +649,11 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
         spairs_done += 1
         if spairs_done > spair_cap:
             raise BudgetExceeded("S-pair cap exceeded", IdealBasis(basis, dom, order))
-        s = _spair(basis[i], basis[j], order, nvars, dom)
+        cf, cg = dom.inv(heads[i][1]), dom.inv(heads[j][1])
+        mf, mg = mono_div(lcm, lmi), mono_div(lcm, lmj)
+        s = basis[i].mul_term(cf, mf) - basis[j].mul_term(cg, mg)
         scof = None
         if track_cofactors:
-            cf = dom.inv(heads[i][1])
-            cg = dom.inv(heads[j][1])
-            mf, mg = mono_div(lcm, lmi), mono_div(lcm, lmj)
             scof = [a.mul_term(cf, mf) - b.mul_term(cg, mg)
                     for a, b in zip(cofs[i], cofs[j])]
         r, rcof = reduce_with_cof(s, scof)
@@ -701,14 +661,14 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
             continue
         if r.total_degree() > degree_cap:
             raise BudgetExceeded("degree cap exceeded", IdealBasis(basis, dom, order))
-        tv = add_to_basis(r, rcof)
-        if tv is not None:
-            return trivial_result(tv if track_cofactors else None)
+        done = add_to_basis(r, rcof)
+        if done is not None:
+            return done
 
     # interreduce to the unique reduced basis
     keep = []
-    lms = [g.lead_monomial(order) for g in basis]
-    for i, g in enumerate(basis):
+    lms = [lm for lm, _ in heads]
+    for i in range(len(basis)):
         if any(j != i and mono_divides(lms[j], lms[i])
                and (lms[j] != lms[i] or j < i) for j in range(len(basis))):
             continue
@@ -717,9 +677,7 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
     for i in keep:
         r, cvec = reduce_with_cof(basis[i], cofs[i], [j for j in keep if j != i])
         if not r.is_zero():
-            inv = dom.inv(r.lead_coeff(order))
-            packed.append((r.scale(inv),
-                           None if cvec is None else [c.scale(inv) for c in cvec]))
+            packed.append(monic(r, cvec))
     # deterministic output order: descending leading monomial
     packed.sort(key=lambda t: order.key(t[0].lead_monomial(order)), reverse=True)
     return IdealBasis([g for g, _ in packed], dom, order, is_groebner=True,

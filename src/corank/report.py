@@ -27,8 +27,7 @@ def parse_domain(text):
 
 
 def build_parameter_report(g, config=DEFAULT_CONFIG, cache=None,
-                           domains=(ZZ, QQ), include_timings=False,
-                           include_classification=True):
+                           domains=(ZZ, QQ), include_timings=False):
     """One graph's full parameter record, deterministic for a fixed config.
 
     Wall-clock timings are omitted unless requested so that reports stay
@@ -50,31 +49,30 @@ def build_parameter_report(g, config=DEFAULT_CONFIG, cache=None,
         "gamma": {},
         "config": config.as_dict(),
     }
-    for dom in domains:
-        res = gamma(g, dom, config, cache)
+    gammas = [(dom, gamma(g, dom, config, cache)) for dom in domains]
+    for _, res in gammas:
         report["gamma"][res.domain] = res.to_json()
     if not directed:
         mr = mr_small(g, config)
         report["mr"] = {"exact": mr.exact, "lower": mr.lower, "upper": mr.upper,
                         "provenance": mr.provenance}
         mrcr = {}
-        for dom in domains:
+        for dom, res in gammas:
             if isinstance(dom, GF):
                 continue
-            pre = gamma(g, dom, config, cache)
-            b = mrcr_bounds(g, dom, config.box_radius, config, gamma_result=pre)
+            b = mrcr_bounds(g, dom, config.box_radius, config, gamma_result=res)
             mrcr[b.domain] = {"lower": b.lower, "upper": b.upper,
                               "witness": list(b.witness) if b.witness else None,
                               "exhaustive": b.exhaustive}
         report["mrcr"] = mrcr
         flags = {"connected": is_connected(g), "tree": is_tree(g),
                  "complete": is_complete_graph(g)}
-        if include_classification and flags["connected"] and g.n >= 1:
+        if flags["connected"] and g.n >= 1:
             flags["p3_free"] = g.n < 3 or contains_induced(g, path(3)) is None
         report["flags"] = flags
     else:
         report["flags"] = {"connected": is_connected(g)}
-        if include_classification and g.n <= 6:
+        if g.n <= 6:
             rep = classify_digraph1(g, config, cache)
             report["classification"] = rep.to_json()
     report["timing_seconds"] = round(time.monotonic() - t0, 3) \

@@ -6,7 +6,7 @@ import pytest
 
 from corank.cli import main
 from corank.formats import write_graph6
-from corank.generators import graph_b, octahedron, path
+from corank.generators import graph_a, graph_b, octahedron, path
 
 
 def run(capsys, *argv):
@@ -87,6 +87,25 @@ def test_strict_budget_exit_code(capsys):
     assert code == 3
     code_ok, _ = run(capsys, "gamma", "--domain", "q", g6)
     assert code_ok == 0
+
+
+def test_gb_over_its_spair_cap_exits_undecided(capsys):
+    code = main(["gb", "--index", "4", "--budget-spairs", "1", write_graph6(graph_a())])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("undecided: S-pair cap exceeded")
+
+
+def test_gb_compare_with_a_missing_file_is_an_error(capsys, tmp_path):
+    code = main(["gb", "--index", "4", "--domain", "q", "--compare",
+                 str(tmp_path / "missing.txt"), write_graph6(graph_b())])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_output_into_a_missing_directory_is_an_error(capsys, tmp_path):
+    code = main(["params", "--output", str(tmp_path / "missing" / "x"), "Bw"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_zf_command(capsys):

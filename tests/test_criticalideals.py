@@ -7,18 +7,19 @@ import pytest
 
 from corank.cache import DecisionCache
 from corank.config import RunConfig
-from corank.criticalideals import (box_points, gamma, generalized_laplacian,
+from corank.criticalideals import (box_points, field_points, gamma, generalized_laplacian,
                                    groebner_basis_of_critical_ideal,
                                    ideal_trivial, minor_generators,
                                    nontriviality_certificate, variety_box_search)
+from corank.enumeration import enumerate_connected_graphs
 from corank.generators import (bull, complete, complete_multipartite, cycle,
-                               graph_a, graph_b, matching_3k2, octahedron, path,
+                               graph_a, graph_b, graph_c, matching_3k2, octahedron, path,
                                petersen)
 from corank.goldens import OCTAHEDRON_I3_OVER_Z, OCTAHEDRON_I4_OVER_R, GRAPH_B_I4
 from corank.graphs import Digraph, Graph, relabel
 from corank.linalg import exact_rank
 from corank.polyring import (DEGREVLEX, GF, QQ, ZZ, buchberger, format_polynomial,
-                             normal_form, parse_polynomial)
+                             is_trivial_over_Z, normal_form, parse_polynomial)
 from corank.zeroforcing import zero_forcing_number
 
 
@@ -179,6 +180,11 @@ def test_box_points_order():
     assert pts[1] == (-1, -1)  # lexicographic within the shell
 
 
+def test_point_generators_in_dimension_zero_yield_only_the_origin():
+    assert list(box_points(0, 2)) == [()]
+    assert list(field_points(0, 3, 10)) == [()]
+
+
 def test_variety_box_search_examples():
     res = variety_box_search(cycle(5), 3, 2, QQ)
     assert res.point is not None and res.rank <= 3
@@ -232,6 +238,36 @@ def test_octahedron_i3_equals_reference_over_Z():
     f3 = GF(3)
     basis3 = buchberger([p.to_domain(f3) for p in gens.generators])
     assert basis3.is_trivial()
+
+
+def test_z_basis_and_decision_match_their_separate_computations():
+    """The Z path reports the reduced Q basis and the Z decision of the same
+    minors: the octahedron at every index (i = 3 is trivial over Q but not
+    mod 2), graphs A, B and C at i = 4, and the connected graphs to n = 5."""
+    cases = ([(octahedron(), i) for i in range(2, 7)]
+             + [(f(), 4) for f in (graph_a, graph_b, graph_c)]
+             + [(g, i) for g in enumerate_connected_graphs(5) for i in range(2, g.n + 1)])
+    tags = set()
+    for g, i in cases:
+        basis, decision = groebner_basis_of_critical_ideal(g, i, ZZ)
+        gens = minor_generators(generalized_laplacian(g), i)
+        want = buchberger(gens.to_domain(QQ))
+        ok, cert = is_trivial_over_Z(gens.generators)
+        if cert[0] == "rational-basis":
+            detail = "non-trivial over Q"
+        elif cert[0] == "prime":
+            detail = f"non-trivial mod {cert[1]}"
+        else:
+            detail = f"denominator-cleared constant {cert[1]}"
+        assert ([format_polynomial(p) for p in basis.generators]
+                == [format_polynomial(p) for p in want.generators]), (g, i)
+        assert decision.to_json() == {"trivial": ok, "method": "groebner",
+                                      "detail": detail}, (g, i)
+        tags.add(cert[0])
+    assert tags == {"rational-basis", "prime", "denominator"}
+    basis, decision = groebner_basis_of_critical_ideal(octahedron(), 3, ZZ)
+    assert [format_polynomial(p) for p in basis.generators] == ["1"]
+    assert decision.to_json()["detail"] == "non-trivial mod 2"
 
 
 def test_octahedron_i4_vanishes_at_zero():

@@ -166,6 +166,32 @@ def test_trivial_over_Z_examples():
     assert not ok and cert[:2] == ("prime", 2)
 
 
+@st.composite
+def small_integer_ideals(draw):
+    """Integer generators in one to three variables, degree at most 2 in each."""
+    nvars = draw(st.integers(1, 3))
+    monomial = st.tuples(*[st.integers(0, 2)] * nvars)
+    terms = st.dictionaries(monomial, st.integers(-6, 6), min_size=1, max_size=3)
+    return [Polynomial(nvars, ZZ, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+def _trivial_over(gens, domain):
+    return is_trivial_over_field([g.to_domain(domain) for g in gens])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_integer_ideals())
+def test_trivial_over_Z_agrees_with_the_field_decisions(gens):
+    ok, cert = is_trivial_over_Z(gens)
+    if ok:
+        assert _trivial_over(gens, QQ)
+        assert all(_trivial_over(gens, GF(p)) for p in (2, 3, 5, 7))
+    elif cert[0] == "prime":
+        assert _trivial_over(gens, QQ) and not _trivial_over(gens, GF(cert[1]))
+    else:
+        assert cert[0] == "rational-basis" and not _trivial_over(gens, QQ)
+
+
 def test_budget_error_carries_partial_state():
     # katsura-like system that needs more than one S-pair
     gens = [poly("x0^2 + x1^2 + x2^2 - 1"), poly("x0*x1 + x1*x2"),
