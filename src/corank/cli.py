@@ -49,14 +49,10 @@ def _read_input(token, digraph_lists=False):
 
 
 def _config_from_args(args):
-    kwargs = {}
-    if args.box is not None:
-        kwargs["box_radius"] = args.box
-    if args.budget_spairs is not None:
-        kwargs["spair_cap"] = args.budget_spairs
-    if args.budget_degree is not None:
-        kwargs["degree_cap"] = args.budget_degree
-    return RunConfig(**kwargs)
+    fields = {"box": "box_radius", "budget_spairs": "spair_cap",
+              "budget_degree": "degree_cap"}
+    return RunConfig(**{field: getattr(args, option) for option, field in fields.items()
+                        if getattr(args, option, None) is not None})
 
 
 def _domains(args):
@@ -90,7 +86,7 @@ def cmd_params(args):
     payloads = [(g, config, args.domain or ["z", "q"], args.cache, args.timings)
                 for g in graphs]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             reports = list(pool.map(_report_worker, payloads))
     else:
         reports = list(map(_report_worker, payloads))
@@ -119,10 +115,9 @@ def cmd_gamma(args):
 
 def cmd_zf(args):
     graphs = _read_input(args.input, args.digraph)
-    config = _config_from_args(args)
     out = []
     for g in graphs:
-        r = zero_forcing_number(g, config)
+        r = zero_forcing_number(g)
         out.append({"graph_id": canonical_graph6(g), "n": g.n, "z": r.z,
                     "mz": g.n - r.z, "exact": r.exact,
                     "record": r.witness.to_json()})
@@ -182,7 +177,7 @@ def cmd_gb(args):
     g = graphs[0]
     config = _config_from_args(args)
     order = ORDERS[args.order]
-    domain = parse_domain(args.domain[0]) if args.domain else QQ
+    domain = parse_domain(args.domain)
     result = groebner_basis_of_critical_ideal(g, args.index, domain, order, config)
     if domain is ZZ:
         basis, decision = result
@@ -234,52 +229,59 @@ def cmd_reproduce_appendix(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
+_OPTIONS = {
+    "--domain": dict(action="append",
+                     help="z, q, or fp:P (repeatable; default z and q)"),
+    "--digraph": dict(action="store_true", help="treat plain pair lists as arc lists"),
+    "--box": dict(type=int, default=None, help="box radius"),
+    "--format": dict(choices=("json", "csv", "md"), default="json"),
+    "--cache": dict(default=None, help="cache directory"),
+    "--jobs": dict(type=int, default=1),
+    "--budget-spairs": dict(type=int, default=None),
+    "--budget-degree": dict(type=int, default=None),
+    "--strict": dict(action="store_true",
+                     help="exit 3 when any result is budget-undecided"),
+    "--timings": dict(action="store_true"),
+    "--output": dict(default=None),
+}
+_BUDGETS = ("--box", "--budget-spairs", "--budget-degree", "--cache", "--output")
+_PER_DOMAIN = ("--digraph", "--domain") + _BUDGETS
+# name -> (help, the shared options it reads); a command offers no other
+SUBCOMMANDS = {
+    "params": ("full parameter reports", tuple(_OPTIONS)),
+    "gamma": ("algebraic co-rank per domain", _PER_DOMAIN + ("--strict",)),
+    "zf": ("zero forcing number and record", ("--digraph", "--output")),
+    "mrcr": ("diagonal-evaluation rank bounds", _PER_DOMAIN),
+    "trees": ("tree parameter suite", _BUDGETS),
+    "classify": ("rank-one classifications", ("--digraph",) + _BUDGETS),
+    "gb": ("reduced basis of a minor ideal",
+           ("--digraph", "--budget-spairs", "--budget-degree", "--output")),
+    "sweep": ("run one theorem verification sweep", _BUDGETS),
+    "reproduce-appendix": ("recompute the small-graph gap table and diff", _BUDGETS),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="corank",
         description="Exact zero-forcing, co-rank and minimum-rank computations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
+    for name, (text, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == "sweep":
+            p.add_argument("theorem", choices=tuple(SWEEPS))
+        elif name != "reproduce-appendix":
             p.add_argument("input", help="file, '-' for stdin, or inline text")
-        p.add_argument("--domain", action="append",
-                       help="z, q, or fp:P (repeatable; default z and q)")
-        p.add_argument("--digraph", action="store_true",
-                       help="treat plain pair lists as arc lists")
-        p.add_argument("--box", type=int, default=None, help="box radius")
-        p.add_argument("--format", choices=("json", "csv", "md"), default="json")
-        p.add_argument("--cache", default=None, help="cache directory")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--budget-spairs", type=int, default=None)
-        p.add_argument("--budget-degree", type=int, default=None)
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 when any result is budget-undecided")
-        p.add_argument("--timings", action="store_true")
-        p.add_argument("--output", default=None)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
 
-    common(sub.add_parser("params", help="full parameter reports"))
-    common(sub.add_parser("gamma", help="algebraic co-rank per domain"))
-    common(sub.add_parser("zf", help="zero forcing number and record"))
-    common(sub.add_parser("mrcr", help="diagonal-evaluation rank bounds"))
-    common(sub.add_parser("trees", help="tree parameter suite"))
-    common(sub.add_parser("classify", help="rank-one classifications"))
-
-    gb = sub.add_parser("gb", help="reduced basis of a minor ideal")
-    common(gb)
+    gb = sub.choices["gb"]
+    gb.add_argument("--domain", default="q", help="z, q, or fp:P (default q)")
     gb.add_argument("--index", "-i", type=int, required=True,
                     help="minor size i of the ideal I_i")
     gb.add_argument("--order", choices=tuple(ORDERS), default="degrevlex")
     gb.add_argument("--compare", default=None,
                     help="file of polynomials to test ideal equality against")
-
-    sw = sub.add_parser("sweep", help="run one theorem verification sweep")
-    sw.add_argument("theorem", choices=tuple(SWEEPS))
-    common(sw, needs_input=False)
-
-    common(sub.add_parser("reproduce-appendix",
-                          help="recompute the small-graph gap table and diff"),
-           needs_input=False)
     return parser
 
 

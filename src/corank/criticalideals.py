@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
-from .graphs import Digraph, canonical_form, degree_vector
+from .graphs import Digraph, canonical_form
 from .linalg import rank_scan
 from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, IdealBasis, Polynomial,
                        buchberger, is_trivial_over_field, is_trivial_over_Z)
@@ -480,7 +480,7 @@ def _probe_points(g):
     if isinstance(g, Digraph):
         deg = [a.bit_count() for a in g.out_adj]
     else:
-        deg = degree_vector(g)
+        deg = g.degrees()
     pts.append(tuple(deg))
     pts.append(tuple(-d for d in deg))
     return [(tuple(zip(p)), None) for p in dict.fromkeys(pts)]

@@ -2,14 +2,16 @@
 
 Adjacency is kept both as frozen edge/arc sets and as per-vertex bitmasks;
 the bitmasks drive the search-heavy routines (closures, canonical labeling,
-induced-pattern embedding).  Instances are immutable after construction.
+induced-pattern embedding).  Instances are immutable after construction,
+so the facts that depend on the graph alone are computed once and kept on
+it: the bitmasks, the canonical form and the exact zero forcing search.
 """
 
 from itertools import combinations
 
 
 class Graph:
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_canonical", "_zf")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -23,7 +25,7 @@ class Graph:
             es.add((min(u, v), max(u, v)))
         self.n = n
         self.edges = frozenset(es)
-        self._adj = None
+        self._adj = self._canonical = self._zf = None
 
     @property
     def adj(self):
@@ -64,7 +66,7 @@ class Graph:
 
 
 class Digraph:
-    __slots__ = ("n", "arcs", "_out_adj", "_in_adj")
+    __slots__ = ("n", "arcs", "_out_adj", "_in_adj", "_canonical", "_zf")
 
     def __init__(self, n, arcs=()):
         if n < 0:
@@ -78,8 +80,7 @@ class Digraph:
             ars.add((u, v))
         self.n = n
         self.arcs = frozenset(ars)
-        self._out_adj = None
-        self._in_adj = None
+        self._out_adj = self._in_adj = self._canonical = self._zf = None
 
     def _build(self):
         out_adj = [0] * self.n
@@ -108,9 +109,6 @@ class Digraph:
 
     def has_arc(self, u, v):
         return bool(self.out_adj[u] >> v & 1)
-
-    def out_neighbors(self, v):
-        return _bits(self.out_adj[v])
 
     def __eq__(self, other):
         return isinstance(other, Digraph) and self.n == other.n and self.arcs == other.arcs
@@ -190,10 +188,6 @@ def line_graph(g: Graph) -> Graph:
     return Graph(len(es), out)
 
 
-def degree_vector(g: Graph):
-    return list(g.degrees())
-
-
 # ---------------------------------------------------------------------------
 # induced-pattern embedding
 
@@ -263,7 +257,8 @@ def contains_induced(g, pattern):
 #     digraphs: (outdeg, indeg, interleaved arc bits to positions 0..j-1)
 # Including the degrees first makes degree-based candidate pruning exact.
 # Exhaustive (hence a true isomorphism certificate) at any n, but intended
-# for n <= 8; beyond that it is merely increasingly slow, never wrong.
+# for n <= 8; beyond that it is merely increasingly slow, never wrong.  The
+# form is computed once per graph object and kept in its _canonical slot.
 
 class CanonicalForm:
     __slots__ = ("key", "perm", "n")
@@ -325,6 +320,8 @@ def _canonical_order(n, seg_of, interchangeable):
 
 
 def canonical_form(g) -> CanonicalForm:
+    if g._canonical is not None:
+        return g._canonical
     directed = isinstance(g, Digraph)
     n = g.n
     if n == 0:
@@ -368,8 +365,8 @@ def canonical_form(g) -> CanonicalForm:
     perm = [0] * n
     for new, old in enumerate(order):
         perm[old] = new
-    key = _pack_key(n, segments, directed)
-    return CanonicalForm(key, tuple(perm), n)
+    g._canonical = CanonicalForm(_pack_key(n, segments, directed), tuple(perm), n)
+    return g._canonical
 
 
 def _pack_key(n, segments, directed):

@@ -12,7 +12,7 @@ from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
 from .criticalideals import (box_blocks, domain_name, gamma, generalized_laplacian,
                              min_rank_scan)
-from .graphs import Graph, is_tree
+from .graphs import Graph
 from .linalg import RankComputation, exact_rank
 from .polyring import QQ, ZZ
 from .zeroforcing import zero_forcing_number
@@ -43,17 +43,19 @@ class MinimumRankResult:
         return self.lower
 
 
-def mr_small(g: Graph, config=DEFAULT_CONFIG) -> MinimumRankResult:
+def mr_small(g: Graph, config=DEFAULT_CONFIG, cache=None) -> MinimumRankResult:
     """Real minimum rank, exact for n <= 7 where it coincides with n - Z.
 
     Larger orders get the interval [n - Z, best diagonal-evaluation rank],
-    explicitly flagged non-exact.
+    explicitly flagged non-exact; their gamma over Q is decided through the
+    cache (a fresh one by default).
     """
     zf = zero_forcing_number(g, config)
     lo = g.n - zf.z
     if g.n <= 7 and zf.exact:
         return MinimumRankResult(True, lo, lo, "zero-forcing identity (n <= 7)")
-    bounds = mrcr_bounds(g, QQ, config.box_radius, config)
+    bounds = mrcr_bounds(g, QQ, config.box_radius, config,
+                         gamma_result=gamma(g, QQ, config, cache))
     return MinimumRankResult(False, lo, bounds.upper,
                              "bounds only: zero-forcing lower, evaluation upper")
 
@@ -176,44 +178,14 @@ def _nu2_tree(g: Graph):
     return dp0[0], edges
 
 
-def _nu2_general(g: Graph):
-    """Branch-and-bound maximum 2-matching for small general graphs."""
-    edges = sorted(g.edges)
-    best = [0, []]
-    deg = [0] * g.n
-
-    def rec(idx, count, chosen):
-        if count + (len(edges) - idx) <= best[0]:
-            return
-        if idx == len(edges):
-            if count > best[0]:
-                best[0] = count
-                best[1] = list(chosen)
-            return
-        u, v = edges[idx]
-        if deg[u] < 2 and deg[v] < 2:
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append((u, v))
-            rec(idx + 1, count + 1, chosen)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-        rec(idx + 1, count, chosen)
-
-    rec(0, 0, [])
-    return best[0], best[1]
-
-
 def two_matching_number(g: Graph):
-    """Maximum edge set with every vertex meeting at most two chosen edges.
+    """Maximum edge set of a tree with every vertex meeting at most two
+    chosen edges, by the linear DP.
 
-    Returns (size, edge list).  Trees use the linear DP; other graphs fall
-    back to exhaustive search and are only intended for small instances.
+    Returns (size, edge list); a graph that is not a tree is a ValueError.
     """
-    if is_tree(g):
-        return _nu2_tree(g)
-    return _nu2_general(g)
+    _require_tree(g)
+    return _nu2_tree(g)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def build_parameter_report(g, config=DEFAULT_CONFIG, cache=None,
     for _, res in gammas:
         report["gamma"][res.domain] = res.to_json()
     if not directed:
-        mr = mr_small(g, config)
+        mr = mr_small(g, config, cache)
         report["mr"] = {"exact": mr.exact, "lower": mr.lower, "upper": mr.upper,
                         "provenance": mr.provenance}
         mrcr = {}

@@ -32,11 +32,6 @@ class ForceRecord:
         return {"initial_set": sorted(self.initial_set),
                 "forces": [list(f) for f in self.forces]}
 
-    @classmethod
-    def from_json(cls, payload):
-        return cls(frozenset(payload["initial_set"]),
-                   tuple((a, b) for a, b in payload["forces"]))
-
 
 def _forward_masks(g):
     return g.out_adj if isinstance(g, Digraph) else g.adj
@@ -92,14 +87,22 @@ def zero_forcing_number(g, config=DEFAULT_CONFIG) -> ZeroForcingResult:
     """Minimum zero forcing set by ascending-cardinality subset search.
 
     Exact for n <= config.zf_exact_max_n; the witness is the
-    lexicographically least minimum set.  Beyond the exact tier a greedy
-    upper bound is returned with exact=False.
+    lexicographically least minimum set.  The exact result depends on the
+    graph alone, so it is searched for once per graph object and kept in its
+    _zf slot.  Beyond the exact tier a greedy upper bound is returned with
+    exact=False, and never kept.
     """
+    if g.n > config.zf_exact_max_n:
+        return _greedy_upper_bound(g)
+    if g._zf is None:
+        g._zf = _exact_search(g)
+    return g._zf
+
+
+def _exact_search(g):
     n = g.n
     if n == 0:
         return ZeroForcingResult(0, ForceRecord(frozenset(), ()), True)
-    if n > config.zf_exact_max_n:
-        return _greedy_upper_bound(g)
     failed_closures = []  # maximal non-spanning closed sets seen so far
     full = (1 << n) - 1
     for k in range(1, n + 1):

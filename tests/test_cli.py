@@ -1,10 +1,13 @@
 """The command-line front door: commands, formats, exit codes, caching."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from corank.cli import main
+from corank import cli
+from corank.cli import build_parser, main
 from corank.formats import write_graph6
 from corank.generators import graph_a, graph_b, octahedron, path
 
@@ -73,6 +76,81 @@ def test_params_jobs_parallel_identical(capsys, tmp_path):
     code2, out2 = run(capsys, "params", "--jobs", "2", str(graphs))
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_jobs_forks_no_more_workers_than_inputs(capsys, monkeypatch):
+    widths = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code1, out1 = run(capsys, "params", "--jobs", "64", "Bw\nBg")
+    code2, out2 = run(capsys, "params", "--jobs", "1", "Bw\nBg")
+    assert widths == [2]
+    assert code1 == code2 == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--format", "csv", "Bw"],
+    ["zf", "--domain", "fp:7", "Bw"],
+    ["zf", "--jobs", "4", "Bw"],
+    ["trees", "--digraph", "Bw"],
+    ["gb", "--index", "2", "--strict", "Bw"],
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+README = Path(__file__).parents[1] / "README.md"
+METAVAR_VALUES = {"K": "1", "N": "1", "I": "3", "DIR": "cache", "FILE": "out"}
+POSITIONAL = {"sweep": ["thm2.1"], "reproduce-appendix": []}
+
+
+def readme_options():
+    """{command: [(option, metavar or None)]} from the README's option list."""
+    listed = {}
+    for line in README.read_text().splitlines():
+        m = re.match(r"- ((?:`[\w-]+`(?:, )?)+): (.*)$", line)
+        if m:
+            options = re.findall(r"`(--[\w-]+)(?: ([^`]+))?`", m.group(2))
+            for command in re.findall(r"`([\w-]+)`", m.group(1)):
+                listed[command] = [(o, v or None) for o, v in options]
+    return listed
+
+
+def offered_options(parser, command):
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    return {s for a in commands[command]._actions for s in a.option_strings
+            if s.startswith("--") and s != "--help"}
+
+
+def test_every_option_the_readme_lists_parses():
+    """And the README lists every option each command offers."""
+    parser = build_parser()
+    listed = readme_options()
+    assert set(listed) == set(cli.COMMANDS)
+    for command, options in listed.items():
+        argv = [command] + POSITIONAL.get(command, ["Bw"])
+        for option, metavar in options:
+            argv.append(option)
+            if metavar:
+                argv.append(metavar.split("|")[0] if "|" in metavar
+                            else METAVAR_VALUES[metavar])
+        assert parser.parse_args(argv).command == command
+        assert offered_options(parser, command) == {o for o, _ in options}
 
 
 def test_parse_error_exit_code(capsys):

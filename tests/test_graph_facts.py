@@ -1,0 +1,99 @@
+"""Facts kept on the graph object: the canonical form and the exact zero
+forcing search run once per graph, and are never served across zero
+forcing tiers or labelings."""
+
+import pytest
+
+from corank import graphs, zeroforcing
+from corank.cache import DecisionCache
+from corank.config import RunConfig
+from corank.criticalideals import gamma
+from corank.enumeration import all_trees, enumerate_connected_graphs
+from corank.generators import cycle, octahedron, petersen
+from corank.graphs import Graph, canonical_form, relabel
+from corank.minrank import tree_suite
+from corank.polyring import QQ, ZZ
+from corank.report import build_parameter_report
+from corank.zeroforcing import zero_forcing_number
+
+
+def fresh(g):
+    """A copy that carries no kept facts (enumeration shares its objects)."""
+    return Graph(g.n, g.edges)
+
+
+@pytest.fixture
+def runs_per_graph(monkeypatch):
+    """runs_per_graph(item, graphs): the set of (canonical labelings, exact
+    zero forcing searches) that item(g) runs, over the graphs."""
+    counts = {"labelings": 0, "searches": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(graphs, "_canonical_order",
+                        counting("labelings", graphs._canonical_order))
+    monkeypatch.setattr(zeroforcing, "_exact_search",
+                        counting("searches", zeroforcing._exact_search))
+
+    def measure(item, gs):
+        seen = set()
+        for g in gs:
+            before = dict(counts)
+            item(g)
+            seen.add((counts["labelings"] - before["labelings"],
+                      counts["searches"] - before["searches"]))
+        return seen
+    return measure
+
+
+def test_zero_forcing_tier_is_respected_in_both_orders():
+    small_tier = RunConfig(zf_exact_max_n=7)
+    g = cycle(8)
+    assert not zero_forcing_number(g, small_tier).exact
+    assert zero_forcing_number(g).exact
+    assert not zero_forcing_number(g, small_tier).exact
+    assert zero_forcing_number(g).exact
+
+
+def test_relabeled_copy_gets_its_own_canonical_form():
+    g = petersen()
+    cg = canonical_form(g)
+    h = relabel(g, [(v + 3) % g.n for v in range(g.n)])
+    ch = canonical_form(h)
+    assert ch.key == cg.key and ch.perm == canonical_form(fresh(h)).perm
+    assert relabel(h, ch.perm) == relabel(g, cg.perm)
+
+
+def test_kept_facts_stay_out_of_equality_and_repr():
+    g, h = octahedron(), octahedron()
+    canonical_form(g)
+    zero_forcing_number(g)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+
+
+def bench_item(g):
+    """One gap-table bench item.  gamma needs no cache key, hence no
+    canonical form, when the probe points close the sandwich."""
+    cache = DecisionCache()
+    zero_forcing_number(g)
+    gamma(g, ZZ, cache=cache)
+    gamma(g, QQ, cache=cache)
+
+
+def test_one_search_and_at_most_one_labeling_per_bench_item(runs_per_graph):
+    items = [fresh(g) for g in enumerate_connected_graphs(6)]
+    assert runs_per_graph(bench_item, items) == {(0, 1), (1, 1)}
+
+
+def test_one_search_and_at_most_one_labeling_per_tree_suite(runs_per_graph):
+    trees = [fresh(t) for n in range(1, 9) for t in all_trees(n)]
+    assert runs_per_graph(tree_suite, trees) == {(0, 1), (1, 1)}
+
+
+@pytest.mark.parametrize("make", [petersen, octahedron])
+def test_one_search_and_labeling_per_parameter_report(runs_per_graph, make):
+    assert runs_per_graph(build_parameter_report, [make()]) == {(1, 1)}

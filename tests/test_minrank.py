@@ -7,8 +7,8 @@ import pytest
 from corank.cache import DecisionCache
 from corank.criticalideals import gamma, generalized_laplacian
 from corank.enumeration import all_trees
-from corank.generators import (bull, complete, cycle, octahedron, path, petersen,
-                               star)
+from corank.generators import (bull, complete, complete_multipartite, cycle,
+                               octahedron, path, petersen, star)
 from corank.graphs import Graph
 from corank.linalg import exact_rank
 from corank.minrank import (delta_oracle, delta_parameter, mr_small, mrcr_bounds,
@@ -30,6 +30,13 @@ def test_mr_small_bounds_only_beyond_seven():
     assert res.lower == 5 and res.upper == 5
     with pytest.raises(ValueError):
         res.value
+
+
+def test_mr_small_decides_gamma_through_the_given_cache():
+    g, cache = complete_multipartite([3, 3, 3]), DecisionCache()
+    res = mr_small(g, cache=cache)
+    assert len(cache) > 0  # the gamma over Q behind the upper bound
+    assert res == mr_small(g) and (res.lower, res.upper) == (2, 3)
 
 
 def test_mrcr_tree_box():
@@ -55,7 +62,8 @@ def test_mrcr_octahedron():
 def test_two_matching_examples():
     assert two_matching_number(path(4))[0] == 3
     assert two_matching_number(star(3))[0] == 2
-    assert two_matching_number(cycle(5))[0] == 5
+    with pytest.raises(ValueError):  # trees only, like path_cover_number
+        two_matching_number(cycle(5))
     # witness validity
     size, edges = two_matching_number(star(5))
     deg = {}

@@ -11,11 +11,15 @@ from corank.cache import DecisionCache
 from corank.criticalideals import gamma, generalized_laplacian
 from corank.enumeration import enumerate_connected_graphs
 from corank.formats import write_graph6
+from corank.generators import (NAMED_GRAPHS, complete_multipartite, cycle,
+                               forbidden_family_named, lambda_digraph, path)
 from corank.graphs import Digraph, Graph, relabel
 from corank.linalg import det_exact, exact_rank, rank_mod_p
 from corank.polyring import GF, QQ, ZZ
+from corank.report import build_parameter_report, render_json
 
 WITNESSES = Path(__file__).parent / "data" / "appendix_witnesses.json"
+PARAMS_CATALOG = Path(__file__).parent / "data" / "params_catalog.json"
 RELABEL_SEED = 2017
 
 
@@ -51,6 +55,29 @@ def write_witnesses():
 
 def test_appendix_witnesses_unchanged():
     assert appendix_witnesses() == json.loads(WITNESSES.read_text())
+
+
+def params_catalog_graphs():
+    """Named graphs, graphs past mr_small's exhaustive tier (n > 7), and
+    digraphs that take the classification path of the report."""
+    catalog = [NAMED_GRAPHS[name]() for name in
+               ("bull", "petersen", "octahedron", "graph-a", "graph-b", "graph-c")]
+    forbidden = {name: d for name, d, _ in forbidden_family_named()}
+    return catalog + [cycle(8), path(9), complete_multipartite([3, 3, 3]),
+                      lambda_digraph(1, 2, 1), forbidden["F4,10"]]
+
+
+def params_catalog():
+    """The JSON ``params`` output of params_catalog_graphs, each graph with
+    its own cache as the CLI gives it.  ``python -c "import
+    tests.test_witnesses as t; t.PARAMS_CATALOG.write_text(t.params_catalog())"``
+    rewrites the data file."""
+    return render_json([build_parameter_report(g, cache=DecisionCache())
+                        for g in params_catalog_graphs()])
+
+
+def test_params_catalog_unchanged():
+    assert params_catalog() == PARAMS_CATALOG.read_text()
 
 
 @st.composite
