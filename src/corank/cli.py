@@ -173,7 +173,7 @@ def cmd_gb(args):
     graphs = _read_input(args.input, args.digraph)
     if len(graphs) != 1:
         print("gb expects exactly one input graph", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_FAIL
     g = graphs[0]
     config = _config_from_args(args)
     order = ORDERS[args.order]

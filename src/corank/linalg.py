@@ -1,8 +1,10 @@
 """Exact matrix rank and determinants.
 
-Rational input is scaled row-wise to integers, then eliminated with the
-fraction-free Bareiss scheme (Bareiss 1968): division-free growth control,
-bit-exact, and the pivot trail doubles as a nonsingular-submatrix witness.
+Rational input is scaled row-wise to integers.  Every rank, of one matrix
+or of a scan's points, comes from ``_eliminate``: fraction-free Bareiss
+elimination over Q (Bareiss 1968: bit-exact, with division-free growth
+control), plain elimination over F_p.  ``det_exact`` is a separate
+Bareiss loop, kept as an independent check of that kernel.
 
 Evaluation scans (the least rank of one integer matrix over many
 diagonals) go through ``rank_scan``: a depth-first walk over lex product
@@ -19,12 +21,13 @@ the rank outright, and otherwise the corner does: O(1) per value.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 
 def _to_integer_rows(rows):
-    out = []
+    """(integer rows, scales): each row times the lcm of its denominators."""
+    out, scales = [], []
     for row in rows:
         scale = 1
         for c in row:
@@ -32,52 +35,34 @@ def _to_integer_rows(rows):
                 scale = scale * c.denominator // gcd(scale, c.denominator)
         out.append([int(c * scale) if isinstance(c, Fraction) else int(c) * scale
                     for c in row])
-    return out
+        scales.append(scale)
+    return out, scales
 
 
 @dataclass(frozen=True)
 class RankComputation:
     rank: int
-    pivot_rows: tuple
-    pivot_cols: tuple
 
 
 def exact_rank(rows) -> RankComputation:
-    """Rank of a rational matrix with a row/column pivot witness."""
-    if not rows:
-        return RankComputation(0, (), ())
-    m = _to_integer_rows(rows)
-    nr, nc = len(m), len(m[0])
-    row_idx = list(range(nr))
-    col_idx = list(range(nc))
-    prev = 1
-    k = 0
-    while k < min(nr, nc):
-        pr = pc = -1
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if m[i][j] != 0:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        if pr != k:
-            m[k], m[pr] = m[pr], m[k]
-            row_idx[k], row_idx[pr] = row_idx[pr], row_idx[k]
-        if pc != k:
-            for row in m:
-                row[k], row[pc] = row[pc], row[k]
-            col_idx[k], col_idx[pc] = col_idx[pc], col_idx[k]
-        piv = m[k][k]
-        for i in range(k + 1, nr):
-            for j in range(k + 1, nc):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = piv
-        k += 1
-    return RankComputation(k, tuple(sorted(row_idx[:k])), tuple(sorted(col_idx[:k])))
+    """Rank of a rational matrix."""
+    return RankComputation(_rank(_to_integer_rows(rows)[0], None))
+
+
+def rank_mod_p(rows, p) -> int:
+    """Rank over the prime field F_p of a rational matrix, each entry taken
+    as numerator / denominator mod p; an entry whose denominator p divides
+    is a ValueError."""
+    return _rank([[c.numerator * pow(c.denominator, -1, p) % p for c in row]
+                  for row in rows], p)
+
+
+def _rank(m, p):
+    """Rank of the integer matrix m (entries reduced mod p when p is given):
+    _eliminate on m padded square with zero rows or columns."""
+    k = max(len(m), max(map(len, m), default=0))
+    m = [row + [0] * (k - len(row)) for row in m] + [[0] * k for _ in range(k - len(m))]
+    return _eliminate(m, 0, 1, p, k)[0]
 
 
 def det_exact(rows):
@@ -86,17 +71,7 @@ def det_exact(rows):
     if nr == 0:
         return Fraction(1)
     assert all(len(r) == nr for r in rows)
-    denom = Fraction(1)
-    scaled = []
-    for row in rows:
-        scale = 1
-        for c in row:
-            if isinstance(c, Fraction):
-                scale = scale * c.denominator // gcd(scale, c.denominator)
-        denom *= scale
-        scaled.append([int(c * scale) if isinstance(c, Fraction) else int(c) * scale
-                       for c in row])
-    m = scaled
+    m, scales = _to_integer_rows(rows)
     sign = 1
     prev = 1
     for k in range(nr - 1):
@@ -114,36 +89,7 @@ def det_exact(rows):
                 m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = piv
-    return Fraction(sign * m[nr - 1][nr - 1], 1) / denom
-
-
-def rank_mod_p(rows, p) -> int:
-    """Rank over the prime field F_p."""
-    if not rows:
-        return 0
-    m = [[int(c) % p for c in row] for row in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    col = 0
-    for col in range(nc):
-        piv = -1
-        for i in range(rank, nr):
-            if m[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for i in range(nr):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    return Fraction(sign * m[nr - 1][nr - 1], prod(scales))
 
 
 def rank_scan(base_rows, blocks, p, lower, upper, upper_point, budget=None,

@@ -106,34 +106,18 @@ def _adjacency_lists(g: Graph):
     return adj
 
 
-def _require_tree(g):
+def _rooted_tree(g):
+    """(adjacency lists, DFS order from vertex 0, child lists) of a tree;
+    anything else is a ValueError.  Iterative, so big trees need no recursion."""
     n = g.n
     if n < 1 or g.m != n - 1:
         raise ValueError("input is not a tree (connected with n-1 edges)")
     adj = _adjacency_lists(g)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    if count != n:
-        raise ValueError("input is not a tree (connected with n-1 edges)")
-    return adj
-
-
-def _rooted_order(adj, n, root=0):
-    """Iterative DFS order and child lists, avoiding recursion on big trees."""
     parent = [-2] * n
     children = [[] for _ in range(n)]
     order = []
-    stack = [root]
-    parent[root] = -1
+    stack = [0]
+    parent[0] = -1
     while stack:
         v = stack.pop()
         order.append(v)
@@ -141,18 +125,20 @@ def _rooted_order(adj, n, root=0):
             if parent[w] == -2:
                 parent[w] = v
                 stack.append(w)
+    if len(order) != n:
+        raise ValueError("input is not a tree (connected with n-1 edges)")
     for v in order[1:]:
         children[parent[v]].append(v)
-    return order, children
+    return adj, order, children
 
 
-def _nu2_tree(g: Graph):
-    """Maximum 2-matching on a tree: DP over (vertex, parent-edge-used)."""
-    order, children = _rooted_order(_adjacency_lists(g), g.n)
-    dp0 = [0] * g.n   # parent edge unused: up to two child edges
-    dp1 = [0] * g.n   # parent edge used: up to one child edge
-    pick0 = [[] for _ in range(g.n)]
-    pick1 = [[] for _ in range(g.n)]
+def _nu2_tree(order, children):
+    """Maximum 2-matching on a rooted tree: DP over (vertex, parent-edge-used)."""
+    n = len(order)
+    dp0 = [0] * n   # parent edge unused: up to two child edges
+    dp1 = [0] * n   # parent edge used: up to one child edge
+    pick0 = [[] for _ in range(n)]
+    pick1 = [[] for _ in range(n)]
     for v in reversed(order):
         base = sum(dp0[c] for c in children[v])
         gains = sorted(((dp1[c] + 1 - dp0[c], c) for c in children[v]),
@@ -184,8 +170,8 @@ def two_matching_number(g: Graph):
 
     Returns (size, edge list); a graph that is not a tree is a ValueError.
     """
-    _require_tree(g)
-    return _nu2_tree(g)
+    _, order, children = _rooted_tree(g)
+    return _nu2_tree(order, children)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +211,7 @@ def path_cover_number(t: Graph):
     path system spanned by a maximum 2-matching (within a tree any
     connected subgraph path is automatically induced).
     """
-    _require_tree(t)
-    nu2, matching = _nu2_tree(t)
+    nu2, matching = two_matching_number(t)
     paths = _paths_of_matching(t, matching)
     assert len(paths) == t.n - nu2
     return t.n - nu2, paths
@@ -294,10 +279,12 @@ def delta_parameter(t: Graph):
     surviving child branches (two branches close the component: the parent
     must then be deleted).  Returns (delta, deleted set, path count).
     """
-    adj = _require_tree(t)
-    n = t.n
-    order, children = _rooted_order(adj, n)
+    return _delta_tree(t, *_rooted_tree(t))
 
+
+def _delta_tree(t, adj, order, children):
+    """delta_parameter of t, rooted as _rooted_tree(t) gives it."""
+    n = t.n
     dpD = [0] * n
     dp0 = [0] * n
     dp1 = [NEG] * n
@@ -464,7 +451,7 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
     Both gamma calls share the cache (a fresh one by default), so gamma_Q
     reuses gamma_Z's box scan.
     """
-    _require_tree(t)
+    adj, order, children = _rooted_tree(t)
     n = t.n
     if n > config.zf_exact_max_n:
         raise ValueError(f"tree suite verifies exactly only up to "
@@ -472,9 +459,10 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
                          f"two_matching_number for large trees")
     zf = zero_forcing_number(t, config)
     m_z = n - zf.z
-    nu2, matching = _nu2_tree(t)
-    p_cover, cover = path_cover_number(t)
-    delta, deletion, paths = delta_parameter(t)
+    nu2, matching = _nu2_tree(order, children)
+    cover = _paths_of_matching(t, matching)
+    p_cover = len(cover)
+    delta, deletion, paths = _delta_tree(t, adj, order, children)
     cache = cache if cache is not None else DecisionCache()
     gz = gamma(t, ZZ, config, cache)
     gq = gamma(t, QQ, config, cache)

@@ -180,6 +180,12 @@ def test_gb_compare_with_a_missing_file_is_an_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_gb_given_several_graphs_is_an_invalid_argument(capsys):
+    # the input parsed, so this is exit 1, not the parse error's 2
+    assert main(["gb", "--index", "2", "Bw\nBg"]) == 1
+    assert capsys.readouterr().err == "gb expects exactly one input graph\n"
+
+
 def test_output_into_a_missing_directory_is_an_error(capsys, tmp_path):
     code = main(["params", "--output", str(tmp_path / "missing" / "x"), "Bw"])
     assert code == 1

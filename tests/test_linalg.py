@@ -1,22 +1,48 @@
-"""Exact rank, determinants and the pivot witness."""
+"""Exact rank and determinants.
+
+``exact_rank``, ``rank_mod_p`` and ``rank_scan`` all eliminate through
+``linalg._eliminate``, so the scan tests' per-point reference shares that
+kernel.  The checks here do not: they hold every rank against the minor
+definition, with ``det_exact`` (a separate Bareiss loop) as the oracle.
+``exact_rank`` returns the rank alone; the pivot witness it used to carry,
+and the test of that witness, are gone.
+"""
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from corank.linalg import det_exact, exact_rank, rank_mod_p
 
 
-def _minor_rank(rows):
-    """Largest k with a nonzero k x k minor: the definitional rank."""
-    n, m = len(rows), len(rows[0])
+def _minor_rank(rows, p=None):
+    """Largest k with a k x k minor that is nonzero (mod p when p is given,
+    for entries whose denominators p does not divide): the definitional rank."""
+    n, m = len(rows), len(rows[0]) if rows else 0
     for k in range(min(n, m), 0, -1):
         for ri in combinations(range(n), k):
             for ci in combinations(range(m), k):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                if det_exact(sub) != 0:
+                det = det_exact([[rows[i][j] for j in ci] for i in ri])
+                if (det.numerator % p if p else det):
                     return k
     return 0
+
+
+def _random_matrix(rng, denominators):
+    """A random matrix of 1..6 rows and columns, often rank-deficient: some
+    rows are sums of earlier ones."""
+    nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+    rows = []
+    for _ in range(nr):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            rows.append([x + y for x, y in zip(a, b)])
+        else:
+            rows.append([Fraction(rng.randint(-3, 3), rng.choice(denominators))
+                         for _ in range(nc)])
+    return rows
 
 
 def test_rank_matches_minor_definition():
@@ -24,21 +50,25 @@ def test_rank_matches_minor_definition():
     for _ in range(200):
         rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
         assert exact_rank(rows).rank == _minor_rank(rows)
+    for _ in range(300):
+        rows = _random_matrix(rng, (1, 1, 2, 3, 7))
+        assert exact_rank(rows).rank == _minor_rank(rows), rows
 
 
-def test_rank_witness_submatrix_nonsingular():
-    rng = random.Random(2011)
-    for _ in range(100):
-        rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
-        rc = exact_rank(rows)
-        if rc.rank == 0:
-            continue
-        sub = [[rows[i][j] for j in rc.pivot_cols] for i in rc.pivot_rows]
-        assert det_exact(sub) != 0
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_mod_p_matches_minors_mod_p(p):
+    rng = random.Random(2039 + p)
+    denominators = [d for d in (1, 1, 2, 3, 7) if d % p]
+    for _ in range(200):
+        rows = _random_matrix(rng, denominators)
+        assert rank_mod_p(rows, p) == _minor_rank(rows, p), rows
 
 
 def test_rank_edge_cases():
     assert exact_rank([]).rank == 0
+    assert exact_rank([[]]).rank == 0
+    assert rank_mod_p([], 3) == 0
+    assert rank_mod_p([[]], 3) == 0
     assert exact_rank([[0, 0], [0, 0]]).rank == 0
     assert exact_rank([[Fraction(1, 3), 1], [1, 3]]).rank == 1
     assert exact_rank([[1, 2], [2, 4], [1, 0]]).rank == 2
@@ -60,3 +90,12 @@ def test_rank_mod_p():
         rows = [[rng.randint(0, 6) for _ in range(4)] for _ in range(4)]
         r7 = rank_mod_p(rows, 7)
         assert r7 <= exact_rank(rows).rank
+
+
+def test_rank_mod_p_takes_fractions_as_inverses():
+    # 1/2 is 2 mod 3, not 0
+    assert rank_mod_p([[Fraction(1, 2)]], 3) == 1
+    # 3/2 * 2/3 - 1 = 0: rank 1 over Q, and so over F_5
+    assert rank_mod_p([[Fraction(3, 2), 1], [1, Fraction(2, 3)]], 5) == 1
+    with pytest.raises(ValueError):
+        rank_mod_p([[1, Fraction(1, 3)]], 3)

@@ -1,9 +1,11 @@
 """Minimum-rank parameters and the tree suite."""
 
 import random
+from collections import Counter
 
 import pytest
 
+import corank.minrank as minrank
 from corank.cache import DecisionCache
 from corank.criticalideals import gamma, generalized_laplacian
 from corank.enumeration import all_trees
@@ -117,6 +119,20 @@ def test_tree_suite_small_examples():
     assert exact_rank(L.evaluate(tp2.diagonal)).rank == tp2.mz
     with pytest.raises(ValueError):
         tree_suite(cycle(4))
+
+
+def test_tree_suite_roots_each_tree_once(monkeypatch):
+    calls = Counter()
+    for name in ("_adjacency_lists", "_rooted_tree", "_nu2_tree", "_paths_of_matching",
+                 "_delta_tree"):
+        def counted(*args, _original=getattr(minrank, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(minrank, name, counted)
+    trees = list(all_trees(6))
+    for t in trees:
+        tree_suite(t)
+    assert calls == {name: len(trees) for name in calls} and len(calls) == 5
 
 
 def test_delta_on_large_path_value():
