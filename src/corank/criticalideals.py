@@ -63,30 +63,45 @@ class SymbolicMatrix:
         return rows
 
     def minor(self, rows, cols) -> Polynomial:
-        """Exact determinant of the submatrix, memoized across overlapping
-        row/column subsets (cofactor expansion along the first row)."""
-        rows, cols = tuple(rows), tuple(cols)
-        assert len(rows) == len(cols)
+        """Exact determinant of the submatrix: the multiaffine polynomial of
+        its {variable bitmask: coefficient} expansion."""
+        n = self.n
+        terms = self._expand(tuple(rows), tuple(cols))
+        return Polynomial(n, ZZ, {tuple((mask >> v) & 1 for v in range(n)): c
+                                  for mask, c in terms.items()}, _clean=True)
+
+    def _expand(self, rows, cols):
+        """The minor as {variable bitmask: nonzero int}, memoized across
+        overlapping row/column subsets.
+
+        x_u sits only at (u, u), so every minor is multiaffine.  Cofactor
+        expansion along the first row r0: the diagonal column ORs bit r0
+        into the submatrix minor's masks, any other column scales it by
+        -m_{r0,c}.
+        """
         memo = self._minor_memo
         key = (rows, cols)
         if key in memo:
             return memo[key]
-        k = len(rows)
-        if k == 0:
-            res = Polynomial.constant(self.n, ZZ, 1)
-        elif k == 1:
-            res = self.entry(rows[0], cols[0])
-        else:
-            res = Polynomial.zero(self.n, ZZ)
-            r0 = rows[0]
-            rest = rows[1:]
-            for j, c in enumerate(cols):
-                e = self.entry(r0, c)
-                if e.is_zero():
+        if len(rows) != len(cols):
+            raise ValueError("a minor needs as many rows as columns")
+        res = {} if rows else {0: 1}
+        for j, c in enumerate(cols):
+            if c == rows[0]:
+                bit, f = 1 << c, 1
+            else:
+                bit, f = 0, -self._mult.get((rows[0], c), 0)
+                if not f:
                     continue
-                sub = self.minor(rest, cols[:j] + cols[j + 1:])
-                term = e * sub
-                res = res + term if j % 2 == 0 else res - term
+            if j % 2:
+                f = -f
+            for mask, v in self._expand(rows[1:], cols[:j] + cols[j + 1:]).items():
+                mask |= bit
+                s = res.get(mask, 0) + f * v
+                if s:
+                    res[mask] = s
+                else:
+                    del res[mask]
         memo[key] = res
         return res
 
@@ -117,8 +132,10 @@ def minor_generators(matrix: SymbolicMatrix, size: int,
                      stop_at_unit=False) -> MinorGenerators:
     """All size x size minors, expanded, deduplicated up to sign.
 
-    With stop_at_unit, generation stops as soon as a +-1 constant minor is
-    found (it already decides triviality over every ring).
+    Minors come as the matrix's multiaffine bitmask dicts; a minor is kept,
+    with the sign it was found with, when neither it nor its negative was
+    kept before.  With stop_at_unit, generation stops as soon as a +-1
+    constant minor is found (it already decides triviality over every ring).
     """
     n = matrix.n
     if not 0 <= size <= n:
@@ -129,20 +146,22 @@ def minor_generators(matrix: SymbolicMatrix, size: int,
     constants = []
     for rows in combinations(range(n), size):
         for cols in combinations(range(n), size):
-            p = matrix.minor(rows, cols)
-            if p.is_zero():
+            d = matrix._expand(rows, cols)
+            if not d:
                 continue
-            if p.is_constant():
-                c = p.constant_value()
+            if len(d) == 1 and 0 in d:
+                c = d[0]
                 constants.append((rows, cols, c))
                 if unit is None and c in (1, -1):
                     unit = (rows, cols, c)
-            key = p.key()
-            nkey = (-p).key()
-            if key in seen or nkey in seen:
+            items = sorted(d.items())
+            if items[0][1] < 0:
+                items = [(mask, -c) for mask, c in items]
+            key = tuple(items)
+            if key in seen:
                 continue
             seen.add(key)
-            gens.append(p)
+            gens.append(matrix.minor(rows, cols))
             if unit is not None and stop_at_unit:
                 return MinorGenerators(gens, unit, constants)
     return MinorGenerators(gens, unit, constants)

@@ -693,7 +693,8 @@ def is_trivial_over_field(generators, order=DEGREVLEX, spair_cap=50000,
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return False, IdealBasis([], QQ, order, is_groebner=True)
+        return False, IdealBasis([], generators[0].domain if generators else QQ, order,
+                                 is_groebner=True)
     basis = buchberger(gens, order, spair_cap, degree_cap,
                        track_cofactors=want_cofactors)
     if basis.is_trivial():
@@ -728,11 +729,12 @@ def _factor_desk_scale(d):
 def is_trivial_over_Z(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30):
     """Decide 1 in <generators> inside Z[X].
 
-    Strategy: decide over Q with cofactor tracking.  Non-trivial over Q is
-    non-trivial over Z.  Otherwise clear denominators to get an integer D
-    in the integer ideal; 1 lies in the ideal iff the reduction mod p is
-    trivial for every prime p dividing D (all other primes are settled by
-    the combination itself).
+    Strategy: decide over Q without cofactors.  Non-trivial over Q is
+    non-trivial over Z.  Only a Q-trivial ideal is run again with cofactor
+    tracking, which repeats the same S-pairs; clearing the cofactors'
+    denominators gives an integer D in the integer ideal, and 1 lies in the
+    ideal iff the reduction mod p is trivial for every prime p dividing D
+    (all other primes are settled by the combination itself).
 
     Returns (decision, certificate) where certificate is
       ("rational-basis", basis)           non-trivial already over Q
@@ -752,10 +754,11 @@ def is_trivial_over_Z(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=3
         if g.is_constant() and ZZ.is_unit(g.constant_value()):
             return True, ("denominator", 1)
     qgens = [g.to_domain(QQ) for g in gens]
-    ok, payload = is_trivial_over_field(qgens, order, spair_cap, degree_cap,
-                                        want_cofactors=True)
+    ok, basis = is_trivial_over_field(qgens, order, spair_cap, degree_cap)
     if not ok:
-        return False, ("rational-basis", payload)
+        return False, ("rational-basis", basis)
+    _, payload = is_trivial_over_field(qgens, order, spair_cap, degree_cap,
+                                       want_cofactors=True)
     d = 1
     for h in payload:
         for c in h.terms.values():

@@ -2,24 +2,29 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+import corank.polyring as polyring
 from corank.cache import DecisionCache
 from corank.config import RunConfig
-from corank.criticalideals import (box_points, field_points, gamma, generalized_laplacian,
+from corank.criticalideals import (SymbolicMatrix, box_points, field_points, gamma,
+                                   generalized_laplacian,
                                    groebner_basis_of_critical_ideal,
                                    ideal_trivial, minor_generators,
                                    nontriviality_certificate, variety_box_search)
-from corank.enumeration import enumerate_connected_graphs
+from corank.enumeration import (enumerate_connected_graphs, enumerate_digraphs,
+                                enumerate_graphs)
 from corank.generators import (bull, complete, complete_multipartite, cycle,
                                graph_a, graph_b, graph_c, matching_3k2, octahedron, path,
                                petersen)
 from corank.goldens import OCTAHEDRON_I3_OVER_Z, OCTAHEDRON_I4_OVER_R, GRAPH_B_I4
 from corank.graphs import Digraph, Graph, relabel
-from corank.linalg import exact_rank
-from corank.polyring import (DEGREVLEX, GF, QQ, ZZ, buchberger, format_polynomial,
-                             is_trivial_over_Z, normal_form, parse_polynomial)
+from corank.linalg import det_exact, exact_rank
+from corank.polyring import (DEGREVLEX, GF, QQ, ZZ, Polynomial, buchberger,
+                             format_polynomial, is_trivial_over_Z, normal_form,
+                             parse_polynomial)
 from corank.zeroforcing import zero_forcing_number
 
 
@@ -74,6 +79,117 @@ def test_minor_generators_size1_and_bull_unit():
     assert one.unit_minor is not None  # any edge entry is -1
     three = minor_generators(L, 3, stop_at_unit=True)
     assert three.unit_minor is not None  # from the zero forcing certificate
+
+
+def _all_minors(n):
+    for k in range(n + 1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                yield rows, cols
+
+
+@pytest.mark.parametrize("matrices", ["graphs n<=5", "digraphs n<=4", "multiplicities"])
+def test_every_minor_is_multiaffine_and_equals_the_determinant(matrices):
+    """A multiaffine polynomial in n variables is fixed by its values on
+    {0,1}^n, so agreeing with the determinant there proves the expansion."""
+    if matrices == "graphs n<=5":
+        mats = [generalized_laplacian(g) for g in enumerate_graphs(5)]
+    elif matrices == "digraphs n<=4":
+        mats = [generalized_laplacian(d) for d in enumerate_digraphs(4)]
+    else:
+        mats = [SymbolicMatrix(4, {(0, 1): 2, (1, 0): 3, (1, 2): 3, (2, 3): 2,
+                                   (3, 0): 3, (2, 0): 1, (3, 1): 2})]
+    for L in mats:
+        n = L.n
+        points = [(pt, L.evaluate(pt)) for pt in product((0, 1), repeat=n)]
+        for rows, cols in _all_minors(n):
+            p = L.minor(rows, cols)
+            assert all(e <= 1 for m in p.terms for e in m), (rows, cols)
+            for pt, full in points:
+                value = sum(c for m, c in p.terms.items()
+                            if all(e <= x for e, x in zip(m, pt)))
+                assert value == det_exact([[full[r][c] for c in cols] for r in rows]), \
+                    (rows, cols, pt)
+
+
+def _cofactor_minor(L, rows, cols, memo):
+    """The minor by Polynomial arithmetic along the first row (test oracle)."""
+    key = (rows, cols)
+    if key not in memo:
+        res = Polynomial.constant(L.n, ZZ, 1)
+        if rows:
+            res = Polynomial.zero(L.n, ZZ)
+            for j, c in enumerate(cols):
+                e = L.entry(rows[0], c)
+                if e.is_zero():
+                    continue
+                term = e * _cofactor_minor(L, rows[1:], cols[:j] + cols[j + 1:], memo)
+                res = res + term if j % 2 == 0 else res - term
+        memo[key] = res
+    return memo[key]
+
+
+def _oracle_minor_generators(L, size, stop_at_unit, memo):
+    """minor_generators by Polynomial keys: (generators, unit, constants)."""
+    gens, seen, unit, constants = [], set(), None, []
+    for rows in combinations(range(L.n), size):
+        for cols in combinations(range(L.n), size):
+            p = _cofactor_minor(L, rows, cols, memo)
+            if p.is_zero():
+                continue
+            if p.is_constant():
+                c = p.constant_value()
+                constants.append((rows, cols, c))
+                if unit is None and c in (1, -1):
+                    unit = (rows, cols, c)
+            if p.key() in seen or (-p).key() in seen:
+                continue
+            seen.add(p.key())
+            gens.append(p)
+            if unit is not None and stop_at_unit:
+                return gens, unit, constants
+    return gens, unit, constants
+
+
+def test_minor_generators_match_the_polynomial_expansion():
+    """Generator order, signs and terms, the unit minor and the constant
+    minors of all 143 graphs at every index, against the oracle."""
+    graphs = enumerate_connected_graphs(6)
+    assert len(graphs) == 143
+    for g in graphs:
+        L, memo = generalized_laplacian(g), {}
+        for i in range(g.n + 1):
+            for stop in (False, True):
+                got = minor_generators(L, i, stop)
+                gens, unit, constants = _oracle_minor_generators(L, i, stop, memo)
+                assert got.generators == gens, (g.edges, i, stop)
+                assert got.unit_minor == unit and got.constant_minors == constants
+
+
+def test_z_decision_tracks_cofactors_only_for_rationally_trivial_ideals(monkeypatch):
+    """The Z path runs Buchberger with cofactors only after a plain run
+    found the ideal trivial over Q; a proper ideal's cofactors would be
+    thrown away.  No Q-trivial ideal with n <= 5 reaches Buchberger; the
+    octahedron at i = 3 (trivial over Q, not mod 2) does."""
+    plain = polyring.buchberger
+    calls = []
+
+    def counted(generators, *args, track_cofactors=False, **kwargs):
+        calls.append(track_cofactors)
+        return plain(generators, *args, track_cofactors=track_cofactors, **kwargs)
+
+    monkeypatch.setattr(polyring, "buchberger", counted)
+    tracked = 0
+    for g in enumerate_connected_graphs(5) + [octahedron()]:
+        L = generalized_laplacian(g)
+        for i in range(1, g.n + 1):
+            q_trivial = plain(minor_generators(L, i).to_domain(QQ)).is_trivial()
+            calls.clear()
+            groebner_basis_of_critical_ideal(g, i, ZZ)
+            assert calls.count(True) == (1 if q_trivial and calls else 0), (g.edges, i)
+            assert not calls or calls[0] is False
+            tracked += calls.count(True)
+    assert tracked > 0
 
 
 def test_ideal_trivial_octahedron():

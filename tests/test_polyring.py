@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,58 @@ def test_trivial_over_Z_examples():
     gens = [poly(f"x{i}", 6, ZZ) for i in range(6)] + [poly("2", 6, ZZ)]
     ok, cert = is_trivial_over_Z(gens)
     assert not ok and cert[:2] == ("prime", 2)
+
+
+def test_trivial_over_field_of_zero_generators_keeps_their_domain():
+    for dom in (GF(3), QQ):
+        ok, basis = is_trivial_over_field([Polynomial.zero(2, dom)])
+        assert not ok and basis.generators == [] and basis.domain == dom
+
+
+@pytest.mark.parametrize("texts, head", [(["5", "x0"], ("prime", 5)),
+                                         (["x0", "x0 + 1"], ("denominator", 1)),
+                                         (["2", "3"], ("denominator", 2))])
+def test_trivial_over_Z_certificate_of_a_rationally_trivial_ideal(texts, head):
+    """The denominator D clears a cofactor combination that
+    is_trivial_over_field verifies; D's primes decide the rest."""
+    gens = [poly(t, 3, ZZ) for t in texts]
+    ok, cert = is_trivial_over_Z(gens)
+    assert cert[:2] == head and ok is (head[0] == "denominator")
+    okq, cofactors = is_trivial_over_field([g.to_domain(QQ) for g in gens],
+                                           want_cofactors=True)
+    d = 1
+    for h in cofactors:
+        for c in h.terms.values():
+            d = d * c.denominator // gcd(d, c.denominator)
+    assert okq and d % head[1] == 0
+    if ok:
+        assert d == head[1]
+
+
+_KATSURA = ["x0^2 + x1^2 + x2^2 - 1", "x0*x1 + x1*x2", "x0 + 2*x1 + x2"]
+_TRIVIAL_OVER_Q = ["x0*x1 - 1", "x0^2 - x1", "x1^2 - 2*x0"]
+
+
+@pytest.mark.parametrize("texts", [_KATSURA, _TRIVIAL_OVER_Q])
+@pytest.mark.parametrize("spair_cap, degree_cap", [(0, 30), (1, 30), (2, 30), (3, 30),
+                                                   (50000, 1)])
+def test_trivial_over_Z_runs_out_of_budget_as_the_cofactor_run_does(texts, spair_cap,
+                                                                    degree_cap):
+    """Deciding over Q without cofactors first runs the same S-pairs, so a
+    budget stops it with the same reason and the same partial basis."""
+    gens = [poly(t, 3, ZZ) for t in texts]
+
+    def outcome(run):
+        try:
+            run()
+        except BudgetExceeded as exc:
+            return exc.reason, [format_polynomial(p) for p in exc.partial]
+        return None
+
+    want = outcome(lambda: buchberger([g.to_domain(QQ) for g in gens], DEGREVLEX,
+                                      spair_cap, degree_cap, track_cofactors=True))
+    assert outcome(lambda: is_trivial_over_Z(gens, DEGREVLEX, spair_cap,
+                                             degree_cap)) == want
 
 
 @st.composite
