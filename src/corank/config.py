@@ -17,8 +17,12 @@ class RunConfig:
     gamma_box_budget: int = 20_000    # upper-bound scan inside gamma
 
     def __post_init__(self):
-        assert self.box_radius >= 0 and self.spair_cap > 0 and self.degree_cap > 0
-        assert all(p >= 2 for p in self.primes)
+        for name, least in (("box_radius", 0), ("spair_cap", 1), ("degree_cap", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {getattr(self, name)}")
+        if any(p < 2 for p in self.primes):
+            raise ValueError(f"primes must be at least 2, got {list(self.primes)}")
 
     def budget_hash(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)

@@ -213,13 +213,12 @@ def field_blocks(n, p):
             for axes, rim in box_blocks(n, (p - 1) // 2)]
 
 
-def min_rank_scan(matrix, blocks, domain, lower, upper, upper_point, budget=None,
-                  limit=None):
+def min_rank_scan(matrix, blocks, domain, lower, upper, upper_point, budget=None):
     """linalg.rank_scan of the matrix over the domain (ranks over Z taken
     over Q): (upper, point, exhaustive, points scanned)."""
     p = domain.p if isinstance(domain, GF) else None
     return rank_scan(matrix.evaluate((0,) * matrix.n), blocks, p, lower, upper,
-                     upper_point, budget, limit)
+                     upper_point, budget)
 
 
 @dataclass
@@ -241,13 +240,11 @@ def variety_box_search(g, r, box_radius=None, domain=QQ,
         box_radius = config.box_radius
     if r + 1 > g.n:
         raise ValueError("r + 1 must be at most n")
-    if isinstance(domain, GF):
-        blocks, limit = field_blocks(g.n, domain.p), config.box_point_budget
-    else:
-        blocks, limit = box_blocks(g.n, box_radius), None
+    blocks = (field_blocks(g.n, domain.p) if isinstance(domain, GF)
+              else box_blocks(g.n, box_radius))
     rank, point, exhaustive, scanned = min_rank_scan(
         generalized_laplacian(g), blocks, domain, r, r + 1, None,
-        config.box_point_budget, limit)
+        config.box_point_budget)
     return BoxSearchResult(point, None if point is None else rank, exhaustive, scanned)
 
 
@@ -266,13 +263,13 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
     if domain is ZZ:
         for p in config.primes:
             _, point, _, _ = min_rank_scan(matrix, field_blocks(n, p), GF(p), i - 1, i,
-                                           None, None, config.modp_point_budget)
+                                           None, config.modp_point_budget)
             if point is not None:
                 return (p, point)
         return None
     if isinstance(domain, GF):
         return min_rank_scan(matrix, field_blocks(n, domain.p), domain, i - 1, i, None,
-                             None, config.modp_point_budget)[1]
+                             config.modp_point_budget)[1]
     raise ValueError(f"unsupported domain {domain!r}")
 
 
@@ -479,13 +476,10 @@ def _budgeted_box_scan(g, matrix, lower, upper, upper_point, domain, config, cac
             if rank is not None and rank < upper:
                 return rank, _relabel_point(pt, _inverse(form.perm))
             return upper, upper_point
-    if rational:
-        blocks, limit = box_blocks(g.n, config.box_radius), None
-    else:
-        blocks, limit = field_blocks(g.n, domain.p), config.gamma_box_budget
+    blocks = (box_blocks(g.n, config.box_radius) if rational
+              else field_blocks(g.n, domain.p))
     upper, upper_point, _, _ = min_rank_scan(matrix, blocks, domain, lower, upper,
-                                             upper_point, config.gamma_box_budget,
-                                             limit)
+                                             upper_point, config.gamma_box_budget)
     if key is not None:
         cache.put(key, [upper, list(_relabel_point(upper_point, form.perm))
                         if upper_point else None])

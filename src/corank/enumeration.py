@@ -1,14 +1,15 @@
 """Exhaustive isomorphism-free enumeration of small graphs, digraphs, trees.
 
-Graphs on up to 6 vertices come from a sweep over adjacency bitmasks keeping
-only the lexicographically least mask of each orbit; 7-vertex classes are
-built by one-vertex extensions of the 6-vertex classes, deduplicated by
-canonical form.  Digraphs (n <= 4) use the same mask sweep.  Free trees are
-grown by leaf augmentation and deduplicated with a centroid-rooted AHU code.
+Graphs (n <= 7) and digraphs (n <= 4) are generated by one-vertex
+extension: every class on n - 1 vertices is joined to a new vertex in every
+way, and the first graph of each canonical key is kept, canonically
+relabeled (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+1998).  The representative therefore depends on its class alone.  Free
+trees (n <= 12, past the reach of canonical labeling) are grown by leaf
+augmentation and deduplicated with a centroid-rooted AHU code.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
 
 from .graphs import Graph, Digraph, canonical_form, is_connected, relabel
 
@@ -18,68 +19,32 @@ class EnumerationRangeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# orbit-minimal adjacency masks
-
-def _orbit_min_reps(n, positions, perm_maps):
-    """All masks over the given bit positions that are minimal in their orbit.
-
-    perm_maps[r][k] = position that permutation r sends position k to; the
-    mask is read as a bit string with position 0 most significant.
-    """
-    m = len(positions)
-    reps = []
-    for mask in range(1 << m):
-        minimal = True
-        for pmap in perm_maps:
-            for k in range(m):
-                pb = mask >> pmap[k] & 1
-                mb = mask >> k & 1
-                if pb != mb:
-                    if pb < mb:
-                        minimal = False
-                    break
-            else:
-                continue
-            if not minimal:
-                break
-        if minimal:
-            reps.append(mask)
-    return reps
-
+# graphs and digraphs by one-vertex extension
 
 @lru_cache(maxsize=None)
-def _graphs_exactly(n):
-    """Canonical representatives of all graphs on exactly n vertices."""
+def _classes(kind, n):
+    """Canonical representatives of all graphs (kind Graph) or digraphs
+    (kind Digraph) on exactly n vertices, sorted by canonical key.
+
+    Each class on n - 1 vertices is joined to the new vertex n - 1 by every
+    set of edges to earlier vertices, or of out-arcs and in-arcs.
+    """
     if n == 0:
-        return ()
-    if n <= 6:
-        pairs = list(combinations(range(n), 2))
-        index = {p: k for k, p in enumerate(pairs)}
-        perm_maps = []
-        for r in permutations(range(n)):
-            if r == tuple(range(n)):
-                continue
-            perm_maps.append([index[tuple(sorted((r[i], r[j])))] for i, j in pairs])
-        graphs = []
-        for mask in _orbit_min_reps(n, pairs, perm_maps):
-            edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-            graphs.append(Graph(n, edges))
-    elif n == 7:
-        graphs = (Graph(7, list(parent.edges) + [(v, 6) for v in range(6) if sub >> v & 1])
-                  for parent in _graphs_exactly(6) for sub in range(64))
-    else:
-        raise EnumerationRangeError(f"exhaustive graph tier stops at n=7, got {n}")
-    return _canonical_classes(graphs)
-
-
-def _canonical_classes(graphs):
-    """The first graph of each isomorphism class, canonically relabeled,
-    sorted by canonical key; one canonical form per graph."""
+        return (kind(0),)
+    new = n - 1
+    pairs = [(v, new) for v in range(new)]
+    if kind is Digraph:
+        pairs += [(new, v) for v in range(new)]
+    joins = [[pair for k, pair in enumerate(pairs) if sub >> k & 1]
+             for sub in range(1 << len(pairs))]
     seen = {}
-    for g in graphs:
-        cf = canonical_form(g)
-        if cf.key not in seen:
-            seen[cf.key] = relabel(g, cf.perm)
+    for parent in _classes(kind, new):
+        base = list(parent.edges if kind is Graph else parent.arcs)
+        for join in joins:
+            g = kind(n, base + join)
+            cf = canonical_form(g)
+            if cf.key not in seen:
+                seen[cf.key] = relabel(g, cf.perm)
     return tuple(seen[key] for key in sorted(seen))
 
 
@@ -87,10 +52,7 @@ def enumerate_graphs(max_n):
     """One representative per isomorphism class of graphs with 1 <= n <= max_n."""
     if max_n > 7:
         raise EnumerationRangeError(f"exhaustive graph tier stops at n=7, got {max_n}")
-    out = []
-    for n in range(1, max_n + 1):
-        out.extend(_graphs_exactly(n))
-    return out
+    return [g for n in range(1, max_n + 1) for g in _classes(Graph, n)]
 
 
 def enumerate_connected_graphs(max_n):
@@ -98,34 +60,11 @@ def enumerate_connected_graphs(max_n):
     return [g for g in enumerate_graphs(max_n) if is_connected(g)]
 
 
-@lru_cache(maxsize=None)
-def _digraphs_exactly(n):
-    if n == 0:
-        return ()
-    if n > 4:
-        raise EnumerationRangeError(f"exhaustive digraph tier stops at n=4, got {n}")
-    arcs_all = [(i, j) for i in range(n) for j in range(n) if i != j]
-    index = {a: k for k, a in enumerate(arcs_all)}
-    perm_maps = []
-    for r in permutations(range(n)):
-        if r == tuple(range(n)):
-            continue
-        perm_maps.append([index[(r[i], r[j])] for i, j in arcs_all])
-    digraphs = []
-    for mask in _orbit_min_reps(n, arcs_all, perm_maps):
-        arcs = [arcs_all[k] for k in range(len(arcs_all)) if mask >> k & 1]
-        digraphs.append(Digraph(n, arcs))
-    return _canonical_classes(digraphs)
-
-
 def enumerate_digraphs(max_n):
     """One representative per isomorphism class of digraphs with 1 <= n <= max_n."""
     if max_n > 4:
         raise EnumerationRangeError(f"exhaustive digraph tier stops at n=4, got {max_n}")
-    out = []
-    for n in range(1, max_n + 1):
-        out.extend(_digraphs_exactly(n))
-    return out
+    return [d for n in range(1, max_n + 1) for d in _classes(Digraph, n)]
 
 
 # ---------------------------------------------------------------------------

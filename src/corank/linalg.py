@@ -92,18 +92,17 @@ def det_exact(rows):
     return Fraction(sign * m[nr - 1][nr - 1], prod(scales))
 
 
-def rank_scan(base_rows, blocks, p, lower, upper, upper_point, budget=None,
-              limit=None):
+def rank_scan(base_rows, blocks, p, lower, upper, upper_point, budget=None):
     """Lower the bound (upper, upper_point) to the least rank over a point set.
 
     The rank is that of the square integer matrix base_rows, whose diagonal
     is zero, with the point on its diagonal, over Q, or over F_p when p is
-    given.  The points are those of the blocks in order, cut after the
-    first `limit` of them.  A block (axes, rim) is the lex product of its
-    axes, one value sequence per coordinate, keeping only the points with a
-    coordinate in the set rim unless rim is None.  The scan stops once
-    upper <= lower, and when a point past the first `budget` comes up; with
-    upper <= lower on entry it still takes the first point.
+    given.  The points are those of the blocks in order.  A block (axes,
+    rim) is the lex product of its axes, one value sequence per coordinate,
+    keeping only the points with a coordinate in the set rim unless rim is
+    None.  The scan stops once upper <= lower, and when a point past the
+    first `budget` comes up; with upper <= lower on entry it still takes
+    the first point.
 
     Returns (upper, point, exhaustive, scanned): the first point of the
     least rank found below upper (else upper_point), whether the scan ended
@@ -112,12 +111,11 @@ def rank_scan(base_rows, blocks, p, lower, upper, upper_point, budget=None,
     n = len(base_rows)
     if upper <= lower:
         rank, point, exhaustive, scanned = rank_scan(base_rows, blocks, p, n, n + 1,
-                                                     None, budget, limit)
+                                                     None, budget)
         if point is not None and rank < upper:
             upper, upper_point = rank, point
         return upper, upper_point, exhaustive, scanned
-    cap = min((c for c in (budget, limit) if c is not None), default=float("inf"))
-    cap_ends_points = limit is not None and cap == limit
+    cap = float("inf") if budget is None else budget
     base = [[c % p for c in row] for row in base_rows] if p else base_rows
     point, scanned, exhaustive = [None] * n, 0, True
 
@@ -125,7 +123,7 @@ def rank_scan(base_rows, blocks, p, lower, upper, upper_point, budget=None,
         # take count points none of which lowers upper; True ends the scan
         nonlocal scanned, exhaustive
         if scanned + count > cap:
-            scanned, exhaustive = cap, cap_ends_points
+            scanned, exhaustive = cap, False
             return True
         scanned += count
         return False
@@ -134,7 +132,7 @@ def rank_scan(base_rows, blocks, p, lower, upper, upper_point, budget=None,
         # take the point now in `point`; True ends the scan
         nonlocal upper, upper_point, scanned, exhaustive
         if scanned >= cap:
-            exhaustive = cap_ends_points
+            exhaustive = False
             return True
         scanned += 1
         if rank < upper:

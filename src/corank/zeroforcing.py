@@ -10,7 +10,6 @@ from itertools import combinations
 
 from .config import DEFAULT_CONFIG
 from .graphs import Digraph
-from .polyring import ZZ, Polynomial
 
 
 class CertificateError(ValueError):
@@ -163,7 +162,6 @@ def validate_record(g, record: ForceRecord) -> bool:
 class CertificateMinor:
     rows: tuple          # forcing vertices a_1..a_k
     cols: tuple          # forced vertices b_1..b_k
-    entries: tuple       # k x k of Polynomial over ZZ
     determinant: int     # (-1)^k, forced by the triangular shape
 
     @property
@@ -174,36 +172,24 @@ class CertificateMinor:
 def certificate_minor(g, record: ForceRecord) -> CertificateMinor:
     """The submatrix of the variable-diagonal Laplacian on rows a_i, cols b_i.
 
-    Structurally verified lower triangular with -1 on the diagonal, so its
-    determinant is (-1)^k whatever the below-diagonal entries (which may be
-    diagonal variables of the ambient matrix).  This certifies the k-minor
-    ideal trivial over every commutative ring with unity.
+    Its entry (t, s) is x_{a_t} when b_s = a_t, -1 when b_s is a forward
+    neighbor of a_t, and 0 otherwise; the adjacency bits verify it lower
+    triangular with -1 on the diagonal, so its determinant is (-1)^k
+    whatever the below-diagonal entries (which may be diagonal variables of
+    the ambient matrix).  This certifies the k-minor ideal trivial over
+    every commutative ring with unity.
     """
-    from .criticalideals import generalized_laplacian  # imports this module
-
     if not validate_record(g, record):
         raise CertificateError("force record does not replay on this graph")
-    k = len(record.forces)
+    adj = _forward_masks(g)
     rows = tuple(a for a, _ in record.forces)
     cols = tuple(b for _, b in record.forces)
-    entry = generalized_laplacian(g).entry
-
-    grid = []
-    for t, a in enumerate(rows):
-        row = []
-        for s, b in enumerate(cols):
-            e = entry(a, b)
-            if s == t:
-                if e != Polynomial.constant(g.n, ZZ, -1):
-                    raise CertificateError(
-                        f"diagonal entry at step {t} is not -1; "
-                        f"replay admitted an illegal force")
-            elif s > t:
-                if not e.is_zero():
-                    raise CertificateError(
-                        f"entry ({t},{s}) above the diagonal is nonzero; "
-                        f"list is not chronological")
-            row.append(e)
-        grid.append(tuple(row))
-    det = -1 if k % 2 else 1
-    return CertificateMinor(rows, cols, tuple(grid), det)
+    for t, (a, b) in enumerate(record.forces):
+        if a == b or not adj[a] >> b & 1:
+            raise CertificateError(f"diagonal entry at step {t} is not -1; "
+                                   f"replay admitted an illegal force")
+        for s in range(t + 1, len(cols)):
+            if cols[s] == a or adj[a] >> cols[s] & 1:
+                raise CertificateError(f"entry ({t},{s}) above the diagonal is nonzero; "
+                                       f"list is not chronological")
+    return CertificateMinor(rows, cols, -1 if len(rows) % 2 else 1)

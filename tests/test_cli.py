@@ -8,6 +8,7 @@ import pytest
 
 from corank import cli
 from corank.cli import build_parser, main
+from corank.config import RunConfig
 from corank.formats import write_graph6
 from corank.generators import graph_a, graph_b, octahedron, path
 
@@ -171,6 +172,22 @@ def test_gb_over_its_spair_cap_exits_undecided(capsys):
     code = main(["gb", "--index", "4", "--budget-spairs", "1", write_graph6(graph_a())])
     assert code == 3
     assert capsys.readouterr().err.startswith("undecided: S-pair cap exceeded")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--box", "-1", "EznW"],
+    ["gb", "--index", "2", "--budget-spairs", "0", "EznW"],
+    ["gb", "--index", "2", "--budget-degree", "0", "EznW"],
+])
+def test_an_invalid_budget_is_an_error_not_a_traceback(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_run_config_rejects_a_prime_below_two():
+    with pytest.raises(ValueError, match="primes must be at least 2"):
+        RunConfig(primes=(1,))
 
 
 def test_gb_compare_with_a_missing_file_is_an_error(capsys, tmp_path):

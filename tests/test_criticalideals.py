@@ -313,6 +313,15 @@ def test_variety_box_search_examples():
     assert res3.point is None and res3.exhaustive
 
 
+def test_field_box_search_cut_by_its_budget_is_not_exhaustive():
+    # 50 of the 13^6 points of F_13^6: absence there settles nothing
+    cut = variety_box_search(cycle(6), 0, domain=GF(13),
+                             config=RunConfig(box_point_budget=50))
+    assert (cut.point, cut.points_scanned, cut.exhaustive) == (None, 50, False)
+    whole = variety_box_search(cycle(6), 0, domain=GF(3))
+    assert (whole.point, whole.points_scanned, whole.exhaustive) == (None, 3 ** 6, True)
+
+
 def test_groebner_basis_reporting_and_reference_ideals():
     # field basis of the prism's 4-minor ideal equals the reference basis
     basis = groebner_basis_of_critical_ideal(graph_b(), 4, QQ)

@@ -1,5 +1,6 @@
 """Counts and determinism of the exhaustive enumerations."""
 
+from hashlib import sha256
 from itertools import combinations, permutations
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from corank.enumeration import (EnumerationRangeError, all_trees,
                                 enumerate_connected_graphs, enumerate_digraphs,
                                 enumerate_graphs, tree_code)
+from corank.formats import write_digraph6, write_graph6
 from corank.graphs import Graph, canonical_form, is_connected, is_tree
 
 KNOWN_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
@@ -57,6 +59,16 @@ def test_seven_vertex_tier():
     assert len([g for g in connected if g.n == 7]) == 853
     with pytest.raises(EnumerationRangeError):
         enumerate_connected_graphs(8)
+
+
+def test_enumerations_are_pinned_byte_for_byte():
+    # a change of representative, order or count changes these digests
+    graphs = "\n".join(write_graph6(g) for g in enumerate_graphs(7))
+    digraphs = "\n".join(write_digraph6(d) for d in enumerate_digraphs(4))
+    assert sha256(graphs.encode()).hexdigest() == \
+        "70d37c49b9414fe3c70e57b039fd2efd3fbdf3e7aa1f53417ec2911b38354b07"
+    assert sha256(digraphs.encode()).hexdigest() == \
+        "a664af09356161ef31106b4c202e22c894889a63634273381d7e5487f63aa539"
 
 
 def test_digraph_counts():

@@ -1,6 +1,6 @@
 """The evaluation-rank scan kernel and the scan sites routed through it."""
 
-from itertools import islice, product
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -40,17 +40,16 @@ def _reference_scan(ranked, lower, upper, upper_point, budget=None):
     return upper, upper_point, True, scanned
 
 
-def _block_points(blocks, limit=None):
+def _block_points(blocks):
     """The blocks' points by definition: each block's lex product, keeping
-    the points with a coordinate in its rim, cut after limit points."""
-    return islice((pt for axes, rim in blocks for pt in product(*axes)
-                   if rim is None or any(x in rim for x in pt)), limit)
+    the points with a coordinate in its rim."""
+    return (pt for axes, rim in blocks for pt in product(*axes)
+            if rim is None or any(x in rim for x in pt))
 
 
-def _reference_kernel(base_rows, blocks, p, lower, upper, upper_point, budget=None,
-                      limit=None):
+def _reference_kernel(base_rows, blocks, p, lower, upper, upper_point, budget=None):
     """rank_scan as one full elimination per point."""
-    return _reference_scan(_per_point_ranks(base_rows, _block_points(blocks, limit), p),
+    return _reference_scan(_per_point_ranks(base_rows, _block_points(blocks), p),
                            lower, upper, upper_point, budget)
 
 
@@ -71,9 +70,9 @@ def scans(draw):
     blocks and as the point iterator it stands for, a modulus, bounds and a
     budget.
 
-    The point sets are a box (box_points), a field-point set cut at its own
-    budget (field_points), explicit points as single-value blocks, and
-    arbitrary blocks (random axes, rims and limit).
+    The point sets are a box (box_points), a whole field (field_points),
+    explicit points as single-value blocks, and arbitrary blocks (random
+    axes and rims).
     """
     g = draw(graphs())
     n = g.n
@@ -81,14 +80,12 @@ def scans(draw):
     p = draw(st.sampled_from([None, 2, 3, 5, 7]))
     kinds = ["box", "explicit", "blocks"] + (["field"] if p else [])
     kind = draw(st.sampled_from(kinds))
-    limit = None
     if kind == "box":
         blocks, points = box_blocks(n, radius), box_points(n, radius)
         size = (2 * radius + 1) ** n
     elif kind == "field":
-        limit = draw(st.integers(0, 300))
-        blocks, points = field_blocks(n, p), field_points(n, p, limit)
-        size = limit
+        size = p ** n
+        blocks, points = field_blocks(n, p), field_points(n, p, size)
     else:
         coord = st.integers(-radius - 1, radius + 1)
         if kind == "explicit":
@@ -98,9 +95,8 @@ def scans(draw):
             axis = st.lists(coord, min_size=1, max_size=4, unique=True).map(tuple)
             rims = st.none() | st.frozensets(coord, max_size=3)
             blocks = draw(st.lists(st.tuples(st.tuples(*[axis] * n), rims), max_size=3))
-            limit = draw(st.none() | st.integers(0, 300))
-        points = _block_points(blocks, limit)
-        size = sum(1 for _ in _block_points(blocks, limit))
+        points = _block_points(blocks)
+        size = sum(1 for _ in _block_points(blocks))
     # scans from no bound down to rank 0 are the common case at the sites
     lower = draw(st.just(0) | st.integers(0, n))
     upper = draw(st.sampled_from([n, n + 1]) | st.integers(0, n + 1))
@@ -109,15 +105,15 @@ def scans(draw):
     # sets always get one, so that the reference stays cheap
     budget = draw(st.integers(0, min(size + 1, 400)) if size > 400
                   else st.none() | st.integers(0, size + 1))
-    return g, blocks, points, p, lower, upper, upper_point, budget, limit
+    return g, blocks, points, p, lower, upper, upper_point, budget
 
 
 @settings(max_examples=400, deadline=None)
 @given(scans())
 def test_rank_scan_matches_per_point_scan(case):
-    g, blocks, points, p, lower, upper, upper_point, budget, limit = case
+    g, blocks, points, p, lower, upper, upper_point, budget = case
     base = generalized_laplacian(g).evaluate((0,) * g.n)
-    assert rank_scan(base, blocks, p, lower, upper, upper_point, budget, limit) == \
+    assert rank_scan(base, blocks, p, lower, upper, upper_point, budget) == \
         _reference_scan(_per_point_ranks(base, points, p), lower, upper, upper_point,
                         budget)
 

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import corank.zeroforcing as zeroforcing
 from corank.config import RunConfig
+from corank.criticalideals import generalized_laplacian
 from corank.generators import (bull, complete, cycle, forbidden_family_named,
                                octahedron, path, petersen, star)
 from corank.graphs import Digraph, Graph, induced_subgraph
@@ -107,7 +109,13 @@ def test_certificate_minor_bull():
     expected = [[minus_one, zero, zero],
                 [zero, minus_one, zero],
                 [minus_one, x1, minus_one]]
-    assert [list(row) for row in cert.entries] == expected
+    assert _grid(b, cert) == expected
+
+
+def _grid(g, cert):
+    """The certificate's k x k submatrix of the variable-diagonal Laplacian."""
+    entry = generalized_laplacian(g).entry
+    return [[entry(a, b) for b in cert.cols] for a in cert.rows]
 
 
 def test_certificate_minor_k2_and_empty():
@@ -127,7 +135,7 @@ def test_certificate_minor_symbolic_determinant_oracle():
         for t in rng.sample(all_trees(n), 3):
             r = zero_forcing_number(t)
             cert = certificate_minor(t, r.witness)
-            det = _symbolic_det(cert.entries, t.n)
+            det = _symbolic_det(_grid(t, cert), t.n)
             assert det == Polynomial.constant(t.n, ZZ, cert.determinant)
 
 
@@ -146,6 +154,22 @@ def _symbolic_det(entries, nvars):
 def test_certificate_rejects_invalid_record():
     with pytest.raises(CertificateError):
         certificate_minor(bull(), ForceRecord(frozenset({0}), ((0, 1),)))
+
+
+def test_certificate_shape_checks_stand_without_the_replay(monkeypatch):
+    # with the replay check accepting anything, the shape checks alone
+    # still reject a record out of order and a force along a non-edge
+    monkeypatch.setattr(zeroforcing, "validate_record", lambda g, record: True)
+    b = bull()
+    shuffled = ForceRecord(frozenset({3, 4}), ((1, 2), (3, 0), (4, 1)))
+    with pytest.raises(CertificateError, match=r"entry \(0,1\) above the diagonal"):
+        certificate_minor(b, shuffled)
+    for force in ((3, 1), (3, 3)):
+        with pytest.raises(CertificateError, match="diagonal entry at step 0 is not -1"):
+            certificate_minor(b, ForceRecord(frozenset({3}), (force,)))
+    d = Digraph(2, [(1, 0)])  # the arc runs against the force
+    with pytest.raises(CertificateError, match="diagonal entry at step 0"):
+        certificate_minor(d, ForceRecord(frozenset({0}), ((0, 1),)))
 
 
 def test_heuristic_tier_flags_inexact():
