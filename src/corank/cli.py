@@ -81,6 +81,8 @@ def _report_worker(payload):
 
 
 def cmd_params(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     graphs = _read_input(args.input, args.digraph)
     config = _config_from_args(args)
     payloads = [(g, config, args.domain or ["z", "q"], args.cache, args.timings)

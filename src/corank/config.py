@@ -2,7 +2,9 @@
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+
+from .polyring import is_prime
 
 
 @dataclass(frozen=True)
@@ -17,12 +19,14 @@ class RunConfig:
     gamma_box_budget: int = 20_000    # upper-bound scan inside gamma
 
     def __post_init__(self):
-        for name, least in (("box_radius", 0), ("spair_cap", 1), ("degree_cap", 1)):
+        for name, least in (("box_radius", 0), ("spair_cap", 1), ("degree_cap", 1),
+                            ("zf_exact_max_n", 0), ("modp_point_budget", 0),
+                            ("box_point_budget", 0), ("gamma_box_budget", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, "
                                  f"got {getattr(self, name)}")
-        if any(p < 2 for p in self.primes):
-            raise ValueError(f"primes must be at least 2, got {list(self.primes)}")
+        if not all(is_prime(p) for p in self.primes):
+            raise ValueError(f"primes must be at least 2 and prime, got {list(self.primes)}")
 
     def budget_hash(self):
         blob = json.dumps(asdict(self), sort_keys=True, default=list)

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
-from .graphs import Digraph, canonical_form
+from .graphs import canonical_form
 from .linalg import rank_scan
 from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, IdealBasis, Polynomial,
                        buchberger, is_trivial_over_field, is_trivial_over_Z)
@@ -107,14 +107,8 @@ class SymbolicMatrix:
 
 
 def generalized_laplacian(g) -> SymbolicMatrix:
-    mult = {}
-    if isinstance(g, Digraph):
-        for u, v in g.arcs:
-            mult[(u, v)] = 1
-    else:
-        for u, v in g.edges:
-            mult[(u, v)] = 1
-            mult[(v, u)] = 1
+    out_adj = g.out_adj
+    mult = {(u, v): 1 for u in range(g.n) for v in range(g.n) if out_adj[u] >> v & 1}
     return SymbolicMatrix(g.n, mult)
 
 
@@ -490,10 +484,7 @@ def _probe_points(g):
     """The distinct probe diagonals, each as a one-point block."""
     n = g.n
     pts = [(0,) * n, (1,) * n, (-1,) * n]
-    if isinstance(g, Digraph):
-        deg = [a.bit_count() for a in g.out_adj]
-    else:
-        deg = g.degrees()
+    deg = [a.bit_count() for a in g.out_adj]
     pts.append(tuple(deg))
     pts.append(tuple(-d for d in deg))
     return [(tuple(zip(p)), None) for p in dict.fromkeys(pts)]

@@ -11,7 +11,7 @@ augmentation and deduplicated with a centroid-rooted AHU code.
 
 from functools import lru_cache
 
-from .graphs import Graph, Digraph, canonical_form, is_connected, relabel
+from .graphs import Graph, Digraph, canonical_form, is_connected, relabel, rooted_tree
 
 
 class EnumerationRangeError(ValueError):
@@ -39,7 +39,7 @@ def _classes(kind, n):
              for sub in range(1 << len(pairs))]
     seen = {}
     for parent in _classes(kind, new):
-        base = list(parent.edges if kind is Graph else parent.arcs)
+        base = list(parent.pairs)
         for join in joins:
             g = kind(n, base + join)
             cf = canonical_form(g)
@@ -70,40 +70,14 @@ def enumerate_digraphs(max_n):
 # ---------------------------------------------------------------------------
 # free trees
 
-def _subtree_sizes(adj, n):
-    size = [1] * n
-    order, parent = [], [-1] * n
-    stack = [0]
-    seen = [False] * n
-    while stack:
-        v = stack.pop()
-        seen[v] = True
-        order.append(v)
-        for w in adj[v]:
-            if not seen[w]:
-                parent[w] = v
-                stack.append(w)
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    return size, parent
-
-
 def _centroids(g: Graph):
     n = g.n
-    if n == 1:
-        return [0]
-    adj = [list(g.neighbors(v)) for v in range(n)]
-    size, parent = _subtree_sizes(adj, n)
-    cents = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in adj[v]:
-            if w != parent[v] and parent[w] == v:
-                heaviest = max(heaviest, size[w])
-        if heaviest <= n // 2:
-            cents.append(v)
-    return cents
+    _, order, children = rooted_tree(g)
+    size = [1] * n
+    for v in reversed(order):
+        size[v] += sum(size[c] for c in children[v])
+    return [v for v in range(n)
+            if max([n - size[v]] + [size[c] for c in children[v]]) <= n // 2]
 
 
 def _rooted_code(g: Graph, root, parent):

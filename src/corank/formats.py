@@ -143,23 +143,34 @@ def parse_arc_list(text: str) -> Digraph:
 
 
 def _parse_pair_list(text, kind):
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
+    """(n, pairs) from a pair list; a loop, a vertex outside 0..n-1 or a
+    repeated pair (for edges, in either orientation) is a FormatError
+    naming its line, so the header's m counts distinct pairs."""
+    lines = [(no, ln) for no, ln in enumerate((raw.strip() for raw in text.splitlines()), 1)
              if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError("empty input")
-    head = lines[0].split()
+    head = lines[0][1].split()
     if len(head) != 2 or not all(t.lstrip("-").isdigit() for t in head):
-        raise FormatError(f"expected 'n m' header, got {lines[0]!r}")
+        raise FormatError(f"expected 'n m' header, got {lines[0][1]!r}")
     n, m = int(head[0]), int(head[1])
-    pairs = []
-    for ln in lines[1:]:
+    pairs = {}
+    for no, ln in lines[1:]:
         toks = ln.split()
         if len(toks) != 2 or not all(t.lstrip("-").isdigit() for t in toks):
-            raise FormatError(f"expected '{kind} line u v', got {ln!r}")
-        pairs.append((int(toks[0]), int(toks[1])))
+            raise FormatError(f"line {no}: expected '{kind} line u v', got {ln!r}")
+        u, v = int(toks[0]), int(toks[1])
+        key = (min(u, v), max(u, v)) if kind == "edge" else (u, v)
+        if u == v:
+            raise FormatError(f"line {no}: loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"line {no}: {kind} ({u},{v}) out of range for n={n}")
+        if key in pairs:
+            raise FormatError(f"line {no}: {kind} ({u},{v}) repeats line {pairs[key]}")
+        pairs[key] = no
     if len(pairs) != m:
         raise FormatError(f"header promised {m} {kind}s, found {len(pairs)}")
-    return n, pairs
+    return n, list(pairs)
 
 
 def write_edge_list(g: Graph) -> str:

@@ -1,95 +1,54 @@
 """Simple graphs and digraphs with dense 0-indexed vertices.
 
-Adjacency is kept both as frozen edge/arc sets and as per-vertex bitmasks;
-the bitmasks drive the search-heavy routines (closures, canonical labeling,
-induced-pattern embedding).  Instances are immutable after construction,
-so the facts that depend on the graph alone are computed once and kept on
-it: the bitmasks, the canonical form and the exact zero forcing search.
+A graph is the digraph with both arcs of each edge, so `Graph` and
+`Digraph` share one base: the constructor checks, the frozen pair set, the
+per-vertex out- and in-neighbour bitmasks (a graph's two are one tuple,
+also named `adj`), equality, hashing and the kept facts.  The bitmasks drive
+the search-heavy routines (closures, canonical labeling, induced-pattern
+embedding), which read `out_adj`/`in_adj` whatever the kind.  Instances are
+immutable after construction, so the facts that depend on the graph alone
+are computed once and kept on it: the bitmasks, the canonical form and the
+exact zero forcing search.  The kind matters only where the mathematics
+differs: the canonical segments, graph6 against digraph6, and the
+classifications.
 """
 
 from itertools import combinations
 
 
-class Graph:
-    __slots__ = ("n", "edges", "_adj", "_canonical", "_zf")
+class _PairGraph:
+    """n vertices and a frozen set of ordered pairs, `pairs`; a subclass
+    with _symmetric set stores each edge once as (min, max)."""
 
-    def __init__(self, n, edges=()):
+    __slots__ = ("n", "pairs", "_out_adj", "_in_adj", "_canonical", "_zf")
+    _symmetric = False
+    _noun = "arc"
+
+    def __init__(self, n, pairs=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        es = set()
-        for u, v in edges:
+        ps = set()
+        for u, v in pairs:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            es.add((min(u, v), max(u, v)))
+                raise ValueError(f"{self._noun} ({u},{v}) out of range for n={n}")
+            ps.add((min(u, v), max(u, v)) if self._symmetric else (u, v))
         self.n = n
-        self.edges = frozenset(es)
-        self._adj = self._canonical = self._zf = None
-
-    @property
-    def adj(self):
-        # bitmask rows cost O(n^2/64) to build; huge sparse graphs (the
-        # linear-time tree paths) never touch them
-        if self._adj is None:
-            adj = [0] * self.n
-            for u, v in self.edges:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            self._adj = tuple(adj)
-        return self._adj
-
-    @property
-    def m(self):
-        return len(self.edges)
-
-    def degree(self, v):
-        return self.adj[v].bit_count()
-
-    def degrees(self):
-        return tuple(a.bit_count() for a in self.adj)
-
-    def has_edge(self, u, v):
-        return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v):
-        return _bits(self.adj[v])
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    def __repr__(self):
-        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
-
-
-class Digraph:
-    __slots__ = ("n", "arcs", "_out_adj", "_in_adj", "_canonical", "_zf")
-
-    def __init__(self, n, arcs=()):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        ars = set()
-        for u, v in arcs:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
-            ars.add((u, v))
-        self.n = n
-        self.arcs = frozenset(ars)
+        self.pairs = frozenset(ps)
         self._out_adj = self._in_adj = self._canonical = self._zf = None
 
     def _build(self):
+        # bitmask rows cost O(n^2/64) to build; huge sparse graphs (the
+        # linear-time tree paths) never touch them.  A symmetric pair set
+        # writes both directions into one list.
         out_adj = [0] * self.n
-        in_adj = [0] * self.n
-        for u, v in self.arcs:
+        in_adj = out_adj if self._symmetric else [0] * self.n
+        for u, v in self.pairs:
             out_adj[u] |= 1 << v
             in_adj[v] |= 1 << u
         self._out_adj = tuple(out_adj)
-        self._in_adj = tuple(in_adj)
+        self._in_adj = self._out_adj if self._symmetric else tuple(in_adj)
 
     @property
     def out_adj(self):
@@ -105,19 +64,42 @@ class Digraph:
 
     @property
     def m(self):
-        return len(self.arcs)
+        return len(self.pairs)
 
     def has_arc(self, u, v):
         return bool(self.out_adj[u] >> v & 1)
 
     def __eq__(self, other):
-        return isinstance(other, Digraph) and self.n == other.n and self.arcs == other.arcs
+        return type(other) is type(self) and self.n == other.n and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash((self.n, self.arcs))
+        return hash((self.n, self.pairs))
 
     def __repr__(self):
-        return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
+        return f"{type(self).__name__}(n={self.n}, {self._noun}s={sorted(self.pairs)})"
+
+
+class Graph(_PairGraph):
+    __slots__ = ()
+    _symmetric = True
+    _noun = "edge"
+    edges = _PairGraph.pairs
+    adj = _PairGraph.out_adj
+    has_edge = _PairGraph.has_arc
+
+    def degree(self, v):
+        return self.adj[v].bit_count()
+
+    def degrees(self):
+        return tuple(a.bit_count() for a in self.adj)
+
+    def neighbors(self, v):
+        return _bits(self.adj[v])
+
+
+class Digraph(_PairGraph):
+    __slots__ = ()
+    arcs = _PairGraph.pairs
 
 
 def _bits(mask):
@@ -139,19 +121,14 @@ def complement(g: Graph) -> Graph:
 
 def relabel(g, perm):
     """Apply perm (old label -> new label) to a graph or digraph."""
-    if isinstance(g, Graph):
-        return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    return Digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs])
+    return type(g)(g.n, [(perm[u], perm[v]) for u, v in g.pairs])
 
 
 def induced_subgraph(g, vertices):
     """Induced sub(di)graph on the given vertices, relabeled 0..k-1 in order."""
     vs = list(vertices)
     pos = {v: i for i, v in enumerate(vs)}
-    if isinstance(g, Graph):
-        return Graph(len(vs), [(pos[u], pos[v]) for u, v in g.edges
-                               if u in pos and v in pos])
-    return Digraph(len(vs), [(pos[u], pos[v]) for u, v in g.arcs
+    return type(g)(len(vs), [(pos[u], pos[v]) for u, v in g.pairs
                              if u in pos and v in pos])
 
 
@@ -159,16 +136,13 @@ def is_connected(g) -> bool:
     """Connectivity; for digraphs this is weak connectivity."""
     if g.n == 0:
         return True
-    if isinstance(g, Graph):
-        adj = g.adj
-    else:
-        adj = tuple(o | i for o, i in zip(g.out_adj, g.in_adj))
+    out_adj, in_adj = g.out_adj, g.in_adj
     seen = 1
     frontier = 1
     while frontier:
         nxt = 0
         for v in _bits(frontier):
-            nxt |= adj[v]
+            nxt |= out_adj[v] | in_adj[v]
         frontier = nxt & ~seen
         seen |= nxt
     return seen == (1 << g.n) - 1
@@ -176,6 +150,42 @@ def is_connected(g) -> bool:
 
 def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.m == g.n - 1 and is_connected(g)
+
+
+def adjacency_lists(g: Graph):
+    # bitmask neighborhoods cost O(n) each on huge sparse graphs; plain
+    # lists keep the tree DPs linear at n ~ 1e5
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def rooted_tree(g: Graph):
+    """(adjacency lists, DFS order from vertex 0, child lists) of a tree;
+    anything else is a ValueError.  Iterative, so big trees need no recursion."""
+    n = g.n
+    if n < 1 or g.m != n - 1:
+        raise ValueError("input is not a tree (connected with n-1 edges)")
+    adj = adjacency_lists(g)
+    parent = [-2] * n
+    children = [[] for _ in range(n)]
+    order = []
+    stack = [0]
+    parent[0] = -1
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in adj[v]:
+            if parent[w] == -2:
+                parent[w] = v
+                stack.append(w)
+    if len(order) != n:
+        raise ValueError("input is not a tree (connected with n-1 edges)")
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    return adj, order, children
 
 
 def line_graph(g: Graph) -> Graph:
@@ -200,18 +210,13 @@ def contains_induced(g, pattern):
     """
     if pattern.n > g.n:
         return None
-    directed = isinstance(g, Digraph)
-    if directed != isinstance(pattern, Digraph):
+    if isinstance(g, Digraph) != isinstance(pattern, Digraph):
         raise TypeError("pattern and host must both be graphs or both digraphs")
     pn = pattern.n
     if pn == 0:
         return ()
-    if directed:
-        p_out, p_in = pattern.out_adj, pattern.in_adj
-        g_out, g_in = g.out_adj, g.in_adj
-    else:
-        p_out = p_in = pattern.adj
-        g_out = g_in = g.adj
+    p_out, p_in = pattern.out_adj, pattern.in_adj
+    g_out, g_in = g.out_adj, g.in_adj
 
     assign = [-1] * pn
     used = 0
@@ -327,24 +332,23 @@ def canonical_form(g) -> CanonicalForm:
     if n == 0:
         return CanonicalForm(b"D0" if directed else b"G0", (), 0)
 
+    out_adj, in_adj = g.out_adj, g.in_adj
     if directed:
-        out_adj, in_adj = g.out_adj, g.in_adj
-        outd = tuple(a.bit_count() for a in g.out_adj)
-        ind = tuple(a.bit_count() for a in g.in_adj)
+        outd = tuple(a.bit_count() for a in out_adj)
+        ind = tuple(a.bit_count() for a in in_adj)
 
         def seg_of(v, placed):
             bits = 0
             for p in placed:
-                bits = bits << 2 | (g.out_adj[p] >> v & 1) << 1 | (g.out_adj[v] >> p & 1)
+                bits = bits << 2 | (out_adj[p] >> v & 1) << 1 | (out_adj[v] >> p & 1)
             return (outd[v], ind[v], bits)
     else:
-        out_adj = in_adj = g.adj   # a graph is the digraph with both arcs of each edge
         deg = g.degrees()
 
         def seg_of(v, placed):
             bits = 0
             for p in placed:
-                bits = bits << 1 | (g.adj[v] >> p & 1)
+                bits = bits << 1 | (out_adj[v] >> p & 1)
             return (deg[v], bits)
 
     def interchangeable(remaining):

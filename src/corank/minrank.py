@@ -12,7 +12,7 @@ from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
 from .criticalideals import (box_blocks, domain_name, gamma, generalized_laplacian,
                              min_rank_scan)
-from .graphs import Graph
+from .graphs import Graph, adjacency_lists, rooted_tree
 from .linalg import RankComputation, exact_rank
 from .polyring import QQ, ZZ
 from .zeroforcing import zero_forcing_number
@@ -96,42 +96,6 @@ def mrcr_bounds(g, domain=ZZ, box_radius=None, config=DEFAULT_CONFIG,
 # ---------------------------------------------------------------------------
 # 2-matchings
 
-def _adjacency_lists(g: Graph):
-    # bitmask neighborhoods cost O(n) each on huge sparse graphs; plain
-    # lists keep the tree DPs linear at n ~ 1e5
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def _rooted_tree(g):
-    """(adjacency lists, DFS order from vertex 0, child lists) of a tree;
-    anything else is a ValueError.  Iterative, so big trees need no recursion."""
-    n = g.n
-    if n < 1 or g.m != n - 1:
-        raise ValueError("input is not a tree (connected with n-1 edges)")
-    adj = _adjacency_lists(g)
-    parent = [-2] * n
-    children = [[] for _ in range(n)]
-    order = []
-    stack = [0]
-    parent[0] = -1
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in adj[v]:
-            if parent[w] == -2:
-                parent[w] = v
-                stack.append(w)
-    if len(order) != n:
-        raise ValueError("input is not a tree (connected with n-1 edges)")
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    return adj, order, children
-
-
 def _nu2_tree(order, children):
     """Maximum 2-matching on a rooted tree: DP over (vertex, parent-edge-used)."""
     n = len(order)
@@ -170,7 +134,7 @@ def two_matching_number(g: Graph):
 
     Returns (size, edge list); a graph that is not a tree is a ValueError.
     """
-    _, order, children = _rooted_tree(g)
+    _, order, children = rooted_tree(g)
     return _nu2_tree(order, children)
 
 
@@ -279,11 +243,11 @@ def delta_parameter(t: Graph):
     surviving child branches (two branches close the component: the parent
     must then be deleted).  Returns (delta, deleted set, path count).
     """
-    return _delta_tree(t, *_rooted_tree(t))
+    return _delta_tree(t, *rooted_tree(t))
 
 
 def _delta_tree(t, adj, order, children):
-    """delta_parameter of t, rooted as _rooted_tree(t) gives it."""
+    """delta_parameter of t, rooted as rooted_tree(t) gives it."""
     n = t.n
     dpD = [0] * n
     dp0 = [0] * n
@@ -351,7 +315,7 @@ def _delta_tree(t, adj, order, children):
 
 
 def _count_path_components(g, deleted, adj=None):
-    adj = adj if adj is not None else _adjacency_lists(g)
+    adj = adj if adj is not None else adjacency_lists(g)
     seen = set(deleted)
     comps = 0
     for v in range(g.n):
@@ -451,7 +415,7 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
     Both gamma calls share the cache (a fresh one by default), so gamma_Q
     reuses gamma_Z's box scan.
     """
-    adj, order, children = _rooted_tree(t)
+    adj, order, children = rooted_tree(t)
     n = t.n
     if n > config.zf_exact_max_n:
         raise ValueError(f"tree suite verifies exactly only up to "

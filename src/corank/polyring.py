@@ -87,13 +87,17 @@ class _Integers:
         return "ZZ"
 
 
+def is_prime(p):
+    return p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1))
+
+
 class GF:
     """Prime field of order p, elements stored as ints in [0, p)."""
 
     is_field = True
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .config import DEFAULT_CONFIG
-from .graphs import Digraph
 
 
 class CertificateError(ValueError):
@@ -32,10 +31,6 @@ class ForceRecord:
                 "forces": [list(f) for f in self.forces]}
 
 
-def _forward_masks(g):
-    return g.out_adj if isinstance(g, Digraph) else g.adj
-
-
 def closure(g, blue, rng=None) -> ColorState:
     """Fixed point of the color change rule starting from the given set.
 
@@ -43,7 +38,7 @@ def closure(g, blue, rng=None) -> ColorState:
     (forcer, forced) pair is applied first.  Passing an rng randomizes the
     application order; the final blue set is order-independent.
     """
-    adj = _forward_masks(g)
+    adj = g.out_adj
     mask = 0
     for v in blue:
         if not 0 <= v < g.n:
@@ -142,7 +137,7 @@ def mz(g, config=DEFAULT_CONFIG) -> int:
 
 def validate_record(g, record: ForceRecord) -> bool:
     """Replay the chronological list, checking each force was legal."""
-    adj = _forward_masks(g)
+    adj = g.out_adj
     mask = 0
     for v in record.initial_set:
         if not 0 <= v < g.n:
@@ -181,7 +176,7 @@ def certificate_minor(g, record: ForceRecord) -> CertificateMinor:
     """
     if not validate_record(g, record):
         raise CertificateError("force record does not replay on this graph")
-    adj = _forward_masks(g)
+    adj = g.out_adj
     rows = tuple(a for a, _ in record.forces)
     cols = tuple(b for _, b in record.forces)
     for t, (a, b) in enumerate(record.forces):

@@ -190,6 +190,38 @@ def test_run_config_rejects_a_prime_below_two():
         RunConfig(primes=(1,))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("zf_exact_max_n", -1),
+    ("modp_point_budget", -5),
+    ("gamma_box_budget", -2),
+    ("box_point_budget", -3),
+    ("primes", (2, 4)),
+])
+def test_run_config_names_the_field_it_rejects(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_params_with_fewer_than_one_job_is_an_error(capsys, jobs):
+    assert main(["params", "--jobs", jobs, "Bw"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--jobs" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["zf", "3 2\n0 1\n1 1"], "line 3: loop"),
+    (["zf", "3 2\n0 1\n1 5"], "line 3: edge (1,5) out of range"),
+    (["zf", "3 2\n0 1\n-1 2"], "line 3: edge (-1,2) out of range"),
+    (["zf", "3 2\n0 1\n1 0"], "line 3: edge (1,0) repeats line 2"),
+    (["zf", "--digraph", "2 2\n0 1\n0 1"], "line 3: arc (0,1) repeats line 2"),
+])
+def test_a_malformed_pair_list_is_a_parse_error_naming_its_line(capsys, argv, line):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and line in err and "Traceback" not in err
+
+
 def test_gb_compare_with_a_missing_file_is_an_error(capsys, tmp_path):
     code = main(["gb", "--index", "4", "--domain", "q", "--compare",
                  str(tmp_path / "missing.txt"), write_graph6(graph_b())])

@@ -4,11 +4,15 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from corank.criticalideals import gamma, generalized_laplacian
 from corank.graphs import (Digraph, Graph, are_isomorphic, canonical_form,
                            complement, contains_induced, induced_subgraph,
                            is_connected, is_tree, line_graph, relabel)
 from corank.generators import bull, complete, cycle, matching_3k2, path, star
+from corank.polyring import QQ
+from corank.zeroforcing import zero_forcing_number
 
 
 def test_graph_validation():
@@ -154,3 +158,39 @@ def test_induced_subgraph_relabels_densely():
     d = Digraph(4, [(0, 1), (1, 2), (2, 3)])
     h2 = induced_subgraph(d, [1, 2, 3])
     assert h2.arcs == frozenset({(0, 1), (1, 2)})
+
+
+def symmetric_digraph(g):
+    return Digraph(g.n, [arc for u, v in g.edges for arc in ((u, v), (v, u))])
+
+
+@st.composite
+def graphs_with_points(draw):
+    """A graph on at most 6 vertices and an integer diagonal point."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, keep in zip(pairs, mask) if keep])
+    return g, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_points())
+def test_a_graph_and_its_symmetric_digraph_agree(case):
+    """A graph is the digraph with both arcs of each edge: every routine
+    that reads the adjacency masks gives both the same answer."""
+    g, point = case
+    d = symmetric_digraph(g)
+    assert g.adj == g.out_adj == g.in_adj == d.out_adj == d.in_adj
+    assert zero_forcing_number(g).z == zero_forcing_number(d).z
+    assert is_connected(g) == is_connected(d)
+    assert (generalized_laplacian(g).evaluate(point)
+            == generalized_laplacian(d).evaluate(point))
+    assert gamma(g, QQ).value == gamma(d, QQ).value
+    p3 = path(3)
+    assert contains_induced(g, p3) == contains_induced(d, symmetric_digraph(p3))
+    perm = list(reversed(range(g.n)))
+    assert type(relabel(g, perm)) is Graph and type(relabel(d, perm)) is Digraph
+    half = range(0, g.n, 2)
+    assert type(induced_subgraph(g, half)) is Graph
+    assert induced_subgraph(d, half) == symmetric_digraph(induced_subgraph(g, half))

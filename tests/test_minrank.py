@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import corank.graphs as graphs
 import corank.minrank as minrank
 from corank.cache import DecisionCache
 from corank.criticalideals import gamma, generalized_laplacian
@@ -122,13 +123,15 @@ def test_tree_suite_small_examples():
 
 
 def test_tree_suite_roots_each_tree_once(monkeypatch):
+    # rooted_tree lives in graphs and builds its lists with the graphs binding
     calls = Counter()
-    for name in ("_adjacency_lists", "_rooted_tree", "_nu2_tree", "_paths_of_matching",
-                 "_delta_tree"):
-        def counted(*args, _original=getattr(minrank, name), _name=name):
+    for module, name in ((graphs, "adjacency_lists"), (minrank, "rooted_tree"),
+                         (minrank, "_nu2_tree"), (minrank, "_paths_of_matching"),
+                         (minrank, "_delta_tree")):
+        def counted(*args, _original=getattr(module, name), _name=name):
             calls[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(minrank, name, counted)
+        monkeypatch.setattr(module, name, counted)
     trees = list(all_trees(6))
     for t in trees:
         tree_suite(t)
