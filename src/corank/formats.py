@@ -10,7 +10,7 @@ digraph6 is '&', the same size field, then all n*n adjacency bits in
 row-major order.
 """
 
-from .graphs import Graph, Digraph, canonical_form, relabel
+from .graphs import Graph, Digraph, canonical_form, check_pair, relabel
 
 
 class FormatError(ValueError):
@@ -161,10 +161,10 @@ def _parse_pair_list(text, kind):
             raise FormatError(f"line {no}: expected '{kind} line u v', got {ln!r}")
         u, v = int(toks[0]), int(toks[1])
         key = (min(u, v), max(u, v)) if kind == "edge" else (u, v)
-        if u == v:
-            raise FormatError(f"line {no}: loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"line {no}: {kind} ({u},{v}) out of range for n={n}")
+        try:
+            check_pair(n, u, v, kind)
+        except ValueError as e:
+            raise FormatError(f"line {no}: {e}") from None
         if key in pairs:
             raise FormatError(f"line {no}: {kind} ({u},{v}) repeats line {pairs[key]}")
         pairs[key] = no

@@ -16,6 +16,14 @@ classifications.
 from itertools import combinations
 
 
+def check_pair(n, u, v, noun):
+    """ValueError if the pair (u, v) is a loop or leaves 0..n-1."""
+    if u == v:
+        raise ValueError(f"loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"{noun} ({u},{v}) out of range for n={n}")
+
+
 class _PairGraph:
     """n vertices and a frozen set of ordered pairs, `pairs`; a subclass
     with _symmetric set stores each edge once as (min, max)."""
@@ -29,10 +37,7 @@ class _PairGraph:
             raise ValueError("vertex count must be non-negative")
         ps = set()
         for u, v in pairs:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"{self._noun} ({u},{v}) out of range for n={n}")
+            check_pair(n, u, v, self._noun)
             ps.add((min(u, v), max(u, v)) if self._symmetric else (u, v))
         self.n = n
         self.pairs = frozenset(ps)
@@ -83,6 +88,10 @@ class Graph(_PairGraph):
     __slots__ = ()
     _symmetric = True
     _noun = "edge"
+
+    def __init__(self, n, edges=()):
+        super().__init__(n, edges)
+
     edges = _PairGraph.pairs
     adj = _PairGraph.out_adj
     has_edge = _PairGraph.has_arc
@@ -100,6 +109,9 @@ class Graph(_PairGraph):
 class Digraph(_PairGraph):
     __slots__ = ()
     arcs = _PairGraph.pairs
+
+    def __init__(self, n, arcs=()):
+        super().__init__(n, arcs)
 
 
 def _bits(mask):

@@ -31,6 +31,12 @@ def test_digraph_validation():
     assert d.m == 2  # anti-parallel arcs are distinct
 
 
+def test_repr_rebuilds_by_keyword():
+    for g in (Graph(3, [(1, 0), (1, 2)]), Digraph(2, [(1, 0)])):
+        assert eval(repr(g)) == g
+    assert Graph(2, edges=[(0, 1)]).m == Digraph(2, arcs=[(0, 1)]).m == 1
+
+
 def test_complement_involution_and_octahedron():
     oct_ = complement(matching_3k2())
     assert oct_.m == 12

@@ -123,9 +123,11 @@ def test_tree_suite_small_examples():
 
 
 def test_tree_suite_roots_each_tree_once(monkeypatch):
-    # rooted_tree lives in graphs and builds its lists with the graphs binding
+    # every adjacency-list build counts: graphs.rooted_tree's through the
+    # graphs binding, _count_path_components' through minrank's
     calls = Counter()
-    for module, name in ((graphs, "adjacency_lists"), (minrank, "rooted_tree"),
+    for module, name in ((graphs, "adjacency_lists"), (minrank, "adjacency_lists"),
+                         (minrank, "rooted_tree"),
                          (minrank, "_nu2_tree"), (minrank, "_paths_of_matching"),
                          (minrank, "_delta_tree")):
         def counted(*args, _original=getattr(module, name), _name=name):
