@@ -22,8 +22,8 @@ from .formats import FormatError, autodetect, canonical_graph6
 from .goldens import gap_table
 from .graphs import Digraph
 from .minrank import mrcr_bounds, tree_suite
-from .polyring import (ORDERS, QQ, ZZ, BudgetExceeded, buchberger, format_polynomial,
-                       ideals_equal, parse_polynomial)
+from .polyring import (ORDERS, QQ, ZZ, BudgetExceeded, PolynomialParseError, buchberger,
+                       format_polynomial, ideals_equal, parse_polynomial)
 from .report import (RENDERERS, build_parameter_report, parse_domain,
                      render_json, report_undecided)
 from .sweeps import SWEEPS, reproduce_gap_table
@@ -69,14 +69,9 @@ def _emit(args, text):
 
 
 def _report_worker(payload):
-    """One graph's report, from its own cache, whatever the --jobs width.
-
-    Domains travel as text: QQ and ZZ are compared by identity, so they are
-    parsed again inside each worker process.
-    """
-    g, config, domains_text, cache_dir, timings = payload
-    doms = [parse_domain(d) for d in domains_text]
-    return build_parameter_report(g, config, DecisionCache(cache_dir), doms,
+    """One graph's report, from its own cache, whatever the --jobs width."""
+    g, config, domains, cache_dir, timings = payload
+    return build_parameter_report(g, config, DecisionCache(cache_dir), domains,
                                   include_timings=timings)
 
 
@@ -85,8 +80,8 @@ def cmd_params(args):
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     graphs = _read_input(args.input, args.digraph)
     config = _config_from_args(args)
-    payloads = [(g, config, args.domain or ["z", "q"], args.cache, args.timings)
-                for g in graphs]
+    domains = _domains(args)
+    payloads = [(g, config, domains, args.cache, args.timings) for g in graphs]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             reports = list(pool.map(_report_worker, payloads))
@@ -195,9 +190,14 @@ def cmd_gb(args):
         payload["z_trivial"] = decision.to_json()
     exit_code = EXIT_OK
     if args.compare:
-        texts = [ln.strip() for ln in Path(args.compare).read_text().splitlines()
-                 if ln.strip() and not ln.startswith("#")]
-        gens = [parse_polynomial(t, g.n, basis.domain) for t in texts]
+        gens = []
+        for number, line in enumerate(Path(args.compare).read_text().splitlines(), 1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            try:
+                gens.append(parse_polynomial(line.strip(), g.n, basis.domain))
+            except PolynomialParseError as exc:
+                raise FormatError(f"{args.compare} line {number}: {exc}") from None
         equal = ideals_equal(basis, buchberger(gens, order, config.spair_cap,
                                                config.degree_cap))
         payload["compare"] = {"file": args.compare, "ideal_equal": equal}

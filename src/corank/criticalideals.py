@@ -15,18 +15,9 @@ from .config import DEFAULT_CONFIG
 from .graphs import canonical_form
 from .linalg import rank_scan
 from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, IdealBasis, Polynomial,
-                       buchberger, is_trivial_over_field, is_trivial_over_Z)
+                       buchberger, check_domain, is_trivial_over_field,
+                       is_trivial_over_Z)
 from .zeroforcing import certificate_minor, zero_forcing_number
-
-
-def domain_name(domain):
-    if domain is ZZ:
-        return "Z"
-    if domain is QQ:
-        return "Q=R"
-    if isinstance(domain, GF):
-        return f"F{domain.p}"
-    raise ValueError(f"unsupported domain {domain!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +184,25 @@ def field_points(n, p, budget):
 
 def box_blocks(n, radius):
     """box_points(n, radius) as lex product blocks: shell m is the product
-    of (-m..m) kept where some coordinate is +-m."""
-    return [((tuple(range(-m, m + 1)),) * n, frozenset((-m, m)) if m else None)
-            for m in range(radius + 1)]
+    of (-m..m) kept where some coordinate is +-m.  The shells are made one
+    at a time, so a scan that stops at its budget costs no more than that."""
+    return (((tuple(range(-m, m + 1)),) * n, frozenset((-m, m)) if m else None)
+            for m in range(radius + 1))
 
 
 def field_blocks(n, p):
     """The points of field_points(n, p, budget) before the budget, as blocks."""
     if p == 2:
-        return [(((0, 1),) * n, None)]
-    return [(tuple(tuple(x % p for x in axis) for axis in axes),
+        return iter([(((0, 1),) * n, None)])
+    return ((tuple(tuple(x % p for x in axis) for axis in axes),
              rim and frozenset(x % p for x in rim))
-            for axes, rim in box_blocks(n, (p - 1) // 2)]
+            for axes, rim in box_blocks(n, (p - 1) // 2))
 
 
 def min_rank_scan(matrix, blocks, domain, lower, upper, upper_point, budget=None):
     """linalg.rank_scan of the matrix over the domain (ranks over Z taken
     over Q): (upper, point, exhaustive, points scanned)."""
-    p = domain.p if isinstance(domain, GF) else None
-    return rank_scan(matrix.evaluate((0,) * matrix.n), blocks, p, lower, upper,
+    return rank_scan(matrix.evaluate((0,) * matrix.n), blocks, domain.p, lower, upper,
                      upper_point, budget)
 
 
@@ -234,7 +225,7 @@ def variety_box_search(g, r, box_radius=None, domain=QQ,
         box_radius = config.box_radius
     if r + 1 > g.n:
         raise ValueError("r + 1 must be at most n")
-    blocks = (field_blocks(g.n, domain.p) if isinstance(domain, GF)
+    blocks = (field_blocks(g.n, domain.p) if domain.p
               else box_blocks(g.n, box_radius))
     rank, point, exhaustive, scanned = min_rank_scan(
         generalized_laplacian(g), blocks, domain, r, r + 1, None,
@@ -254,17 +245,12 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
     if domain is QQ:
         return variety_box_search(g, i - 1, config.box_radius, QQ, config).point
     matrix = generalized_laplacian(g)
-    if domain is ZZ:
-        for p in config.primes:
-            _, point, _, _ = min_rank_scan(matrix, field_blocks(n, p), GF(p), i - 1, i,
-                                           None, config.modp_point_budget)
-            if point is not None:
-                return (p, point)
-        return None
-    if isinstance(domain, GF):
-        return min_rank_scan(matrix, field_blocks(n, domain.p), domain, i - 1, i, None,
-                             config.modp_point_budget)[1]
-    raise ValueError(f"unsupported domain {domain!r}")
+    for p in config.primes if domain is ZZ else (domain.p,):
+        _, point, _, _ = min_rank_scan(matrix, field_blocks(n, p), GF(p), i - 1, i,
+                                       None, config.modp_point_budget)
+        if point is not None:
+            return (p, point) if domain is ZZ else point
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +350,7 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> Triviality
     if i > n:
         raise ValueError(f"minor size {i} exceeds n={n}")
     form = canonical_form(g)
-    key = ("ideal_trivial", form.hex(), i, domain_name(domain),
+    key = ("ideal_trivial", form.hex(), i, check_domain(domain).name,
            config.budget_hash())
     hit = cache.get(key)
     if hit is not None:
@@ -391,14 +377,10 @@ def _decide_trivial(g, i, domain, config):
         gens = minor_generators(matrix, i, stop_at_unit=True)
         if gens.unit_minor is not None:
             return TrivialityDecision(True, "unit-minor", gens.unit_minor)
-        if domain is QQ and gens.constant_minors:
-            return TrivialityDecision(True, "constant-minor",
-                                      gens.constant_minors[0])
-        if isinstance(domain, GF):
-            for rows, cols, c in gens.constant_minors:
-                if c % domain.p != 0:
-                    return TrivialityDecision(True, "constant-minor",
-                                              (rows, cols, c))
+        # over Z a unit constant minor has already returned
+        for minor in gens.constant_minors:
+            if domain.is_unit(minor[2]):
+                return TrivialityDecision(True, "constant-minor", minor)
         if not gens.generators:
             return TrivialityDecision(False, "zero-ideal")
 
@@ -453,30 +435,29 @@ class GammaResult:
 
 
 def _budgeted_box_scan(g, matrix, lower, upper, upper_point, domain, config, cache):
-    """Improve the evaluation upper bound by a budgeted box scan.
+    """Improve the evaluation upper bound by a budgeted scan of the field
+    over F_p, or of the integer box over Z and Q.
 
     Over Z and Q the scan evaluates integer points at rational rank, so its
     outcome is domain-independent and cached once per (graph, target).
     """
-    rational = not isinstance(domain, GF)
-    key = None
-    if rational:
-        form = canonical_form(g)
-        key = ("gamma-box-scan", form.hex(), lower,
-               config.box_radius, config.gamma_box_budget)
-        hit = cache.get(key)
-        if hit is not None:
-            rank, pt = hit
-            if rank is not None and rank < upper:
-                return rank, _relabel_point(pt, _inverse(form.perm))
-            return upper, upper_point
-    blocks = (box_blocks(g.n, config.box_radius) if rational
-              else field_blocks(g.n, domain.p))
-    upper, upper_point, _, _ = min_rank_scan(matrix, blocks, domain, lower, upper,
-                                             upper_point, config.gamma_box_budget)
-    if key is not None:
-        cache.put(key, [upper, list(_relabel_point(upper_point, form.perm))
-                        if upper_point else None])
+    if domain.p:
+        return min_rank_scan(matrix, field_blocks(g.n, domain.p), domain, lower, upper,
+                             upper_point, config.gamma_box_budget)[:2]
+    form = canonical_form(g)
+    key = ("gamma-box-scan", form.hex(), lower, config.box_radius,
+           config.gamma_box_budget)
+    hit = cache.get(key)
+    if hit is not None:
+        rank, pt = hit
+        if rank is not None and rank < upper:
+            return rank, _relabel_point(pt, _inverse(form.perm))
+        return upper, upper_point
+    upper, upper_point, _, _ = min_rank_scan(matrix, box_blocks(g.n, config.box_radius),
+                                             domain, lower, upper, upper_point,
+                                             config.gamma_box_budget)
+    cache.put(key, [upper, list(_relabel_point(upper_point, form.perm))
+                    if upper_point else None])
     return upper, upper_point
 
 
@@ -499,7 +480,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     """
     cache = cache if cache is not None else DecisionCache()
     n = g.n
-    result = GammaResult(domain_name(domain), 0, n, None)
+    result = GammaResult(check_domain(domain).name, 0, n, None)
 
     zf = zero_forcing_number(g, config)
     lower = g.n - zf.z
@@ -559,19 +540,16 @@ def groebner_basis_of_critical_ideal(g, i, domain=QQ, order=DEGREVLEX,
     otherwise it is {1}.  The decision's cofactors are not kept.  True basis
     computation over Z is out of scope by design.
     """
-    matrix = generalized_laplacian(g)
-    gens = minor_generators(matrix, i)
-    if isinstance(domain, GF) or domain is QQ:
+    gens = minor_generators(generalized_laplacian(g), i)
+    if check_domain(domain) is not ZZ:
         return buchberger(gens.to_domain(domain), order,
                           config.spair_cap, config.degree_cap)
-    if domain is ZZ:
-        ok, cert = is_trivial_over_Z(gens.generators, order,
-                                     config.spair_cap, config.degree_cap)
-        q_gens = (cert[1].generators if cert[0] == "rational-basis"
-                  else [Polynomial.constant(g.n, QQ, 1)])
-        q_basis = IdealBasis(q_gens, QQ, order, is_groebner=True)
-        return q_basis, TrivialityDecision(ok, "groebner", _describe_z_cert(cert))
-    raise ValueError(f"unsupported domain {domain!r}")
+    ok, cert = is_trivial_over_Z(gens.generators, order,
+                                 config.spair_cap, config.degree_cap)
+    q_gens = (cert[1].generators if cert[0] == "rational-basis"
+              else [Polynomial.constant(g.n, QQ, 1)])
+    q_basis = IdealBasis(q_gens, QQ, order, is_groebner=True)
+    return q_basis, TrivialityDecision(ok, "groebner", _describe_z_cert(cert))
 
 
 def contained_in_monomials_plus_constant(minors, var_indices, constant):

@@ -176,9 +176,10 @@ def adjacency_lists(g: Graph):
 
 def rooted_tree(g: Graph):
     """(adjacency lists, DFS order from vertex 0, child lists) of a tree;
-    anything else is a ValueError.  Iterative, so big trees need no recursion."""
+    anything else, a digraph included, is a ValueError.  Iterative, so big
+    trees need no recursion."""
     n = g.n
-    if n < 1 or g.m != n - 1:
+    if not isinstance(g, Graph) or n < 1 or g.m != n - 1:
         raise ValueError("input is not a tree (connected with n-1 edges)")
     adj = adjacency_lists(g)
     parent = [-2] * n

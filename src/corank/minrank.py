@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
-from .criticalideals import (box_blocks, domain_name, gamma, generalized_laplacian,
-                             min_rank_scan)
+from .criticalideals import box_blocks, gamma, generalized_laplacian, min_rank_scan
 from .graphs import Graph, adjacency_lists, rooted_tree
 from .linalg import RankComputation, exact_rank
 from .polyring import QQ, ZZ
@@ -90,7 +89,7 @@ def mrcr_bounds(g, domain=ZZ, box_radius=None, config=DEFAULT_CONFIG,
     upper, witness, exhaustive, _ = min_rank_scan(
         generalized_laplacian(g), box_blocks(g.n, box_radius), domain, lower,
         g.n, None, config.box_point_budget)
-    return MrcrBounds(domain_name(domain), lower, upper, witness, exhaustive)
+    return MrcrBounds(domain.name, lower, upper, witness, exhaustive)
 
 
 # ---------------------------------------------------------------------------

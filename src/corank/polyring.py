@@ -28,13 +28,15 @@ class BudgetExceeded(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # coefficient domains
+#
+# A domain names itself (`name`, the key reports print) and carries the
+# prime of its rank scans (`p`: None over Q and Z, whose ranks are over Q).
 
-class _Rationals:
-    name = "Q"
-    is_field = True
+class _Numbers:
+    """Q or Z, in Python's own arithmetic.  Each is one instance, compared
+    by identity: the module global its repr names, which it unpickles to."""
 
-    def coerce(self, c):
-        return c if isinstance(c, Fraction) else Fraction(c)
+    p = None
 
     def add(self, a, b):
         return a + b
@@ -45,19 +47,32 @@ class _Rationals:
     def neg(self, a):
         return -a
 
+    def __repr__(self):
+        return self._global
+
+    def __reduce__(self):
+        return self._global
+
+
+class _Rationals(_Numbers):
+    name = "Q=R"    # a trivial ideal over Q is one over R
+    is_field = True
+    _global = "QQ"
+
+    def coerce(self, c):
+        return c if isinstance(c, Fraction) else Fraction(c)
+
     def inv(self, a):
         return 1 / self.coerce(a)
 
     def is_unit(self, a):
         return a != 0
 
-    def __repr__(self):
-        return "QQ"
 
-
-class _Integers:
+class _Integers(_Numbers):
     name = "Z"
     is_field = False
+    _global = "ZZ"
 
     def coerce(self, c):
         if isinstance(c, Fraction):
@@ -66,15 +81,6 @@ class _Integers:
             return c.numerator
         return int(c)
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a in (1, -1):
             return a
@@ -82,9 +88,6 @@ class _Integers:
 
     def is_unit(self, a):
         return a in (1, -1)
-
-    def __repr__(self):
-        return "ZZ"
 
 
 def is_prime(p):
@@ -141,6 +144,13 @@ class GF:
 
 QQ = _Rationals()
 ZZ = _Integers()
+
+
+def check_domain(domain):
+    """The domain itself; anything but QQ, ZZ or a GF(p) is a ValueError."""
+    if not isinstance(domain, (_Numbers, GF)):
+        raise ValueError(f"unsupported domain {domain!r}")
+    return domain
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +383,7 @@ def format_polynomial(p, order=DEGREVLEX):
             elif e > 1:
                 factors.append(f"{names[i]}^{e}")
         body = "*".join(factors)
-        neg = (isinstance(c, Fraction) or p.domain is ZZ) and c < 0
+        neg = c < 0  # field elements mod p are stored in [0, p)
         cc = -c if neg else c
         if body and cc == 1:
             text = body
@@ -435,10 +445,7 @@ def parse_polynomial(text, nvars, domain=ZZ):
         mono = tuple(expo)
         prev = terms.get(mono, Fraction(0))
         terms[mono] = prev + coeff
-    poly = Polynomial(nvars, QQ, terms)
-    if domain is QQ:
-        return poly
-    return poly.to_domain(domain)
+    return Polynomial(nvars, QQ, terms).to_domain(domain)
 
 
 # ---------------------------------------------------------------------------

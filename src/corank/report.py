@@ -58,7 +58,7 @@ def build_parameter_report(g, config=DEFAULT_CONFIG, cache=None,
                         "provenance": mr.provenance}
         mrcr = {}
         for dom, res in gammas:
-            if isinstance(dom, GF):
+            if dom.p:
                 continue
             b = mrcr_bounds(g, dom, config.box_radius, config, gamma_result=res)
             mrcr[b.domain] = {"lower": b.lower, "upper": b.upper,

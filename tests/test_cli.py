@@ -79,6 +79,16 @@ def test_params_jobs_parallel_identical(capsys, tmp_path):
     assert out1 == out2
 
 
+def test_params_jobs_parallel_identical_over_several_domains(capsys):
+    # the domains reach each worker process as objects
+    argv = ("params", "--domain", "fp:3", "--domain", "z", "Bw\nD{c\nE`]o")
+    code1, out1 = run(capsys, *argv, "--jobs", "1")
+    code2, out2 = run(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert set(json.loads(out1)[0]["gamma"]) == {"F3", "Z"}
+
+
 def test_jobs_forks_no_more_workers_than_inputs(capsys, monkeypatch):
     widths = []
 
@@ -229,6 +239,19 @@ def test_gb_compare_with_a_missing_file_is_an_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("x0 - x1\nx0 +* x1\n", "line 2: bad factor"),
+    ("# x9 names no vertex of a 5-vertex graph\n\nx9\n", "line 3: variable x9 out of range"),
+])
+def test_a_malformed_gb_compare_line_is_a_parse_error_naming_it(capsys, tmp_path, text,
+                                                                line):
+    ref = tmp_path / "basis.txt"
+    ref.write_text(text)
+    assert main(["gb", "--index", "2", "--compare", str(ref), "D{O"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and line in err and "Traceback" not in err
+
+
 def test_gb_given_several_graphs_is_an_invalid_argument(capsys):
     # the input parsed, so this is exit 1, not the parse error's 2
     assert main(["gb", "--index", "2", "Bw\nBg"]) == 1
@@ -256,6 +279,12 @@ def test_trees_command(capsys, tmp_path):
     assert tp["mz"] == 4 and tp["path_cover"] == 1
     code_bad = main(["trees", "Bw"])  # triangle is not a tree
     assert code_bad == 1
+
+
+@pytest.mark.parametrize("text", ["&AO", "&B?o", ">>digraph6<<&AO"])
+def test_trees_on_a_digraph_is_an_error(capsys, text):
+    assert main(["trees", text]) == 1
+    assert capsys.readouterr().err.startswith("error: input is not a tree")
 
 
 def test_classify_command(capsys):
@@ -367,3 +396,44 @@ def test_long_inline_input_is_read_as_graph_data(capsys):
     code, out = run(capsys, "zf", lines)
     assert code == 0
     assert len(json.loads(out)) == 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--domain", "fp:10007", "EznW"],
+    ["gamma", "--box", "30000", "EznW"],
+])
+def test_a_large_field_or_box_costs_only_its_budget(capsys, argv):
+    # the shells of the point set are made as the scan reaches them
+    code, out = run(capsys, *argv)
+    assert code == 0
+    (entry,) = json.loads(out)
+    del entry["graph_id"]
+    assert entry and all(res["status"] == "exact" for res in entry.values())
+
+
+_VARIANTS = {
+    "params": [[], ["--digraph"], ["--domain", "fp:3", "--domain", "z"],
+               ["--format", "csv"], ["--format", "md"]],
+    "gamma": [[], ["--digraph"], ["--domain", "fp:2"], ["--domain", "q"]],
+    "zf": [[], ["--digraph"]],
+    "mrcr": [[], ["--digraph"], ["--domain", "fp:3"]],
+    "trees": [[]],
+    "classify": [[], ["--digraph"]],
+    "gb": [["--index", "1"], ["--index", "2", "--domain", "z"],
+           ["--index", "1", "--domain", "fp:3", "--order", "lex"],
+           ["--index", "2", "--digraph"]],
+}
+_SMALL_INPUTS = ["?", "@", "A_", "Bw", "&?", "&AO", "&B?o", ">>digraph6<<&AO", "0 0",
+                 "1 0", "3 1\n0 1", "Bw\n&AO", "A_\n?"]
+
+
+def test_no_command_ends_in_a_traceback(capsys):
+    # every subcommand that reads an input, over tiny graphs, digraphs, pair
+    # lists and mixed lines: each run ends in a documented exit code
+    assert set(_VARIANTS) == set(cli.SUBCOMMANDS) - {"sweep", "reproduce-appendix"}
+    for command, variants in _VARIANTS.items():
+        for options in variants:
+            for text in _SMALL_INPUTS:
+                assert main([command, *options, text]) in (0, 1, 2, 3), \
+                    (command, options, text)
+                capsys.readouterr()

@@ -265,6 +265,14 @@ def test_gamma_isomorphism_invariance():
         assert gamma(h, ZZ, cache=DecisionCache()).value == want_z
 
 
+@pytest.mark.parametrize("domain", ["q", None, 7])
+def test_a_non_domain_is_a_value_error(domain):
+    with pytest.raises(ValueError, match="unsupported domain"):
+        gamma(path(3), domain)
+    with pytest.raises(ValueError, match="unsupported domain"):
+        groebner_basis_of_critical_ideal(path(3), 2, domain)
+
+
 def test_gamma_over_prime_field():
     g = octahedron()
     r2 = gamma(g, GF(2), cache=DecisionCache())

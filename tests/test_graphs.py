@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from corank.criticalideals import gamma, generalized_laplacian
 from corank.graphs import (Digraph, Graph, are_isomorphic, canonical_form,
                            complement, contains_induced, induced_subgraph,
-                           is_connected, is_tree, line_graph, relabel)
+                           is_connected, is_tree, line_graph, relabel, rooted_tree)
 from corank.generators import bull, complete, cycle, matching_3k2, path, star
 from corank.polyring import QQ
 from corank.zeroforcing import zero_forcing_number
@@ -155,6 +155,13 @@ def test_connectivity_and_trees():
     assert not is_tree(cycle(4))
     assert is_connected(Digraph(2, [(0, 1)]))  # weak connectivity
     assert not is_connected(Digraph(3, [(0, 1)]))
+
+
+@pytest.mark.parametrize("g", [Digraph(2, [(0, 1)]), Digraph(3, [(2, 0), (2, 1)])])
+def test_rooted_tree_refuses_a_digraph(g):
+    # a weakly connected digraph with n - 1 arcs is still not a tree
+    with pytest.raises(ValueError, match="input is not a tree"):
+        rooted_tree(g)
 
 
 def test_induced_subgraph_relabels_densely():

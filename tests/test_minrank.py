@@ -96,6 +96,13 @@ def test_delta_examples():
     assert deleted == [0] and paths == 4
 
 
+@pytest.mark.parametrize("dp", [two_matching_number, path_cover_number, delta_parameter,
+                                tree_suite])
+def test_tree_dps_refuse_a_digraph(dp):
+    with pytest.raises(ValueError, match="input is not a tree"):
+        dp(graphs.Digraph(3, [(2, 0), (2, 1)]))
+
+
 def test_tree_dps_match_oracles():
     # n = 10 is covered by the acceptance suite; keep this tier quick
     for n in range(1, 10):

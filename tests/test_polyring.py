@@ -1,5 +1,6 @@
 """Division, Buchberger and triviality decisions over Q, F_p and Z."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -16,6 +17,19 @@ from corank.polyring import (DEGREVLEX, GRLEX, LEX, GF, QQ, ZZ, BudgetExceeded,
 
 def poly(text, nvars=3, domain=QQ):
     return parse_polynomial(text, nvars, domain)
+
+
+@pytest.mark.parametrize("domain, name", [(QQ, "Q=R"), (ZZ, "Z"), (GF(7), "F7")])
+def test_a_domain_names_itself_by_its_report_key(domain, name):
+    assert domain.name == name
+    assert domain.p == (7 if name == "F7" else None)
+
+
+def test_domains_survive_pickling():
+    # QQ and ZZ are compared by identity, so they unpickle to the singletons
+    assert pickle.loads(pickle.dumps(QQ)) is QQ
+    assert pickle.loads(pickle.dumps(ZZ)) is ZZ
+    assert pickle.loads(pickle.dumps(GF(7))) == GF(7)
 
 
 def test_parse_format_roundtrip():

@@ -124,7 +124,7 @@ def test_rank_scan_every_budget():
     # point of each rank bound.  In the last case
     # d_0 = d_1 = 0 leave both border sides of the last coordinate nonzero:
     # the first value lowers the bound and the others are only counted.
-    cases = [(g, box_blocks(4, 2), box_points(4, 2), 4)
+    cases = [(g, list(box_blocks(4, 2)), box_points(4, 2), 4)
              for g in (Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
                        Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 2), (3, 1)]), Graph(4),
                        Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))]
@@ -144,6 +144,12 @@ def test_rank_scan_every_budget():
             for r in range(g.n):
                 assert rank_scan(base, blocks, p, r, r + 1, None) == \
                     _reference_scan(ranked, r, r + 1, None)
+
+
+def test_a_field_block_comes_before_the_whole_field_is_built():
+    # the first shell of F_p^3 is the origin, whatever the size of p
+    assert next(iter(field_blocks(3, 10**9 + 7))) == (((0,),) * 3, None)
+    assert next(iter(box_blocks(3, 10**9))) == (((0,),) * 3, None)
 
 
 def test_rank_scan_stops_at_the_first_point_reaching_lower():
