@@ -22,8 +22,8 @@ from .formats import FormatError, autodetect, canonical_graph6
 from .goldens import gap_table
 from .graphs import Digraph
 from .minrank import mrcr_bounds, tree_suite
-from .polyring import (ORDERS, QQ, ZZ, BudgetExceeded, PolynomialParseError, buchberger,
-                       format_polynomial, ideals_equal, parse_polynomial)
+from .polyring import (ORDERS, QQ, ZZ, BudgetExceeded, DomainMismatch, PolynomialParseError,
+                       buchberger, format_polynomial, ideals_equal, parse_polynomial)
 from .report import (RENDERERS, build_parameter_report, parse_domain,
                      render_json, report_undecided)
 from .sweeps import SWEEPS, reproduce_gap_table
@@ -196,7 +196,8 @@ def cmd_gb(args):
                 continue
             try:
                 gens.append(parse_polynomial(line.strip(), g.n, basis.domain))
-            except PolynomialParseError as exc:
+            except (PolynomialParseError, DomainMismatch) as exc:
+                # DomainMismatch: a denominator that vanishes mod p
                 raise FormatError(f"{args.compare} line {number}: {exc}") from None
         equal = ideals_equal(basis, buchberger(gens, order, config.spair_cap,
                                                config.degree_cap))

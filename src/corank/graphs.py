@@ -161,7 +161,9 @@ def is_connected(g) -> bool:
 
 
 def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and g.m == g.n - 1 and is_connected(g)
+    """A connected graph with n - 1 edges; never a digraph, which the tree
+    routines (rooted_tree) refuse."""
+    return isinstance(g, Graph) and g.n >= 1 and g.m == g.n - 1 and is_connected(g)
 
 
 def adjacency_lists(g: Graph):

@@ -5,6 +5,8 @@ for holding expanded minors and certificates), and prime fields GF(p).
 Everything is exact; no floating point enters any ideal decision.
 """
 
+import heapq
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -37,15 +39,9 @@ class _Numbers:
     by identity: the module global its repr names, which it unpickles to."""
 
     p = None
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def __repr__(self):
         return self._global
@@ -156,14 +152,19 @@ def check_domain(domain):
 # ---------------------------------------------------------------------------
 # monomial orders
 #
-# A monomial is a tuple of non-negative exponents, one per variable.
+# A Polynomial keys its terms by exponent tuples, one exponent per variable.
 # Order objects expose key(mono); bigger key means bigger monomial, so
-# max(terms, key=order.key) is the leading monomial.
+# max(terms, key=order.key) is the leading monomial.  `graded` and
+# `reverse` describe the order to the packed layout below: a graded order
+# compares total degrees first, and a reverse order breaks ties by the
+# smaller exponent of the last variable where two monomials differ.
 
 class MonomialOrder:
-    def __init__(self, name, key):
+    def __init__(self, name, key, graded, reverse):
         self.name = name
         self.key = key
+        self.graded = graded
+        self.reverse = reverse
 
     def __repr__(self):
         return self.name
@@ -189,9 +190,9 @@ def _degrevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-LEX = MonomialOrder("lex", _lex_key)
-GRLEX = MonomialOrder("grlex", _grlex_key)
-DEGREVLEX = MonomialOrder("degrevlex", _degrevlex_key)
+LEX = MonomialOrder("lex", _lex_key, graded=False, reverse=False)
+GRLEX = MonomialOrder("grlex", _grlex_key, graded=True, reverse=False)
+DEGREVLEX = MonomialOrder("degrevlex", _degrevlex_key, graded=True, reverse=True)
 
 ORDERS = {"lex": LEX, "grlex": GRLEX, "degrevlex": DEGREVLEX}
 
@@ -200,20 +201,86 @@ def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+# ---------------------------------------------------------------------------
+# packed monomials
+#
+# Division and Buchberger run on monomials packed into one int each: one
+# field per variable and one for the total degree, every field `width` bits
+# with its top bit a guard bit that no value sets.  Then
+#   - the product of two monomials is the sum of their ints;
+#   - a divides b iff (b - a) & guard == 0: a field of b below a's borrows
+#     into its guard bit;
+#   - m ^ flip is the order's key: those ints compare as the order does.
+# A graded order keeps the degree in the top field, lex in the bottom one.
+# x0 has the highest variable field and the last variable the lowest,
+# except in a reverse order: there the fields run the other way and flip
+# XORs all their bits, so that among monomials of one degree a larger last
+# exponent gives a smaller key.
+#
+# A field holds values below 2^(width-1).  The degree field bounds every
+# exponent field, so a product overflows only if its degree does.  The
+# width is chosen from the input degrees and the degree cap; a product that
+# would set a guard bit raises _Overflow instead, and the run restarts at
+# twice the width.  Nothing in a run depends on the width, so the restarted
+# run gives the same result.
+
+class _Overflow(Exception):
+    """A packed product would set a guard bit."""
 
 
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+class _Packing:
+    """The packed layout of one run: the field shifts, masks and key flip."""
+
+    def __init__(self, nvars, order, width):
+        self.bits = bits = width - 1
+        self.vmax = (1 << bits) - 1
+        low = 0 if order.graded else 1
+        slots = range(low, low + nvars)
+        if not order.reverse:
+            slots = reversed(slots)
+        self.shifts = [width * s for s in slots]
+        self.deg_shift = width * nvars if order.graded else 0
+        # a variable's exponent counts once in its field and once in the degree
+        self.weights = [(1 << s) + (1 << self.deg_shift) for s in self.shifts]
+        self.flip = ((1 << width * nvars) - 1) << width * low if order.reverse else 0
+        self.guard = sum(1 << width * s + bits for s in range(nvars + 1))
+        self.var_guard = self.guard & ~(1 << self.deg_shift + bits)
+        self.vals = self.var_guard - (self.var_guard >> bits)   # variable value bits
+
+    def pack(self, mono):
+        if sum(mono) > self.vmax:
+            raise _Overflow
+        return sum(map(operator.mul, mono, self.weights))
+
+    def unpack(self, m):
+        vmax = self.vmax
+        return tuple(m >> s & vmax for s in self.shifts)
+
+    def degree(self, m):
+        return m >> self.deg_shift & self.vmax
+
+    def lcm(self, a, b):
+        guard = self.var_guard
+        a &= self.vals
+        b &= self.vals
+        ge = ((a | guard) - b) & guard      # guard bits of the fields where a >= b
+        mask = ge - (ge >> self.bits)       # the value bits of those fields
+        e = a & mask | b & ~mask
+        d = sum(self.unpack(e))
+        if d > self.vmax:
+            raise _Overflow
+        return e | d << self.deg_shift
 
 
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a):
-    return sum(a)
+def _widening(nvars, order, degree, run):
+    """run(packing) at the narrowest width that holds `degree`, doubled
+    until no product overflows."""
+    width = max(degree, 1).bit_length() + 1
+    while True:
+        try:
+            return run(_Packing(nvars, order, width))
+        except _Overflow:
+            width *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +332,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self):
-        return all(mono_degree(m) == 0 for m in self.terms)
+        return all(sum(m) == 0 for m in self.terms)
 
     def constant_value(self):
         return self.terms.get((0,) * self.nvars, self.domain.coerce(0))
@@ -273,7 +340,7 @@ class Polynomial:
     def total_degree(self):
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(sum(m) for m in self.terms)
 
     def lead_monomial(self, order):
         if not self.terms:
@@ -451,41 +518,68 @@ def parse_polynomial(text, nvars, domain=ZZ):
 # ---------------------------------------------------------------------------
 # division
 
-def _divide(terms, divisors, heads, order, dom):
-    """Multivariate division of a term dict by the divisors.
+def _divisor(head, inv, tail, dom):
+    """A divisor as _reduce reads it: its packed leading monomial, the
+    inverse of its leading coefficient, and its other terms with their
+    coefficients times -inv."""
+    mul, neg = dom.mul, dom.neg
+    return head, inv, [(m, neg(mul(c, inv))) for m, c in tail]
+
+
+def _reduce(terms, divisors, pk, dom, quots=None):
+    """Multivariate division of a packed term dict by the divisors.
 
     Each step reduces the leading term by the first divisor whose leading
-    monomial divides it (heads[i] is divisors[i]'s leading monomial and
-    coefficient); terms no divisor reduces move to the remainder.  Returns
-    (remainder terms, one quotient term dict per divisor).
+    monomial divides it; terms no divisor reduces move to the remainder.
+    The terms still to reduce sit in a dict and a max-heap of their keys;
+    a key whose term cancelled stays in the heap and is skipped when popped.
+    Returns the remainder as a term dict in descending order, so its
+    leading term comes first.  With quots (one dict per divisor), adds
+    each quotient term to its divisor's dict.
     """
-    add, mul, neg, inv = dom.add, dom.mul, dom.neg, dom.inv
-    pterms = dict(terms)
-    r_terms = {}
-    quots = [{} for _ in divisors]
-    while pterms:
-        lm = max(pterms, key=order.key)
-        lc = pterms.pop(lm)
-        for i, (gm, gc) in enumerate(heads):
-            if mono_divides(gm, lm):
+    heappop, heappush = heapq.heappop, heapq.heappush
+    add, mul = dom.add, dom.mul
+    guard, flip = pk.guard, pk.flip
+    heads = [d[0] for d in divisors]
+    todo = dict(terms)
+    heap = [-(m ^ flip) for m in todo]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        m = -heappop(heap) ^ flip
+        c = todo.pop(m, None)
+        if c is None:
+            continue
+        for k, h in enumerate(heads):
+            if not (m - h) & guard:
                 break
         else:
-            r_terms[lm] = lc
+            rem[m] = c
             continue
-        q_coeff = mul(lc, inv(gc))
-        q_mono = mono_div(lm, gm)
-        # leading monomials strictly decrease, so q_mono is new for divisor i
-        quots[i][q_mono] = q_coeff
-        for mm, cc in divisors[i].terms.items():
-            if mm == gm:
-                continue
-            key = mono_mul(mm, q_mono)
-            s = add(pterms.get(key, 0), neg(mul(cc, q_coeff)))
-            if s == 0:
-                pterms.pop(key, None)
+        q = m - h
+        _, inv, tail = divisors[k]
+        if quots is not None:
+            # leading monomials strictly decrease, so q is new for divisor k
+            quots[k][q] = mul(c, inv)
+        for tm, tc in tail:
+            p = tm + q
+            old = todo.get(p)
+            if old is None:
+                if p & guard:       # a valid monomial in todo has none set
+                    raise _Overflow
+                todo[p] = mul(tc, c)
+                heappush(heap, -(p ^ flip))
             else:
-                pterms[key] = s
-    return r_terms, quots
+                s = add(old, mul(tc, c))
+                if s == 0:
+                    del todo[p]
+                else:
+                    todo[p] = s
+    return rem
+
+
+def _unpacked(terms, pk, nvars, dom):
+    return Polynomial(nvars, dom, {pk.unpack(m): c for m, c in terms.items()}, _clean=True)
 
 
 def normal_form(f, divisors, order=DEGREVLEX, with_quotients=False):
@@ -500,12 +594,23 @@ def normal_form(f, divisors, order=DEGREVLEX, with_quotients=False):
     for g in divisors:
         if g.nvars != f.nvars or g.domain != f.domain:
             raise DomainMismatch("divisor domain/variable mismatch")
-    heads = [(g.lead_monomial(order), g.lead_coeff(order)) for g in divisors]
-    r_terms, quots = _divide(f.terms, divisors, heads, order, f.domain)
-    r = Polynomial(f.nvars, f.domain, r_terms, _clean=True)
-    if with_quotients:
-        return r, [Polynomial(f.nvars, f.domain, q, _clean=True) for q in quots]
-    return r
+    nvars, dom = f.nvars, f.domain
+
+    def run(pk):
+        packed = []
+        for g in divisors:
+            lm = g.lead_monomial(order)
+            tail = [(pk.pack(m), c) for m, c in g.terms.items() if m != lm]
+            packed.append(_divisor(pk.pack(lm), dom.inv(g.terms[lm]), tail, dom))
+        quots = [{} for _ in divisors] if with_quotients else None
+        r = _reduce({pk.pack(m): c for m, c in f.terms.items()}, packed, pk, dom, quots)
+        r = _unpacked(r, pk, nvars, dom)
+        if with_quotients:
+            return r, [_unpacked(q, pk, nvars, dom) for q in quots]
+        return r
+
+    degree = max(g.total_degree() for g in [f] + divisors)
+    return _widening(nvars, order, degree, run)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +653,23 @@ class IdealBasis:
         return f"IdealBasis<{tag}|{self.domain}|{self.order}>[{gens}]"
 
 
+def _add_shifted(out, terms, shift, scale, pk, dom):
+    """out += scale * x^shift * terms, in place, for packed terms (scale
+    None: one); a product that overflows raises _Overflow."""
+    add, mul, guard = dom.add, dom.mul, pk.guard
+    for m, c in terms:
+        m += shift
+        if m & guard:
+            raise _Overflow
+        if scale is not None:
+            c = mul(scale, c)
+        s = add(out.get(m, 0), c)
+        if s == 0:
+            del out[m]
+        else:
+            out[m] = s
+
+
 def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
                track_cofactors=False):
     """Reduced Groebner basis over a field domain.
@@ -557,10 +679,10 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
     sorted order, so the reduced output depends only on the generator set.
     A nonzero constant encountered at any point short-circuits to the
     basis {1}.  Exceeding a budget raises BudgetExceeded with the partial
-    basis attached.
+    basis attached.  The run is on packed monomials; S-polynomials of
+    basis elements, whose degrees are at most degree_cap, have degree at
+    most twice that, so the starting width holds them.
     """
-    import heapq
-
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return IdealBasis([], ZZ if not generators else generators[0].domain, order,
@@ -568,38 +690,52 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
     nvars, dom = gens[0].nvars, gens[0].domain
     if not dom.is_field:
         raise DomainMismatch("buchberger requires a field domain")
+    degree = max(max(g.total_degree() for g in gens), 2 * degree_cap)
+    return _widening(nvars, order, degree, lambda pk: _buchberger(
+        gens, order, pk, spair_cap, degree_cap, track_cofactors))
 
-    m = len(gens)
+
+def _buchberger(gens, order, pk, spair_cap, degree_cap, track_cofactors):
+    """buchberger's run on one packed layout; raises _Overflow if a product
+    does not fit it."""
+    nvars, dom = gens[0].nvars, gens[0].domain
+    mul, neg, inv_of = dom.mul, dom.neg, dom.inv
+    guard, degree = pk.guard, pk.degree
+    one = dom.coerce(1)
+    ngens = len(gens)
     # deterministic seeding order; cofactor slots stay in caller order
-    seed_order = sorted(range(m), key=lambda i: gens[i].key())
+    seed_order = sorted(range(ngens), key=lambda i: gens[i].key())
 
-    def unit_vector(i):
-        vec = [Polynomial.zero(nvars, dom) for _ in range(m)]
-        vec[i] = Polynomial.constant(nvars, dom, 1)
-        return vec
-
-    basis = []       # list of polynomials, monic
-    heads = []       # cached (lead monomial, lead coeff)
+    polys = []       # basis elements as packed term dicts, monic, head first
+    heads = []       # their leading monomials
+    tails = []       # their other terms, as (monomial, coefficient) lists
+    divisors = []    # their _divisor tuples
     cofs = []        # parallel cofactor vectors when tracking
+
+    def partial():
+        return IdealBasis([_unpacked(p, pk, nvars, dom) for p in polys], dom, order)
 
     def reduce_with_cof(p, pcof, idx=None):
         """Fully reduce p by the basis elements listed in idx (default all),
         updating its cofactor vector by pcof - sum q_j * cofs[j]."""
         if idx is None:
-            idx = range(len(basis))
-        r_terms, quots = _divide(p.terms, [basis[j] for j in idx],
-                                 [heads[j] for j in idx], order, dom)
+            idx = range(len(polys))
+        quots = None if pcof is None else [{} for _ in idx]
+        r = _reduce(p, [divisors[j] for j in idx], pk, dom, quots)
         if pcof is not None:
+            pcof = [dict(a) for a in pcof]
             for q, j in zip(quots, idx):
-                if q:
-                    qp = Polynomial(nvars, dom, q, _clean=True)
-                    pcof = [a - qp * b for a, b in zip(pcof, cofs[j])]
-        return Polynomial(nvars, dom, r_terms, _clean=True), pcof
+                for qm, qc in q.items():
+                    for a, b in zip(pcof, cofs[j]):
+                        _add_shifted(a, b.items(), qm, neg(qc), pk, dom)
+        return r, pcof
 
     def monic(p, pcof):
         """p and its cofactor vector scaled to leading coefficient one."""
-        inv = dom.inv(p.lead_coeff(order))
-        return p.scale(inv), None if pcof is None else [q.scale(inv) for q in pcof]
+        inv = inv_of(next(iter(p.values())))
+        return ({m: mul(c, inv) for m, c in p.items()},
+                None if pcof is None else
+                [{m: mul(c, inv) for m, c in q.items()} for q in pcof])
 
     heap = []        # (lcm degree, i, j, lcm)
     pending = set()  # {(i, j)} mirror of the heap for the chain criterion
@@ -607,50 +743,52 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
     def add_to_basis(p, pcof):
         """Insert a fully reduced nonzero polynomial made monic; a constant
         ends the run, and the basis {1} is returned."""
+        if max(map(degree, p)) > degree_cap:
+            raise BudgetExceeded("degree cap exceeded", partial())
         p, pcof = monic(p, pcof)
-        if p.is_constant():
-            return IdealBasis([p], dom, order, is_groebner=True,
-                              cofactors=None if pcof is None else [pcof])
-        k = len(basis)
-        lmk = p.lead_monomial(order)
-        basis.append(p)
-        heads.append((lmk, p.lead_coeff(order)))
+        head = next(iter(p))
+        if head == 0:
+            return IdealBasis([_unpacked(p, pk, nvars, dom)], dom, order, is_groebner=True,
+                              cofactors=None if pcof is None else
+                              [[_unpacked(c, pk, nvars, dom) for c in pcof]])
+        k = len(polys)
+        polys.append(p)
+        heads.append(head)
+        tails.append(list(p.items())[1:])
+        divisors.append(_divisor(head, one, tails[k], dom))
         cofs.append(pcof)
         for i in range(k):
-            lcm = mono_lcm(heads[i][0], lmk)
-            heapq.heappush(heap, (mono_degree(lcm), i, k, lcm))
+            lcm = pk.lcm(heads[i], head)
+            heapq.heappush(heap, (degree(lcm), i, k, lcm))
             pending.add((i, k))
         return None
 
     # seed the basis, reducing each generator against what came before
     for idx in seed_order:
-        g = gens[idx]
-        gc = unit_vector(idx) if track_cofactors else None
+        g = {pk.pack(mono): c for mono, c in gens[idx].terms.items()}
+        gc = None
+        if track_cofactors:
+            gc = [{} for _ in range(ngens)]
+            gc[idx] = {0: one}
         r, rc = reduce_with_cof(g, gc)
-        if r.is_zero():
-            continue
-        if r.total_degree() > degree_cap:
-            raise BudgetExceeded("degree cap exceeded",
-                                 IdealBasis(basis, dom, order))
-        done = add_to_basis(r, rc)
-        if done is not None:
-            return done
+        if r:
+            done = add_to_basis(r, rc)
+            if done is not None:
+                return done
 
     spairs_done = 0
     while heap:
-        deg, i, j, lcm = heapq.heappop(heap)
+        _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
+        hi, hj = heads[i], heads[j]
         # coprime criterion
-        lmi, lmj = heads[i][0], heads[j][0]
-        if mono_mul(lmi, lmj) == lcm:
+        if hi + hj == lcm:
             continue
         # chain criterion: a third leading monomial dividing the lcm whose
         # pairs with i and j are both already settled
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(heads[k][0], lcm):
+        for k, hk in enumerate(heads):
+            if k != i and k != j and not (lcm - hk) & guard:
                 if (min(i, k), max(i, k)) not in pending \
                         and (min(j, k), max(j, k)) not in pending:
                     skip = True
@@ -659,40 +797,41 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
             continue
         spairs_done += 1
         if spairs_done > spair_cap:
-            raise BudgetExceeded("S-pair cap exceeded", IdealBasis(basis, dom, order))
-        cf, cg = dom.inv(heads[i][1]), dom.inv(heads[j][1])
-        mf, mg = mono_div(lcm, lmi), mono_div(lcm, lmj)
-        s = basis[i].mul_term(cf, mf) - basis[j].mul_term(cg, mg)
+            raise BudgetExceeded("S-pair cap exceeded", partial())
+        # both elements are monic, so the S-polynomial is the difference of
+        # their tails times the cofactors of their heads in the lcm; j's
+        # divisor holds its tail negated
+        mi, mj = lcm - hi, lcm - hj
+        s = {}
+        _add_shifted(s, tails[i], mi, None, pk, dom)
+        _add_shifted(s, divisors[j][2], mj, None, pk, dom)
         scof = None
         if track_cofactors:
-            scof = [a.mul_term(cf, mf) - b.mul_term(cg, mg)
-                    for a, b in zip(cofs[i], cofs[j])]
+            scof = [{} for _ in range(ngens)]
+            for out, a, b in zip(scof, cofs[i], cofs[j]):
+                _add_shifted(out, a.items(), mi, None, pk, dom)
+                _add_shifted(out, b.items(), mj, neg(one), pk, dom)
         r, rcof = reduce_with_cof(s, scof)
-        if r.is_zero():
-            continue
-        if r.total_degree() > degree_cap:
-            raise BudgetExceeded("degree cap exceeded", IdealBasis(basis, dom, order))
-        done = add_to_basis(r, rcof)
-        if done is not None:
-            return done
+        if r:
+            done = add_to_basis(r, rcof)
+            if done is not None:
+                return done
 
     # interreduce to the unique reduced basis
-    keep = []
-    lms = [lm for lm, _ in heads]
-    for i in range(len(basis)):
-        if any(j != i and mono_divides(lms[j], lms[i])
-               and (lms[j] != lms[i] or j < i) for j in range(len(basis))):
-            continue
-        keep.append(i)
-    packed = []
+    keep = [i for i, hi in enumerate(heads)
+            if not any(j != i and not (hi - hj) & guard and (hj != hi or j < i)
+                       for j, hj in enumerate(heads))]
+    out = []
     for i in keep:
-        r, cvec = reduce_with_cof(basis[i], cofs[i], [j for j in keep if j != i])
-        if not r.is_zero():
-            packed.append(monic(r, cvec))
+        r, cvec = reduce_with_cof(polys[i], cofs[i], [j for j in keep if j != i])
+        if r:
+            out.append(monic(r, cvec))
     # deterministic output order: descending leading monomial
-    packed.sort(key=lambda t: order.key(t[0].lead_monomial(order)), reverse=True)
-    return IdealBasis([g for g, _ in packed], dom, order, is_groebner=True,
-                      cofactors=[c for _, c in packed] if track_cofactors else None)
+    out.sort(key=lambda t: next(iter(t[0])) ^ pk.flip, reverse=True)
+    return IdealBasis([_unpacked(p, pk, nvars, dom) for p, _ in out], dom, order,
+                      is_groebner=True,
+                      cofactors=[[_unpacked(c, pk, nvars, dom) for c in cvec]
+                                 for _, cvec in out] if track_cofactors else None)
 
 
 def is_trivial_over_field(generators, order=DEGREVLEX, spair_cap=50000,

@@ -252,6 +252,14 @@ def test_a_malformed_gb_compare_line_is_a_parse_error_naming_it(capsys, tmp_path
     assert err.startswith("parse error:") and line in err and "Traceback" not in err
 
 
+def test_a_gb_compare_denominator_that_vanishes_mod_p_is_a_parse_error(capsys, tmp_path):
+    ref = tmp_path / "basis.txt"
+    ref.write_text("x0 - x1\n\nx0 - 1/3\n")
+    assert main(["gb", "--index", "2", "--domain", "fp:3", "--compare", str(ref), "D{O"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error: {ref} line 3: denominator of -1/3 vanishes mod 3\n"
+
+
 def test_gb_given_several_graphs_is_an_invalid_argument(capsys):
     # the input parsed, so this is exit 1, not the parse error's 2
     assert main(["gb", "--index", "2", "Bw\nBg"]) == 1

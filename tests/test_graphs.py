@@ -162,6 +162,7 @@ def test_rooted_tree_refuses_a_digraph(g):
     # a weakly connected digraph with n - 1 arcs is still not a tree
     with pytest.raises(ValueError, match="input is not a tree"):
         rooted_tree(g)
+    assert not is_tree(g)
 
 
 def test_induced_subgraph_relabels_densely():

@@ -1,0 +1,104 @@
+"""Golden pins of the Groebner engine's output.
+
+The digests and lists below were computed with the tuple-monomial division
+and Buchberger that the packed-monomial engine replaced, so they pin that
+the packed engine gives the same bases, decisions, certificates, S-pair
+counts and partial bases.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from corank.cli import main
+from corank.criticalideals import (generalized_laplacian, groebner_basis_of_critical_ideal,
+                                   minor_generators)
+from corank.enumeration import enumerate_connected_graphs
+from corank.formats import parse_graph6, write_graph6
+from corank.polyring import GF, QQ, ZZ, BudgetExceeded, buchberger, format_polynomial
+
+
+def _digest(data):
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def _formatted(basis):
+    return [format_polynomial(p) for p in basis.generators]
+
+
+def test_every_fourth_critical_ideal_keeps_its_bases_and_z_certificate():
+    # items in the order of the `ideals` benchmark at seed 0: the connected
+    # graphs on <= 6 vertices, each with its indices 2..n
+    items = [(g, i) for g in enumerate_connected_graphs(6) for i in range(2, g.n + 1)]
+    assert len(items) == 667
+    rows = []
+    for g, i in items[::4]:
+        z_basis, decision = groebner_basis_of_critical_ideal(g, i, ZZ)
+        rows.append([write_graph6(g), i,
+                     _formatted(groebner_basis_of_critical_ideal(g, i, QQ)),
+                     _formatted(z_basis), decision.to_json(),
+                     _formatted(groebner_basis_of_critical_ideal(g, i, GF(3)))])
+    assert len(rows) == 167
+    assert _digest(rows) == "1ec25c4119d112354b728b27f0c7d0e36652366999cef23f417bca551d167825"
+
+
+GB_ORDERS = {
+    ("E{Sw", 4, "grlex"): ["x5^2 - x5 - 1", "x0 + x5 - 1", "x1 + x5 - 1", "x2 + x5 - 1",
+                           "x3 - x5", "x4 - x5"],
+    ("E{Sw", 4, "lex"): ["x0 + x5 - 1", "x1 + x5 - 1", "x2 + x5 - 1", "x3 - x5", "x4 - x5",
+                         "x5^2 - x5 - 1"],
+    ("D^{", 4, "grlex"): ["x0*x1*x2 + x0*x1 + x0*x2 + x1*x2 + x0 + x1",
+                          "x0*x1*x3 + x0*x1 + x0*x3 + x1*x3 + x0 + x1",
+                          "x0*x1*x4 + x0*x1 + x0*x4 + x1*x4 + x0 + x1",
+                          "x0*x2*x4 + x0*x2 + x0*x4 + x0", "x0*x3*x4 + x0*x3 + x0*x4 + x0",
+                          "x1*x2*x4 + x1*x2 + x1*x4 + x1", "x1*x3*x4 + x1*x3 + x1*x4 + x1",
+                          "x2*x3 + x2*x4 + x3*x4 + 2*x2 + 2*x3 + 2*x4 + 3"],
+    ("D^{", 4, "lex"): ["x0*x1*x2 + x0*x1 + x0*x2 + x0 + x1*x2 + x1",
+                        "x0*x1*x3 + x0*x1 + x0*x3 + x0 + x1*x3 + x1",
+                        "x0*x1*x4 + x0*x1 + x0*x4 + x0 + x1*x4 + x1",
+                        "x0*x2*x4 + x0*x2 + x0*x4 + x0", "x0*x3*x4 + x0*x3 + x0*x4 + x0",
+                        "x1*x2*x4 + x1*x2 + x1*x4 + x1", "x1*x3*x4 + x1*x3 + x1*x4 + x1",
+                        "x2*x3 + x2*x4 + 2*x2 + x3*x4 + 2*x3 + 2*x4 + 3"],
+    ("DJk", 4, "grlex"): ["x0*x1*x4 + x0*x1 + x0*x4 - x1 - 1", "x0*x3*x4 + x0*x4 - x3 - 1",
+                          "x1*x3 + x1", "x2 + x3 + 2"],
+    ("DJk", 4, "lex"): ["x0*x1*x4 + x0*x1 + x0*x4 - x1 - 1", "x0*x3*x4 + x0*x4 - x3 - 1",
+                        "x1*x3 + x1", "x2 + x3 + 2"],
+}
+
+
+@pytest.mark.parametrize("g6, index, order", sorted(GB_ORDERS))
+def test_gb_in_grlex_and_lex_keeps_its_basis(capsys, g6, index, order):
+    assert main(["gb", "--index", str(index), "--order", order, g6]) == 0
+    (payload,) = json.loads(capsys.readouterr().out)
+    assert payload["order"] == order
+    assert payload["field_basis"] == GB_ORDERS[g6, index, order]
+
+
+# (graph6, index, k, len and digest of the partial basis at cap k - 1,
+#  digest of the basis at cap k): the run over Q makes exactly k S-pairs
+SPAIR_COUNTS = [
+    ("DJk", 4, 3, 5, "49a8c46102738b7605d364e427835c6e31bbf314a818abe0366143d61e7e4e65",
+     "df9b28edd0ad1bcb1119f7eaabb83a349f3a87c43fd8a1c60e9397360812e916"),
+    ("D?{", 4, 9, 7, "bfcf9cc285e7a14d98503ba6dc158e00f6c77f035d7ad2dc4bf3241a989f4bd6",
+     "3deeda6764ef6bd670c3c7b0292100b7c0025497ac110cfa4b4abff517aced16"),
+    ("D^{", 4, 17, 12, "777ed8003955b0986ae13544d6b2a1650f967d069fd2d1eacf8720284a57cd0c",
+     "152beddd47ae11e0e706a17944c422881351f537bf117f7bcc082c23ce2d6889"),
+    ("D~{", 3, 30, 20, "42eb4a959f2f90fd53c9a29a44efffc3649ea26ff50b01ae3af039e8f1413aec",
+     "3eac5d4c9c7be3ea03492818d1842e11b58cbe008b37db631c2baa75837d8fc4"),
+    ("EJ^w", 4, 47, 24, "e20327cfbaf345e0b674d5673366326f18c18435c87fe0449c75fc34a9813d70",
+     "d68f3b0ea50cc1eec35b4a17020b77943e833e39ccaac6ba1151cbea5da0c5e9"),
+]
+
+
+@pytest.mark.parametrize("g6, index, k, partial_len, partial_digest, basis_digest",
+                         SPAIR_COUNTS, ids=[f"{row[0]}-{row[1]}" for row in SPAIR_COUNTS])
+def test_the_spair_cap_stops_the_run_at_its_exact_count(g6, index, k, partial_len,
+                                                        partial_digest, basis_digest):
+    gens = minor_generators(generalized_laplacian(parse_graph6(g6)), index).to_domain(QQ)
+    assert _digest(_formatted(buchberger(gens, spair_cap=k))) == basis_digest
+    with pytest.raises(BudgetExceeded) as exc:
+        buchberger(gens, spair_cap=k - 1)
+    assert exc.value.reason == "S-pair cap exceeded"
+    assert len(exc.value.partial) == partial_len
+    assert _digest(_formatted(exc.value.partial)) == partial_digest

@@ -1,5 +1,7 @@
 """Division, Buchberger and triviality decisions over Q, F_p and Z."""
 
+import hashlib
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corank import polyring
 from corank.polyring import (DEGREVLEX, GRLEX, LEX, GF, QQ, ZZ, BudgetExceeded,
                              Polynomial, buchberger, format_polynomial,
                              ideals_equal, is_trivial_over_Z,
@@ -103,8 +106,15 @@ def test_buchberger_is_groebner_and_input_order_independent():
             [p.key() for p in other.generators]
 
 
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def _assert_spolys_reduce(basis):
-    from corank.polyring import mono_div, mono_lcm
     gens = basis.generators
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
@@ -294,3 +304,100 @@ def _random_poly(rng, domain, nvars=3, max_terms=4, max_deg=2):
         coeff = rng.randint(-4, 4)
         terms[mono] = terms.get(mono, 0) + coeff
     return Polynomial(nvars, domain, terms)
+
+
+@st.composite
+def packed_monomials(draw):
+    """An order, a field width, and two exponent vectors whose degrees reach
+    up to the largest value a field holds."""
+    order = draw(st.sampled_from([LEX, GRLEX, DEGREVLEX]))
+    nvars = draw(st.integers(1, 5))
+    width = draw(st.integers(2, 7))
+    vmax = (1 << width - 1) - 1
+
+    def monomial():
+        exps = draw(st.lists(st.integers(0, vmax), min_size=nvars, max_size=nvars))
+        while sum(exps) > vmax:
+            exps[exps.index(max(exps))] -= 1
+        return tuple(exps)
+    return polyring._Packing(nvars, order, width), order, monomial(), monomial()
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_monomials())
+def test_packed_arithmetic_agrees_with_exponent_tuples(case):
+    pk, order, a, b = case
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(pa) == a and pk.degree(pa) == sum(a)
+    # product: one addition, which sets a guard bit exactly when it overflows
+    product = tuple(x + y for x, y in zip(a, b))
+    if sum(product) <= pk.vmax:
+        assert pk.unpack(pa + pb) == product and not (pa + pb) & pk.guard
+    else:
+        assert (pa + pb) & pk.guard
+    # divisibility, and the quotient of a divisible pair
+    divides = all(x <= y for x, y in zip(a, b))
+    assert (not (pb - pa) & pk.guard) == divides
+    if divides:
+        assert pk.unpack(pb - pa) == mono_div(b, a) and pk.degree(pb - pa) == sum(b) - sum(a)
+    # lcm, which overflows only through its degree
+    lcm = mono_lcm(a, b)
+    if sum(lcm) <= pk.vmax:
+        assert pk.lcm(pa, pb) == pk.pack(lcm)
+    else:
+        with pytest.raises(polyring._Overflow):
+            pk.lcm(pa, pb)
+    # the key: packed ints compare as the order's tuple keys do
+    assert ((pa ^ pk.flip) < (pb ^ pk.flip)) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+
+
+@pytest.fixture
+def packing_widths(monkeypatch):
+    """The field width of every packed layout made while the test runs."""
+    widths = []
+
+    class Recorded(polyring._Packing):
+        def __init__(self, nvars, order, width):
+            widths.append(width)
+            super().__init__(nvars, order, width)
+    monkeypatch.setattr(polyring, "_Packing", Recorded)
+    return widths
+
+
+def _lex(*texts):
+    return [poly(t) for t in texts]
+
+
+def test_a_lex_basis_whose_reduction_outgrows_the_width_restarts_to_the_same_basis(
+        packing_widths):
+    # reducing x0^13 by x0 - x1^5 passes through x1^65, past the 63 that
+    # the starting width (from degree cap 30) holds
+    basis = buchberger(_lex("x0 - x1^5 - x2", "x1^6", "x0^13"), LEX)
+    assert packing_widths == [7, 14]
+    assert [format_polynomial(p, LEX) for p in basis] == \
+        ["x0 - x1^5 - x2", "x1^6", "x1^5*x2^12 + 1/13*x2^13", "x1*x2^13", "x2^14"]
+
+
+def test_a_restarted_run_hits_its_degree_cap_with_the_same_partial_basis(packing_widths):
+    with pytest.raises(BudgetExceeded) as exc:
+        buchberger(_lex("x0 - x1^5 + x2", "x1^6 - x2^6", "x0^13"), LEX)
+    assert packing_widths == [7, 14]
+    assert exc.value.reason == "degree cap exceeded"
+    assert [format_polynomial(p, LEX) for p in exc.value.partial] == \
+        ["x0 - x1^5 + x2", "x1^6 - x2^6"]
+
+
+def test_cofactors_that_outgrow_the_width_restart_to_the_same_cofactors(packing_widths):
+    gens = _lex("x0 - x1^5 + 1", "x1^6 - x1", "x0^13 - x0 + 1")
+    ok, cofactors = is_trivial_over_field(gens, LEX, want_cofactors=True)
+    assert ok and packing_widths[:2] == [7, 14]
+    text = json.dumps([format_polynomial(h, LEX) for h in cofactors])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "1eaed79198558511d85ac4e0e24179a787b1eb795a8087a3c8666c52b10086f0"
+
+
+def test_a_lex_normal_form_that_outgrows_the_width_restarts(packing_widths):
+    r = normal_form(poly("x0^13"), _lex("x0 - x1^5", "x1^5 - x2"), LEX)
+    assert packing_widths == [5, 10]
+    assert r == poly("x2^13")
