@@ -75,33 +75,6 @@ def classify_rank1_graph(g: Graph, config=DEFAULT_CONFIG, cache=None) -> Equival
     return EquivalenceReport("graph-rank1", conditions, witnesses)
 
 
-@dataclass
-class Mr2CorollaryResult:
-    applicable: bool
-    holds: bool | None
-    mr: int
-    gamma_q: int
-
-    def to_json(self):
-        return {"applicable": self.applicable, "holds": self.holds,
-                "mr": self.mr, "gamma_q": self.gamma_q}
-
-
-def check_mr2_corollary(g: Graph, config=DEFAULT_CONFIG, cache=None) -> Mr2CorollaryResult:
-    """For connected graphs with mr <= 2 (exact at n <= 7), mr <= gamma.
-
-    Graphs with mr > 2 are reported not applicable rather than false.
-    """
-    if g.n > 7:
-        raise ValueError("exact minimum rank needs n <= 7")
-    zf = zero_forcing_number(g, config)
-    mr = g.n - zf.z
-    gq = gamma(g, QQ, config, cache)
-    if mr > 2:
-        return Mr2CorollaryResult(False, None, mr, gq.value)
-    return Mr2CorollaryResult(True, mr <= gq.value, mr, gq.value)
-
-
 # ---------------------------------------------------------------------------
 # digraphs
 

@@ -82,8 +82,9 @@ def cmd_params(args):
     config = _config_from_args(args)
     domains = _domains(args)
     payloads = [(g, config, domains, args.cache, args.timings) for g in graphs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_report_worker, payloads))
     else:
         reports = list(map(_report_worker, payloads))

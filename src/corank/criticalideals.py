@@ -37,11 +37,6 @@ class SymbolicMatrix:
             raise ValueError("diagonal has no multiplicity")
         return self._mult.get((u, v), 0)
 
-    def entry(self, u, v) -> Polynomial:
-        if u == v:
-            return Polynomial.variable(self.n, ZZ, u)
-        return Polynomial.constant(self.n, ZZ, -self._mult.get((u, v), 0))
-
     def evaluate(self, point):
         """Integer/rational matrix with the diagonal replaced by the point."""
         assert len(point) == self.n
@@ -550,18 +545,3 @@ def groebner_basis_of_critical_ideal(g, i, domain=QQ, order=DEGREVLEX,
               else [Polynomial.constant(g.n, QQ, 1)])
     q_basis = IdealBasis(q_gens, QQ, order, is_groebner=True)
     return q_basis, TrivialityDecision(ok, "groebner", _describe_z_cert(cert))
-
-
-def contained_in_monomials_plus_constant(minors, var_indices, constant):
-    """Exact Z-containment test against <x_i for i in S, c>.
-
-    A polynomial lies in that ideal iff every term free of the listed
-    variables has a coefficient divisible by c.
-    """
-    for p in minors:
-        for mono, coeff in p.terms.items():
-            if any(mono[i] for i in var_indices):
-                continue
-            if coeff % constant != 0:
-                return False
-    return True

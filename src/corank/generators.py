@@ -1,4 +1,6 @@
-"""Constructions for every named graph and digraph used by the test corpus.
+"""The construction catalog: the graph families and the named graphs and
+digraphs of the paper, which the sweeps, the classifications and the
+reference tables build from.  ``NAMED_GRAPHS`` keys the named graphs.
 
 All vertex labels are 0-indexed; entries transcribed from 1-indexed drawings
 shift every label down by one (the bull keeps its triangle on 0,1,2 and its
@@ -161,23 +163,3 @@ NAMED_GRAPHS = {
     "graph-b": graph_b,
     "graph-c": graph_c,
 }
-
-
-def named_generators():
-    """Catalog of the named constructions keyed by what they build."""
-    return {
-        "path": path,
-        "cycle": cycle,
-        "complete": complete,
-        "star": star,
-        "complete_multipartite": complete_multipartite,
-        "bull": bull,
-        "petersen": petersen,
-        "octahedron": octahedron,
-        "graph_a": graph_a,
-        "graph_b": graph_b,
-        "graph_c": graph_c,
-        "lambda_digraph": lambda_digraph,
-        "forbidden_family": forbidden_family,
-        "complete_digraph": complete_digraph,
-    }

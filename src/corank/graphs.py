@@ -398,9 +398,3 @@ def _pack_key(n, segments, directed):
         parts.append(width.to_bytes(1, "big"))
         parts.append(bits.to_bytes(width, "big"))
     return b"".join(parts)
-
-
-def are_isomorphic(a, b) -> bool:
-    if a.n != b.n:
-        return False
-    return canonical_form(a).key == canonical_form(b).key

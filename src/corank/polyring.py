@@ -322,11 +322,6 @@ class Polynomial:
             return cls.zero(nvars, domain)
         return cls(nvars, domain, {(0,) * nvars: c}, _clean=True)
 
-    @classmethod
-    def variable(cls, nvars, domain, i):
-        mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, domain, {mono: domain.coerce(1)}, _clean=True)
-
     # -- basic queries -----------------------------------------------------
     def is_zero(self):
         return not self.terms
@@ -346,9 +341,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=order.key)
-
-    def lead_coeff(self, order):
-        return self.terms[self.lead_monomial(order)]
 
     # -- arithmetic ----------------------------------------------------------
     def _check(self, other):
@@ -388,16 +380,6 @@ class Polynomial:
                 else:
                     res[m] = s
         return Polynomial(self.nvars, self.domain, res, _clean=True)
-
-    def mul_term(self, coeff, mono):
-        if coeff == 0:
-            return Polynomial.zero(self.nvars, self.domain)
-        mul = self.domain.mul
-        res = {mono_mul(m, mono): mul(c, coeff) for m, c in self.terms.items()}
-        return Polynomial(self.nvars, self.domain, res, _clean=True)
-
-    def scale(self, coeff):
-        return self.mul_term(self.domain.coerce(coeff), (0,) * self.nvars)
 
     def to_domain(self, domain):
         return Polynomial(self.nvars, domain,
@@ -506,6 +488,8 @@ def parse_polynomial(text, nvars, domain=ZZ):
                 continue
             m = re.fullmatch(r"(\d+)(?:/(\d+))?", factor)
             if m:
+                if m.group(2) and not int(m.group(2)):
+                    raise PolynomialParseError(f"zero denominator in {text!r}")
                 coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
                 continue
             raise PolynomialParseError(f"bad factor {factor!r} in {text!r}")

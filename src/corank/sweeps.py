@@ -27,11 +27,6 @@ from .polyring import (DEGREVLEX, QQ, ZZ, buchberger, ideals_equal, normal_form,
                        parse_polynomial)
 from .zeroforcing import certificate_minor, mz, zero_forcing_number
 
-SWEEP_NAMES = ("thm2.1", "lemma-monotone", "thm-trees", "prop-cycles",
-               "prop-petersen", "prop-linegraphs", "thm-rank1", "thm-digraph1",
-               "three-exceptional")
-
-
 @dataclass
 class SweepResult:
     name: str

@@ -159,10 +159,6 @@ class CertificateMinor:
     cols: tuple          # forced vertices b_1..b_k
     determinant: int     # (-1)^k, forced by the triangular shape
 
-    @property
-    def k(self):
-        return len(self.rows)
-
 
 def certificate_minor(g, record: ForceRecord) -> CertificateMinor:
     """The submatrix of the variable-diagonal Laplacian on rows a_i, cols b_i.

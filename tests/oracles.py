@@ -1,0 +1,59 @@
+"""Test oracles: reference computations that no corank command runs.
+
+Each reaches its answer by a route of its own, so that a test can hold the
+engine against it.
+"""
+
+from dataclasses import dataclass
+
+from corank.config import DEFAULT_CONFIG
+from corank.criticalideals import gamma
+from corank.polyring import QQ, ZZ, Polynomial
+from corank.zeroforcing import zero_forcing_number
+
+
+def contained_in_monomials_plus_constant(minors, var_indices, constant):
+    """Exact Z-containment test against <x_i for i in S, c>.
+
+    A polynomial lies in that ideal iff every term free of the listed
+    variables has a coefficient divisible by c.
+    """
+    for p in minors:
+        for mono, coeff in p.terms.items():
+            if any(mono[i] for i in var_indices):
+                continue
+            if coeff % constant != 0:
+                return False
+    return True
+
+
+@dataclass
+class Mr2CorollaryResult:
+    applicable: bool
+    holds: bool | None
+    mr: int
+    gamma_q: int
+
+
+def check_mr2_corollary(g, config=DEFAULT_CONFIG, cache=None) -> Mr2CorollaryResult:
+    """For connected graphs with mr <= 2 (exact at n <= 7), mr <= gamma.
+
+    Graphs with mr > 2 are reported not applicable rather than false.
+    """
+    if g.n > 7:
+        raise ValueError("exact minimum rank needs n <= 7")
+    zf = zero_forcing_number(g, config)
+    mr = g.n - zf.z
+    gq = gamma(g, QQ, config, cache)
+    if mr > 2:
+        return Mr2CorollaryResult(False, None, mr, gq.value)
+    return Mr2CorollaryResult(True, mr <= gq.value, mr, gq.value)
+
+
+def entry(L, u, v):
+    """Entry (u, v) of the generalized Laplacian ``L`` as a polynomial over
+    Z: x_u on the diagonal, -m_uv off it.  Built from the multiplicities
+    alone, so it stays independent of ``L.minor``."""
+    if u == v:
+        return Polynomial(L.n, ZZ, {tuple(int(j == u) for j in range(L.n)): 1})
+    return Polynomial(L.n, ZZ, {(0,) * L.n: -L.multiplicity(u, v)})

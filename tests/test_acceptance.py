@@ -30,6 +30,7 @@ from corank.sweeps import (reproduce_gap_table, sweep_cycles, sweep_digraph1,
                            sweep_linegraphs, sweep_petersen, sweep_rank1,
                            sweep_thm21, sweep_three_exceptional, sweep_trees)
 from corank.zeroforcing import closure, zero_forcing_number
+from oracles import contained_in_monomials_plus_constant
 
 
 def _report(criterion, message):
@@ -54,7 +55,6 @@ def test_criterion_01_appendix_reproduction(gamma_table_143, shared_cache):
 def test_criterion_02_octahedron_example(shared_cache):
     """Z = 4, mz = 2, mr = 2, gamma_Z = 2, gamma_Q = 3; the 3-minor ideal
     matches the reference over Z; the 4-minor ideal vanishes at zero."""
-    from corank.criticalideals import contained_in_monomials_plus_constant
     from corank.minrank import mr_small
     g = octahedron()
     zf = zero_forcing_number(g)
@@ -207,10 +207,8 @@ def test_criterion_10_engine_properties(gamma_table_143, shared_cache):
                 f, g2 = basis.generators[i], basis.generators[j]
                 lf, lg = f.lead_monomial(basis.order), g2.lead_monomial(basis.order)
                 lcm = mono_lcm(lf, lg)
-                s = f.mul_term(QQ.inv(f.lead_coeff(basis.order)),
-                               mono_div(lcm, lf)) \
-                    - g2.mul_term(QQ.inv(g2.lead_coeff(basis.order)),
-                                  mono_div(lcm, lg))
+                s = f * Polynomial(3, QQ, {mono_div(lcm, lf): QQ.inv(f.terms[lf])}) \
+                    - g2 * Polynomial(3, QQ, {mono_div(lcm, lg): QQ.inv(g2.terms[lg])})
                 assert normal_form(s, basis.generators, basis.order).is_zero()
         ok, cof = is_trivial_over_field(gens, want_cofactors=True)
         if ok:

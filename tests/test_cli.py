@@ -110,6 +110,11 @@ def test_jobs_forks_no_more_workers_than_inputs(capsys, monkeypatch):
     code2, out2 = run(capsys, "params", "--jobs", "1", "Bw\nBg")
     assert widths == [2]
     assert code1 == code2 == 0 and out1 == out2
+    # an input with no graph starts no pool and reports like --jobs 1
+    code3, out3 = run(capsys, "params", "--jobs", "2", "# nothing")
+    code4, out4 = run(capsys, "params", "--jobs", "1", "# nothing")
+    assert widths == [2]
+    assert code3 == code4 == 0 and out3 == out4 == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -242,6 +247,7 @@ def test_gb_compare_with_a_missing_file_is_an_error(capsys, tmp_path):
 @pytest.mark.parametrize("text, line", [
     ("x0 - x1\nx0 +* x1\n", "line 2: bad factor"),
     ("# x9 names no vertex of a 5-vertex graph\n\nx9\n", "line 3: variable x9 out of range"),
+    ("x0 - x1\nx0 - 1/0\n", "line 2: zero denominator in 'x0 - 1/0'"),
 ])
 def test_a_malformed_gb_compare_line_is_a_parse_error_naming_it(capsys, tmp_path, text,
                                                                 line):

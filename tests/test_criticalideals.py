@@ -20,12 +20,13 @@ from corank.generators import (bull, complete, complete_multipartite, cycle,
                                graph_a, graph_b, graph_c, matching_3k2, octahedron, path,
                                petersen)
 from corank.goldens import OCTAHEDRON_I3_OVER_Z, OCTAHEDRON_I4_OVER_R, GRAPH_B_I4
-from corank.graphs import Digraph, Graph, relabel
+from corank.graphs import Digraph, Graph, canonical_form, relabel
 from corank.linalg import det_exact, exact_rank
 from corank.polyring import (DEGREVLEX, GF, QQ, ZZ, Polynomial, buchberger,
                              format_polynomial, is_trivial_over_Z, normal_form,
                              parse_polynomial)
 from corank.zeroforcing import zero_forcing_number
+from oracles import contained_in_monomials_plus_constant, entry
 
 
 def test_laplacian_matches_printed_bull_matrix():
@@ -40,7 +41,7 @@ def test_laplacian_matches_printed_bull_matrix():
     ]
     for i in range(5):
         for j in range(5):
-            e = L.entry(i, j)
+            e = entry(L, i, j)
             if i == j:
                 assert format_polynomial(e) == expected[i][j]
             else:
@@ -58,7 +59,7 @@ def test_laplacian_octahedron_offdiagonal_support():
 
 
 def test_laplacian_k1_and_digraph():
-    assert format_polynomial(generalized_laplacian(Graph(1)).entry(0, 0)) == "x0"
+    assert format_polynomial(entry(generalized_laplacian(Graph(1)), 0, 0)) == "x0"
     d = Digraph(2, [(0, 1)])
     L = generalized_laplacian(d)
     assert L.multiplicity(0, 1) == 1 and L.multiplicity(1, 0) == 0
@@ -120,7 +121,7 @@ def _cofactor_minor(L, rows, cols, memo):
         if rows:
             res = Polynomial.zero(L.n, ZZ)
             for j, c in enumerate(cols):
-                e = L.entry(rows[0], c)
+                e = entry(L, rows[0], c)
                 if e.is_zero():
                     continue
                 term = e * _cofactor_minor(L, rows[1:], cols[:j] + cols[j + 1:], memo)
@@ -341,9 +342,8 @@ def test_groebner_basis_reporting_and_reference_ideals():
     # in the labeling the reference was computed in (vertices 4 and 5 are
     # swapped relative to the drawn matrix; the graphs are isomorphic)
     from corank.goldens import octahedron_for_reference_i4
-    from corank.graphs import are_isomorphic
     host = octahedron_for_reference_i4()
-    assert are_isomorphic(host, octahedron())
+    assert canonical_form(host) == canonical_form(octahedron())
     basis_oct = groebner_basis_of_critical_ideal(host, 4, QQ)
     ref_oct = [parse_polynomial(t, 6, QQ) for t in OCTAHEDRON_I4_OVER_R]
     oct_ref_basis = buchberger(ref_oct)
@@ -352,7 +352,6 @@ def test_groebner_basis_reporting_and_reference_ideals():
 
 
 def test_octahedron_i3_equals_reference_over_Z():
-    from corank.criticalideals import contained_in_monomials_plus_constant
     g = octahedron()
     L = generalized_laplacian(g)
     gens = minor_generators(L, 3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corank.criticalideals import gamma, generalized_laplacian
-from corank.graphs import (Digraph, Graph, are_isomorphic, canonical_form,
+from corank.graphs import (Digraph, Graph, canonical_form,
                            complement, contains_induced, induced_subgraph,
                            is_connected, is_tree, line_graph, relabel, rooted_tree)
 from corank.generators import bull, complete, cycle, matching_3k2, path, star
@@ -53,10 +53,10 @@ def test_complement_involution_and_octahedron():
 
 
 def test_line_graph():
-    assert are_isomorphic(line_graph(path(4)), path(3))
-    assert are_isomorphic(line_graph(star(3)), complete(3))
+    assert canonical_form(line_graph(path(4))) == canonical_form(path(3))
+    assert canonical_form(line_graph(star(3))) == canonical_form(complete(3))
     for n in range(3, 9):
-        assert are_isomorphic(line_graph(path(n)), path(n - 1))
+        assert canonical_form(line_graph(path(n))) == canonical_form(path(n - 1))
     # handshake identity on the bull's degree sequence 3,3,2,1,1
     assert line_graph(bull()).m == sum(d * (d - 1) // 2
                                        for d in bull().degrees())
@@ -168,7 +168,7 @@ def test_rooted_tree_refuses_a_digraph(g):
 def test_induced_subgraph_relabels_densely():
     g = bull()
     h = induced_subgraph(g, [0, 1, 2])
-    assert are_isomorphic(h, complete(3))
+    assert canonical_form(h) == canonical_form(complete(3))
     d = Digraph(4, [(0, 1), (1, 2), (2, 3)])
     h2 = induced_subgraph(d, [1, 2, 3])
     assert h2.arcs == frozenset({(0, 1), (1, 2)})

@@ -1,0 +1,49 @@
+"""The CLI reports, pinned by the sha256 of stdout and the exit code.
+
+A change meant to leave every report byte-identical keeps every pin.  The
+graph commands read the named catalog followed by the 31 connected graphs
+with n <= 5, as graph6 lines.  Regenerate a pin only for a change that
+means to alter that report, and say so where the change is recorded.
+"""
+
+import hashlib
+
+import pytest
+
+from corank.cli import main
+from corank.enumeration import enumerate_connected_graphs
+from corank.formats import write_graph6
+from corank.generators import NAMED_GRAPHS
+
+CATALOG = "".join(write_graph6(g) + "\n" for g in
+                  [make() for make in NAMED_GRAPHS.values()] + enumerate_connected_graphs(5))
+C4_ARCS = "4 4\n0 1\n1 2\n2 3\n3 0\n"
+
+PINS = [
+    (["gamma", "--domain", "fp:5", "--domain", "z", "--domain", "q", CATALOG],
+     "d41e683d7a3e61f248ee1f24415fe8fbd6a4ebbbb14638fb249e13a74c835b76"),
+    (["mrcr", "--box", "1", CATALOG],
+     "12d0485ff359400e254ec36f2e2909c34c3ad915769b0d4eb82824eb827eee39"),
+    (["classify", CATALOG],
+     "af215ec5775a18c6364a0d97d6a64f5f9c1aa924d40790840324407817dab6ae"),
+    (["zf", CATALOG],
+     "51d9312cca493a5477d6b17b6a27901d4a6b9cd835d6de461935262b90a7e1c1"),
+    (["params", "--digraph", C4_ARCS],
+     "ff9e25bd52c117d9bcfdb69080a9e2f9ad6fcea54655a7865cfc58a4be3d69c2"),
+    (["sweep", "thm-rank1"],
+     "eed7a583ea797c65f0578263569ba48b5da6900cbe5799975edc36e500636433"),
+    (["sweep", "thm-digraph1"],
+     "e33ea5d2529a1b1779373edaa92fce594128979fd39ca54fc85229f92dfc92fc"),
+]
+
+
+def test_the_catalog_holds_38_graphs():
+    assert CATALOG.count("\n") == 38
+
+
+@pytest.mark.parametrize("argv, digest", PINS,
+                         ids=[" ".join(a for a in argv if "\n" not in a) for argv, _ in PINS])
+def test_the_report_is_byte_identical(capsys, argv, digest):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)

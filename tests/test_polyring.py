@@ -122,10 +122,9 @@ def _assert_spolys_reduce(basis):
             lf = f.lead_monomial(basis.order)
             lg = g.lead_monomial(basis.order)
             lcm = mono_lcm(lf, lg)
-            s = f.mul_term(f.domain.inv(f.lead_coeff(basis.order)),
-                           mono_div(lcm, lf)) \
-                - g.mul_term(g.domain.inv(g.lead_coeff(basis.order)),
-                             mono_div(lcm, lg))
+            dom = f.domain
+            s = f * Polynomial(f.nvars, dom, {mono_div(lcm, lf): dom.inv(f.terms[lf])}) \
+                - g * Polynomial(g.nvars, dom, {mono_div(lcm, lg): dom.inv(g.terms[lg])})
             assert normal_form(s, gens, basis.order).is_zero()
 
 
