@@ -116,6 +116,11 @@ def minor_generators(matrix: SymbolicMatrix, size: int,
     with the sign it was found with, when neither it nor its negative was
     kept before.  With stop_at_unit, generation stops as soon as a +-1
     constant minor is found (it already decides triviality over every ring).
+
+    A symmetric matrix has minor(rows, cols) = minor(cols, rows), and of the
+    two the one with the smaller row set comes first, so only cols >= rows
+    are expanded: the generators and the unit minor are the same, and
+    constant_minors loses only transposes of minors listed before them.
     """
     n = matrix.n
     if not 0 <= size <= n:
@@ -124,8 +129,11 @@ def minor_generators(matrix: SymbolicMatrix, size: int,
     seen = set()
     unit = None
     constants = []
-    for rows in combinations(range(n), size):
-        for cols in combinations(range(n), size):
+    subsets = list(combinations(range(n), size))
+    mult = matrix._mult
+    symmetric = all(mult.get((v, u), 0) == m for (u, v), m in mult.items())
+    for k, rows in enumerate(subsets):
+        for cols in subsets[k:] if symmetric else subsets:
             d = matrix._expand(rows, cols)
             if not d:
                 continue

@@ -3,9 +3,17 @@
 Coefficient domains: arbitrary-precision rationals (QQ), the integers (ZZ,
 for holding expanded minors and certificates), and prime fields GF(p).
 Everything is exact; no floating point enters any ideal decision.
+
+Division and Buchberger run on packed-int monomials.  Over F_p a Groebner
+run keeps its basis monic; over Q it is fraction-free: primitive integer
+polynomials with positive leading coefficients, reduced by pseudo-division
+(Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 2),
+and made monic, with Fraction coefficients, only where the run hands a
+polynomial out.  Integer generators go into a Q run as they are.
 """
 
 import heapq
+import math
 import operator
 from fractions import Fraction
 from math import gcd
@@ -502,12 +510,12 @@ def parse_polynomial(text, nvars, domain=ZZ):
 # ---------------------------------------------------------------------------
 # division
 
-def _divisor(head, inv, tail, dom):
-    """A divisor as _reduce reads it: its packed leading monomial, the
-    inverse of its leading coefficient, and its other terms with their
-    coefficients times -inv."""
-    mul, neg = dom.mul, dom.neg
-    return head, inv, [(m, neg(mul(c, inv))) for m, c in tail]
+def _divisor(head, lead, tail, dom):
+    """A divisor as _reduce reads it: its packed leading monomial, its
+    leading coefficient, and its other terms with their coefficients
+    negated."""
+    neg = dom.neg
+    return head, lead, [(m, neg(c)) for m, c in tail]
 
 
 def _reduce(terms, divisors, pk, dom, quots=None):
@@ -517,9 +525,17 @@ def _reduce(terms, divisors, pk, dom, quots=None):
     monomial divides it; terms no divisor reduces move to the remainder.
     The terms still to reduce sit in a dict and a max-heap of their keys;
     a key whose term cancelled stays in the heap and is skipped when popped.
-    Returns the remainder as a term dict in descending order, so its
-    leading term comes first.  With quots (one dict per divisor), adds
-    each quotient term to its divisor's dict.
+
+    A divisor's leading coefficient a is 1, or a positive int in Q's
+    fraction-free run, whose terms are ints.  Before a term c is reduced by
+    a divisor with a != 1, the terms still to reduce, the remainder and the
+    quotients are scaled by a / gcd(a, c), so no fraction arises.
+
+    Returns (remainder, scale): the remainder as a term dict in descending
+    order, so its leading term comes first, and the product of the
+    scalings: scale * terms = sum of quotient_k * divisor_k + remainder.
+    With quots (one dict per divisor), adds each quotient term to its
+    divisor's dict.
     """
     heappop, heappush = heapq.heappop, heapq.heappush
     add, mul = dom.add, dom.mul
@@ -529,6 +545,7 @@ def _reduce(terms, divisors, pk, dom, quots=None):
     heap = [-(m ^ flip) for m in todo]
     heapq.heapify(heap)
     rem = {}
+    scale = 1
     while heap:
         m = -heappop(heap) ^ flip
         c = todo.pop(m, None)
@@ -541,10 +558,19 @@ def _reduce(terms, divisors, pk, dom, quots=None):
             rem[m] = c
             continue
         q = m - h
-        _, inv, tail = divisors[k]
+        _, a, tail = divisors[k]
+        if a != 1:
+            g = gcd(a, c)
+            f = a // g
+            c //= g
+            if f != 1:
+                scale *= f
+                for part in [todo, rem] + (quots or []):
+                    for t in part:
+                        part[t] *= f
         if quots is not None:
             # leading monomials strictly decrease, so q is new for divisor k
-            quots[k][q] = mul(c, inv)
+            quots[k][q] = c
         for tm, tc in tail:
             p = tm + q
             old = todo.get(p)
@@ -559,7 +585,7 @@ def _reduce(terms, divisors, pk, dom, quots=None):
                     del todo[p]
                 else:
                     todo[p] = s
-    return rem
+    return rem, scale
 
 
 def _unpacked(terms, pk, nvars, dom):
@@ -581,16 +607,20 @@ def normal_form(f, divisors, order=DEGREVLEX, with_quotients=False):
     nvars, dom = f.nvars, f.domain
 
     def run(pk):
-        packed = []
+        packed, invs = [], []
         for g in divisors:
             lm = g.lead_monomial(order)
-            tail = [(pk.pack(m), c) for m, c in g.terms.items() if m != lm]
-            packed.append(_divisor(pk.pack(lm), dom.inv(g.terms[lm]), tail, dom))
+            inv = dom.inv(g.terms[lm])
+            tail = [(pk.pack(m), dom.mul(c, inv)) for m, c in g.terms.items() if m != lm]
+            packed.append(_divisor(pk.pack(lm), 1, tail, dom))
+            invs.append(inv)
         quots = [{} for _ in divisors] if with_quotients else None
-        r = _reduce({pk.pack(m): c for m, c in f.terms.items()}, packed, pk, dom, quots)
+        r, _ = _reduce({pk.pack(m): c for m, c in f.terms.items()}, packed, pk, dom, quots)
         r = _unpacked(r, pk, nvars, dom)
         if with_quotients:
-            return r, [_unpacked(q, pk, nvars, dom) for q in quots]
+            # the quotients of the monic divisors, for the divisors themselves
+            return r, [_unpacked({m: dom.mul(c, inv) for m, c in q.items()}, pk, nvars, dom)
+                       for q, inv in zip(quots, invs)]
         return r
 
     degree = max(g.total_degree() for g in [f] + divisors)
@@ -656,7 +686,8 @@ def _add_shifted(out, terms, shift, scale, pk, dom):
 
 def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
                track_cofactors=False):
-    """Reduced Groebner basis over a field domain.
+    """Reduced Groebner basis over the field of the generators' domain: Q
+    for integer generators, which go into the run as they are.
 
     Normal selection strategy (smallest lcm degree first) with the coprime
     and chain pair-elimination criteria.  Input generators are seeded in
@@ -672,66 +703,86 @@ def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
         return IdealBasis([], ZZ if not generators else generators[0].domain, order,
                           is_groebner=True, cofactors=[] if track_cofactors else None)
     nvars, dom = gens[0].nvars, gens[0].domain
-    if not dom.is_field:
-        raise DomainMismatch("buchberger requires a field domain")
+    field = dom if dom.is_field else QQ
     degree = max(max(g.total_degree() for g in gens), 2 * degree_cap)
     return _widening(nvars, order, degree, lambda pk: _buchberger(
-        gens, order, pk, spair_cap, degree_cap, track_cofactors))
+        gens, field, order, pk, spair_cap, degree_cap, track_cofactors))
 
 
-def _buchberger(gens, order, pk, spair_cap, degree_cap, track_cofactors):
-    """buchberger's run on one packed layout; raises _Overflow if a product
-    does not fit it."""
-    nvars, dom = gens[0].nvars, gens[0].domain
+def _buchberger(gens, dom, order, pk, spair_cap, degree_cap, track_cofactors):
+    """buchberger's run over the field dom on one packed layout; raises
+    _Overflow if a product does not fit it.
+
+    Over Q each basis element is kept as a primitive integer polynomial with
+    a positive leading coefficient, a nonzero multiple of the monic one that
+    F_p keeps, so every zero test, leading monomial and pair choice is the
+    same.  A cofactor vector is scaled with its polynomial and stays Q-valued.
+    """
+    nvars = gens[0].nvars
     mul, neg, inv_of = dom.mul, dom.neg, dom.inv
     guard, degree = pk.guard, pk.degree
-    one = dom.coerce(1)
     ngens = len(gens)
     # deterministic seeding order; cofactor slots stay in caller order
     seed_order = sorted(range(ngens), key=lambda i: gens[i].key())
 
-    polys = []       # basis elements as packed term dicts, monic, head first
+    polys = []       # basis elements as packed term dicts, head first
     heads = []       # their leading monomials
     tails = []       # their other terms, as (monomial, coefficient) lists
     divisors = []    # their _divisor tuples
     cofs = []        # parallel cofactor vectors when tracking
 
+    def scaled(pcof, f):
+        return None if pcof is None else [{m: mul(c, f) for m, c in q.items()}
+                                          for q in pcof]
+
+    def monic(p, pcof):
+        """p and its cofactor vector scaled to leading coefficient one,
+        as the run hands them out."""
+        inv = inv_of(next(iter(p.values())))
+        return {m: mul(c, inv) for m, c in p.items()}, scaled(pcof, inv)
+
+    def normalized(p, pcof):
+        """p and its cofactor vector as the run keeps a basis element."""
+        if dom is not QQ:
+            return monic(p, pcof)
+        g = gcd(*p.values())
+        if next(iter(p.values())) < 0:
+            g = -g
+        if g == 1:
+            return p, pcof
+        return {m: c // g for m, c in p.items()}, scaled(pcof, Fraction(1, g))
+
     def partial():
-        return IdealBasis([_unpacked(p, pk, nvars, dom) for p in polys], dom, order)
+        return IdealBasis([_unpacked(monic(p, None)[0], pk, nvars, dom) for p in polys],
+                          dom, order)
 
     def reduce_with_cof(p, pcof, idx=None):
         """Fully reduce p by the basis elements listed in idx (default all),
-        updating its cofactor vector by pcof - sum q_j * cofs[j]."""
+        updating its cofactor vector to scale * pcof - sum q_j * cofs[j]."""
         if idx is None:
             idx = range(len(polys))
         quots = None if pcof is None else [{} for _ in idx]
-        r = _reduce(p, [divisors[j] for j in idx], pk, dom, quots)
+        r, scale = _reduce(p, [divisors[j] for j in idx], pk, dom, quots)
         if pcof is not None:
-            pcof = [dict(a) for a in pcof]
+            pcof = scaled(pcof, scale)
             for q, j in zip(quots, idx):
                 for qm, qc in q.items():
                     for a, b in zip(pcof, cofs[j]):
                         _add_shifted(a, b.items(), qm, neg(qc), pk, dom)
         return r, pcof
 
-    def monic(p, pcof):
-        """p and its cofactor vector scaled to leading coefficient one."""
-        inv = inv_of(next(iter(p.values())))
-        return ({m: mul(c, inv) for m, c in p.items()},
-                None if pcof is None else
-                [{m: mul(c, inv) for m, c in q.items()} for q in pcof])
-
     heap = []        # (lcm degree, i, j, lcm)
     pending = set()  # {(i, j)} mirror of the heap for the chain criterion
 
     def add_to_basis(p, pcof):
-        """Insert a fully reduced nonzero polynomial made monic; a constant
-        ends the run, and the basis {1} is returned."""
+        """Insert a fully reduced nonzero polynomial in the basis's form; a
+        constant ends the run, and the basis {1} is returned."""
         if max(map(degree, p)) > degree_cap:
             raise BudgetExceeded("degree cap exceeded", partial())
-        p, pcof = monic(p, pcof)
+        p, pcof = normalized(p, pcof)
         head = next(iter(p))
         if head == 0:
+            p, pcof = monic(p, pcof)
             return IdealBasis([_unpacked(p, pk, nvars, dom)], dom, order, is_groebner=True,
                               cofactors=None if pcof is None else
                               [[_unpacked(c, pk, nvars, dom) for c in pcof]])
@@ -739,7 +790,7 @@ def _buchberger(gens, order, pk, spair_cap, degree_cap, track_cofactors):
         polys.append(p)
         heads.append(head)
         tails.append(list(p.items())[1:])
-        divisors.append(_divisor(head, one, tails[k], dom))
+        divisors.append(_divisor(head, p[head], tails[k], dom))
         cofs.append(pcof)
         for i in range(k):
             lcm = pk.lcm(heads[i], head)
@@ -747,13 +798,17 @@ def _buchberger(gens, order, pk, spair_cap, degree_cap, track_cofactors):
             pending.add((i, k))
         return None
 
-    # seed the basis, reducing each generator against what came before
+    # seed the basis, reducing each generator against what came before;
+    # a generator's denominators are cleared first (none over F_p or Z)
     for idx in seed_order:
-        g = {pk.pack(mono): c for mono, c in gens[idx].terms.items()}
+        terms = gens[idx].terms
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        g = {pk.pack(mono): c.numerator * (den // c.denominator)
+             for mono, c in terms.items()}
         gc = None
         if track_cofactors:
             gc = [{} for _ in range(ngens)]
-            gc[idx] = {0: one}
+            gc[idx] = {0: den}
         r, rc = reduce_with_cof(g, gc)
         if r:
             done = add_to_basis(r, rc)
@@ -782,19 +837,25 @@ def _buchberger(gens, order, pk, spair_cap, degree_cap, track_cofactors):
         spairs_done += 1
         if spairs_done > spair_cap:
             raise BudgetExceeded("S-pair cap exceeded", partial())
-        # both elements are monic, so the S-polynomial is the difference of
-        # their tails times the cofactors of their heads in the lcm; j's
+        # the S-polynomial is the difference of the two tails times the
+        # cofactors of their heads in the lcm, each scaled by the other's
+        # leading coefficient over their gcd (both one over F_p); j's
         # divisor holds its tail negated
         mi, mj = lcm - hi, lcm - hj
+        ai, aj = divisors[i][1], divisors[j][1]
+        si = sj = None
+        if ai != aj:
+            g = gcd(ai, aj)
+            si, sj = aj // g, ai // g
         s = {}
-        _add_shifted(s, tails[i], mi, None, pk, dom)
-        _add_shifted(s, divisors[j][2], mj, None, pk, dom)
+        _add_shifted(s, tails[i], mi, si, pk, dom)
+        _add_shifted(s, divisors[j][2], mj, sj, pk, dom)
         scof = None
         if track_cofactors:
             scof = [{} for _ in range(ngens)]
             for out, a, b in zip(scof, cofs[i], cofs[j]):
-                _add_shifted(out, a.items(), mi, None, pk, dom)
-                _add_shifted(out, b.items(), mj, neg(one), pk, dom)
+                _add_shifted(out, a.items(), mi, si, pk, dom)
+                _add_shifted(out, b.items(), mj, neg(sj or 1), pk, dom)
         r, rcof = reduce_with_cof(s, scof)
         if r:
             done = add_to_basis(r, rcof)
@@ -820,10 +881,12 @@ def _buchberger(gens, order, pk, spair_cap, degree_cap, track_cofactors):
 
 def is_trivial_over_field(generators, order=DEGREVLEX, spair_cap=50000,
                           degree_cap=30, want_cofactors=False):
-    """Decide 1 in <generators> over the (field) coefficient domain.
+    """Decide 1 in <generators> over the field of their coefficient domain
+    (Q for integer generators).
 
     Returns (True, cofactors-or-None) or (False, reduced basis).  With
-    cofactors, sum(h_i * g_i) == 1 exactly, verified by expansion.
+    cofactors, sum(h_i * g_i) == 1 exactly, verified by expansion; a
+    combination that fails the check raises AssertionError.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -834,11 +897,12 @@ def is_trivial_over_field(generators, order=DEGREVLEX, spair_cap=50000,
     if basis.is_trivial():
         if want_cofactors:
             hs = basis.cofactors[0]
-            check = Polynomial.zero(gens[0].nvars, gens[0].domain)
+            nvars, dom = gens[0].nvars, basis.domain
+            check = Polynomial.zero(nvars, dom)
             for h, g in zip(hs, gens):
-                check = check + h * g
-            assert check == Polynomial.constant(gens[0].nvars, gens[0].domain, 1), \
-                "cofactor expansion must reproduce 1"
+                check = check + h * g.to_domain(dom)
+            if check != Polynomial.constant(nvars, dom, 1):
+                raise AssertionError("cofactor expansion must reproduce 1")
             return True, hs
         return True, None
     return False, basis
@@ -887,16 +951,12 @@ def is_trivial_over_Z(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=3
     for g in gens:
         if g.is_constant() and ZZ.is_unit(g.constant_value()):
             return True, ("denominator", 1)
-    qgens = [g.to_domain(QQ) for g in gens]
-    ok, basis = is_trivial_over_field(qgens, order, spair_cap, degree_cap)
+    ok, basis = is_trivial_over_field(gens, order, spair_cap, degree_cap)
     if not ok:
         return False, ("rational-basis", basis)
-    _, payload = is_trivial_over_field(qgens, order, spair_cap, degree_cap,
+    _, payload = is_trivial_over_field(gens, order, spair_cap, degree_cap,
                                        want_cofactors=True)
-    d = 1
-    for h in payload:
-        for c in h.terms.values():
-            d = d * c.denominator // gcd(d, c.denominator)
+    d = math.lcm(*(c.denominator for h in payload for c in h.terms.values()))
     if d == 1:
         return True, ("denominator", 1)
     for p in _factor_desk_scale(d):

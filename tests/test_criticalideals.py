@@ -154,17 +154,29 @@ def _oracle_minor_generators(L, size, stop_at_unit, memo):
 
 def test_minor_generators_match_the_polynomial_expansion():
     """Generator order, signs and terms, the unit minor and the constant
-    minors of all 143 graphs at every index, against the oracle."""
+    minors of all 143 graphs and the 16 digraphs on 3 vertices at every
+    index, against the oracle, which expands every pair of row and column
+    sets.  A symmetric Laplacian skips the transposed minors: its constant
+    minors are the oracle's with cols >= rows, and the first one each
+    domain takes for a unit is the oracle's first."""
     graphs = enumerate_connected_graphs(6)
     assert len(graphs) == 143
-    for g in graphs:
+    for g in graphs + enumerate_digraphs(3):
         L, memo = generalized_laplacian(g), {}
+        symmetric = all(L.multiplicity(u, v) == L.multiplicity(v, u)
+                        for u, v in combinations(range(g.n), 2))
         for i in range(g.n + 1):
             for stop in (False, True):
                 got = minor_generators(L, i, stop)
                 gens, unit, constants = _oracle_minor_generators(L, i, stop, memo)
-                assert got.generators == gens, (g.edges, i, stop)
-                assert got.unit_minor == unit and got.constant_minors == constants
+                assert got.generators == gens, (g, i, stop)
+                assert got.unit_minor == unit
+                assert got.constant_minors == [m for m in constants
+                                               if not symmetric or m[1] >= m[0]]
+                for domain in (QQ, GF(2), GF(3)):
+                    assert next((m for m in got.constant_minors if domain.is_unit(m[2])),
+                                None) == \
+                        next((m for m in constants if domain.is_unit(m[2])), None)
 
 
 def test_z_decision_tracks_cofactors_only_for_rationally_trivial_ideals(monkeypatch):

@@ -3,11 +3,16 @@
 The digests and lists below were computed with the tuple-monomial division
 and Buchberger that the packed-monomial engine replaced, so they pin that
 the packed engine gives the same bases, decisions, certificates, S-pair
-counts and partial bases.
+counts and partial bases.  The cofactor items and the random rational
+ideals at the end were computed with the packed engine's Fraction run over
+Q, before Q's run became fraction-free.
 """
 
 import hashlib
 import json
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +21,8 @@ from corank.criticalideals import (generalized_laplacian, groebner_basis_of_crit
                                    minor_generators)
 from corank.enumeration import enumerate_connected_graphs
 from corank.formats import parse_graph6, write_graph6
-from corank.polyring import GF, QQ, ZZ, BudgetExceeded, buchberger, format_polynomial
+from corank.polyring import (DEGREVLEX, GF, QQ, ZZ, BudgetExceeded, Polynomial, buchberger,
+                             format_polynomial, is_trivial_over_Z, is_trivial_over_field)
 
 
 def _digest(data):
@@ -102,3 +108,59 @@ def test_the_spair_cap_stops_the_run_at_its_exact_count(g6, index, k, partial_le
     assert exc.value.reason == "S-pair cap exceeded"
     assert len(exc.value.partial) == partial_len
     assert _digest(_formatted(exc.value.partial)) == partial_digest
+
+
+# The two `ideals` items whose Z decision runs Buchberger with cofactors:
+# trivial over Q, the cofactors' denominators clear to D = 2, and proper
+# mod 2.  (graph6 in the enumeration's labeling, index, D, digest of the
+# mod-2 basis of the certificate)
+COFACTOR_ITEMS = [
+    ("EK~o", 3, 2, "cd296a2e25f633f09785bee5f528b8899659f8335b05b0bf0391ee78d66060e1"),
+    ("E]~o", 3, 2, "9369634096833debc4a2a1dc58bdc63adbcdcd04c134e227d8a22a2c10cbc7d2"),
+]
+
+
+@pytest.mark.parametrize("g6, index, d, basis_digest", COFACTOR_ITEMS,
+                         ids=[row[0] for row in COFACTOR_ITEMS])
+def test_a_rationally_trivial_critical_ideal_keeps_its_denominator(g6, index, d,
+                                                                   basis_digest):
+    gens = minor_generators(generalized_laplacian(parse_graph6(g6)), index).generators
+    ok, cofactors = is_trivial_over_field([p.to_domain(QQ) for p in gens],
+                                          want_cofactors=True)
+    assert ok and math.lcm(*(c.denominator for h in cofactors
+                             for c in h.terms.values())) == d
+    ok, cert = is_trivial_over_Z(gens)
+    assert not ok and cert[:2] == ("prime", 2) and cert[2].domain == GF(2)
+    assert _digest(_formatted(cert[2])) == basis_digest
+
+
+def _random_rational_ideal(rng):
+    """Up to four generators in three variables, exponents at most 2 and up
+    to four terms, as test_polyring's small_ideals, with coefficients
+    +-1..4 over 1..3, so that most leading coefficients are not 1."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        terms = {tuple(rng.randint(0, 2) for _ in range(3)):
+                 Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 4))}
+        gens.append(Polynomial(3, QQ, terms))
+    return gens
+
+
+def test_random_rational_ideals_keep_their_bases_and_partial_bases():
+    """200 seeded ideals over Q, each run under an S-pair cap of 0 to 8:
+    the reduced basis, or the budget's reason and partial basis, all monic."""
+    rng = random.Random(2024)
+    outcomes, capped, non_monic_inputs = [], 0, 0
+    for _ in range(200):
+        gens = _random_rational_ideal(rng)
+        non_monic_inputs += any(g.terms[g.lead_monomial(DEGREVLEX)] != 1 for g in gens)
+        try:
+            basis, reason = buchberger(gens, spair_cap=rng.randint(0, 8)), None
+        except BudgetExceeded as exc:
+            basis, reason = exc.partial, exc.reason
+            capped += 1
+        assert all(p.terms[p.lead_monomial(DEGREVLEX)] == 1 for p in basis)
+        outcomes.append([reason, _formatted(basis)])
+    assert (capped, non_monic_inputs) == (80, 192)
+    assert _digest(outcomes) == "43770af2e20bc939294c1e98111995a33a6805852fdec95a5a4c4405e85f6390"

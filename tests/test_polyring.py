@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +171,41 @@ def test_buchberger_cofactors_express_every_basis_element(gens):
         assert total == g
 
 
+@st.composite
+def scaled_rational_ideals(draw):
+    """Rational generators in three variables, each with a nonzero rational
+    multiplier, and an S-pair cap."""
+    monomial = st.tuples(*[st.integers(0, 2)] * 3)
+    coefficient = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    terms = st.dictionaries(monomial, coefficient, min_size=1, max_size=4)
+    gens = [g for g in (Polynomial(3, QQ, t) for t in
+                        draw(st.lists(terms, min_size=1, max_size=4))) if not g.is_zero()]
+    nonzero = st.integers(-5, 5).filter(bool)
+    scales = draw(st.lists(st.builds(Fraction, nonzero, st.integers(1, 5)),
+                           min_size=len(gens), max_size=len(gens)))
+    return gens, scales, draw(st.integers(0, 6))
+
+
+def _is_monic(p, order=DEGREVLEX):
+    return p.terms[p.lead_monomial(order)] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_rational_ideals())
+def test_scaling_the_generators_keeps_the_reduced_basis_and_every_element_monic(case):
+    gens, scales, spair_cap = case
+    scaled = [g * Polynomial.constant(3, QQ, c) for g, c in zip(gens, scales)]
+    basis = buchberger(gens)
+    assert buchberger(scaled).generators == basis.generators
+    assert all(_is_monic(p) for p in basis)
+    for run in (gens, scaled):
+        try:
+            capped = buchberger(run, spair_cap=spair_cap)
+        except BudgetExceeded as exc:
+            capped = exc.partial
+        assert all(_is_monic(p) for p in capped)
+
+
 def test_trivial_over_field_with_cofactors():
     gens = [poly("x0"), poly("x0 + 1")]
     ok, cof = is_trivial_over_field(gens, want_cofactors=True)
@@ -175,6 +214,32 @@ def test_trivial_over_field_with_cofactors():
     for h, g in zip(cof, gens):
         total = total + h * g
     assert total == Polynomial.constant(3, QQ, 1)
+
+
+def test_a_cofactor_combination_that_misses_one_raises_under_python_O():
+    """The cofactor check is a raise, not an assert, so `python -O` keeps
+    it: a corrupted cofactor makes is_trivial_over_field raise."""
+    code = """
+import corank.polyring as polyring
+from corank.polyring import QQ, Polynomial, is_trivial_over_field, parse_polynomial
+run = polyring.buchberger
+
+def corrupted(*args, **kwargs):
+    basis = run(*args, **kwargs)
+    basis.cofactors[0][0] = basis.cofactors[0][0] + Polynomial.constant(3, QQ, 1)
+    return basis
+
+polyring.buchberger = corrupted
+gens = [parse_polynomial(t, 3, QQ) for t in ("x0", "x0 + 1")]
+try:
+    is_trivial_over_field(gens, want_cofactors=True)
+except AssertionError as exc:
+    print(exc)
+"""
+    src = Path(polyring.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out == "cofactor expansion must reproduce 1\n"
 
 
 def test_trivial_over_Z_examples():
