@@ -7,7 +7,7 @@ existing path reads a file, anything else parses as inline text.  Exit
 codes: 0 success; 1 assertion or diff failure, invalid argument, or a file
 that cannot be read or written; 2 parse error; 3 a budget-undecided result,
 under --strict, or always when a command stops at a budget (gb over its
-S-pair or degree cap).
+S-pair or degree cap, or a canonical labeling over its work cap).
 """
 
 import argparse
@@ -16,11 +16,12 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .cache import DecisionCache
+from .classify import classify_digraph1, classify_rank1_graph
 from .config import RunConfig
 from .criticalideals import gamma, groebner_basis_of_critical_ideal
 from .formats import FormatError, autodetect, canonical_graph6
 from .goldens import gap_table
-from .graphs import Digraph
+from .graphs import Digraph, LabelingOverCap
 from .minrank import mrcr_bounds, tree_suite
 from .polyring import (ORDERS, QQ, ZZ, BudgetExceeded, DomainMismatch, PolynomialParseError,
                        buchberger, format_polynomial, ideals_equal, parse_polynomial)
@@ -56,9 +57,7 @@ def _config_from_args(args):
 
 
 def _domains(args):
-    if args.domain:
-        return [parse_domain(d) for d in args.domain]
-    return [ZZ, QQ]
+    return [parse_domain(d) for d in args.domain] if args.domain else [ZZ, QQ]
 
 
 def _emit(args, text):
@@ -94,77 +93,67 @@ def cmd_params(args):
     return EXIT_OK
 
 
-def cmd_gamma(args):
-    graphs = _read_input(args.input, args.digraph)
+def _each_graph(args, rows):
+    """Run rows(g, config, cache) -> [row] over every input graph with one
+    config and one cache; emit all rows as one JSON list and return it."""
+    graphs = _read_input(args.input, getattr(args, "digraph", False))
     config = _config_from_args(args)
-    cache = DecisionCache(args.cache)
-    out = []
-    undecided = False
-    for g in graphs:
-        entry = {"graph_id": canonical_graph6(g)}
-        for dom in _domains(args):
-            res = gamma(g, dom, config, cache)
-            entry[res.domain] = res.to_json()
-            undecided |= res.status != "exact"
-        out.append(entry)
+    cache = DecisionCache(getattr(args, "cache", None))
+    out = [row for g in graphs for row in rows(g, config, cache)]
     _emit(args, render_json(out))
-    return EXIT_UNDECIDED if args.strict and undecided else EXIT_OK
+    return out
+
+
+def cmd_gamma(args):
+    domains, statuses = _domains(args), set()
+
+    def rows(g, config, cache):
+        results = [gamma(g, dom, config, cache) for dom in domains]
+        statuses.update(r.status for r in results)
+        return [{"graph_id": canonical_graph6(g), **{r.domain: r.to_json() for r in results}}]
+
+    _each_graph(args, rows)
+    return EXIT_UNDECIDED if args.strict and statuses - {"exact"} else EXIT_OK
 
 
 def cmd_zf(args):
-    graphs = _read_input(args.input, args.digraph)
-    out = []
-    for g in graphs:
+    def rows(g, config, cache):
         r = zero_forcing_number(g)
-        out.append({"graph_id": canonical_graph6(g), "n": g.n, "z": r.z,
-                    "mz": g.n - r.z, "exact": r.exact,
-                    "record": r.witness.to_json()})
-    _emit(args, render_json(out))
+        return [{"graph_id": canonical_graph6(g), "n": g.n, "z": r.z, "mz": g.n - r.z,
+                 "exact": r.exact, "record": r.witness.to_json()}]
+
+    _each_graph(args, rows)
     return EXIT_OK
 
 
 def cmd_mrcr(args):
-    graphs = _read_input(args.input, args.digraph)
-    config = _config_from_args(args)
-    cache = DecisionCache(args.cache)
-    out = []
-    for g in graphs:
-        for dom in _domains(args):
+    domains = _domains(args)
+
+    def rows(g, config, cache):
+        for dom in domains:
             pre = gamma(g, dom, config, cache)
             b = mrcr_bounds(g, dom, config.box_radius, config, gamma_result=pre)
-            out.append({"graph_id": canonical_graph6(g), "domain": b.domain,
-                        "lower": b.lower, "upper": b.upper,
-                        "witness": list(b.witness) if b.witness else None,
-                        "exhaustive": b.exhaustive})
-    _emit(args, render_json(out))
+            yield {"graph_id": canonical_graph6(g), "domain": b.domain,
+                   "lower": b.lower, "upper": b.upper,
+                   "witness": list(b.witness) if b.witness else None,
+                   "exhaustive": b.exhaustive}
+
+    _each_graph(args, rows)
     return EXIT_OK
 
 
 def cmd_trees(args):
-    graphs = _read_input(args.input, False)
-    config = _config_from_args(args)
-    cache = DecisionCache(args.cache)
-    out = []
-    for g in graphs:
-        out.append(tree_suite(g, config, cache).to_json())
-    _emit(args, render_json(out))
+    _each_graph(args, lambda g, config, cache: [tree_suite(g, config, cache).to_json()])
     return EXIT_OK
 
 
 def cmd_classify(args):
-    from .classify import classify_digraph1, classify_rank1_graph
-    graphs = _read_input(args.input, args.digraph)
-    config = _config_from_args(args)
-    cache = DecisionCache(args.cache)
-    out = []
-    disagreements = 0
-    for g in graphs:
-        rep = classify_digraph1(g, config, cache) if isinstance(g, Digraph) \
-            else classify_rank1_graph(g, config, cache)
-        out.append({"graph_id": canonical_graph6(g), **rep.to_json()})
-        disagreements += 0 if rep.agreement else 1
-    _emit(args, render_json(out))
-    return EXIT_OK if disagreements == 0 else EXIT_FAIL
+    def rows(g, config, cache):
+        classify = classify_digraph1 if isinstance(g, Digraph) else classify_rank1_graph
+        return [{"graph_id": canonical_graph6(g), **classify(g, config, cache).to_json()}]
+
+    out = _each_graph(args, rows)
+    return EXIT_OK if all(row["agreement"] for row in out) else EXIT_FAIL
 
 
 def cmd_gb(args):
@@ -177,10 +166,7 @@ def cmd_gb(args):
     order = ORDERS[args.order]
     domain = parse_domain(args.domain)
     result = groebner_basis_of_critical_ideal(g, args.index, domain, order, config)
-    if domain is ZZ:
-        basis, decision = result
-    else:
-        basis, decision = result, None
+    basis, decision = result if domain is ZZ else (result, None)
     payload = {
         "graph_id": canonical_graph6(g),
         "index": args.index,
@@ -189,7 +175,7 @@ def cmd_gb(args):
     }
     if decision is not None:
         payload["z_trivial"] = decision.to_json()
-    exit_code = EXIT_OK
+    equal = True
     if args.compare:
         gens = []
         for number, line in enumerate(Path(args.compare).read_text().splitlines(), 1):
@@ -203,10 +189,8 @@ def cmd_gb(args):
         equal = ideals_equal(basis, buchberger(gens, order, config.spair_cap,
                                                config.degree_cap))
         payload["compare"] = {"file": args.compare, "ideal_equal": equal}
-        if not equal:
-            exit_code = EXIT_FAIL
     _emit(args, render_json([payload]))
-    return exit_code
+    return EXIT_OK if equal else EXIT_FAIL
 
 
 def cmd_sweep(args):
@@ -250,18 +234,19 @@ _OPTIONS = {
 }
 _BUDGETS = ("--box", "--budget-spairs", "--budget-degree", "--cache", "--output")
 _PER_DOMAIN = ("--digraph", "--domain") + _BUDGETS
-# name -> (help, the shared options it reads); a command offers no other
+# name -> (handler, help, the shared options it reads); a command offers no other
 SUBCOMMANDS = {
-    "params": ("full parameter reports", tuple(_OPTIONS)),
-    "gamma": ("algebraic co-rank per domain", _PER_DOMAIN + ("--strict",)),
-    "zf": ("zero forcing number and record", ("--digraph", "--output")),
-    "mrcr": ("diagonal-evaluation rank bounds", _PER_DOMAIN),
-    "trees": ("tree parameter suite", _BUDGETS),
-    "classify": ("rank-one classifications", ("--digraph",) + _BUDGETS),
-    "gb": ("reduced basis of a minor ideal",
+    "params": (cmd_params, "full parameter reports", tuple(_OPTIONS)),
+    "gamma": (cmd_gamma, "algebraic co-rank per domain", _PER_DOMAIN + ("--strict",)),
+    "zf": (cmd_zf, "zero forcing number and record", ("--digraph", "--output")),
+    "mrcr": (cmd_mrcr, "diagonal-evaluation rank bounds", _PER_DOMAIN),
+    "trees": (cmd_trees, "tree parameter suite", _BUDGETS),
+    "classify": (cmd_classify, "rank-one classifications", ("--digraph",) + _BUDGETS),
+    "gb": (cmd_gb, "reduced basis of a minor ideal",
            ("--digraph", "--budget-spairs", "--budget-degree", "--output")),
-    "sweep": ("run one theorem verification sweep", _BUDGETS),
-    "reproduce-appendix": ("recompute the small-graph gap table and diff", _BUDGETS),
+    "sweep": (cmd_sweep, "run one theorem verification sweep", _BUDGETS),
+    "reproduce-appendix": (cmd_reproduce_appendix,
+                           "recompute the small-graph gap table and diff", _BUDGETS),
 }
 
 
@@ -270,8 +255,9 @@ def build_parser():
         prog="corank",
         description="Exact zero-forcing, co-rank and minimum-rank computations")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, options) in SUBCOMMANDS.items():
+    for name, (handler, text, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
         if name == "sweep":
             p.add_argument("theorem", choices=tuple(SWEEPS))
         elif name != "reproduce-appendix":
@@ -289,24 +275,11 @@ def build_parser():
     return parser
 
 
-COMMANDS = {
-    "params": cmd_params,
-    "gamma": cmd_gamma,
-    "zf": cmd_zf,
-    "mrcr": cmd_mrcr,
-    "trees": cmd_trees,
-    "classify": cmd_classify,
-    "gb": cmd_gb,
-    "sweep": cmd_sweep,
-    "reproduce-appendix": cmd_reproduce_appendix,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.handler(args)
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -316,6 +289,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"undecided: {exc.reason}, partial basis of {len(exc.partial)} "
               f"polynomials", file=sys.stderr)
+        return EXIT_UNDECIDED
+    except LabelingOverCap as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
 
 

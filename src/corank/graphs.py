@@ -277,8 +277,22 @@ def contains_induced(g, pattern):
 #     digraphs: (outdeg, indeg, interleaved arc bits to positions 0..j-1)
 # Including the degrees first makes degree-based candidate pruning exact.
 # Exhaustive (hence a true isomorphism certificate) at any n, but intended
-# for n <= 8; beyond that it is merely increasingly slow, never wrong.  The
-# form is computed once per graph object and kept in its _canonical slot.
+# for n <= 8; beyond that it is increasingly slow, never wrong, and a search
+# past LABELING_WORK_CAP stops with LabelingOverCap.  The form is computed
+# once per graph object and kept in its _canonical slot.
+
+# Work of one canonical labeling: each segment evaluation costs 1 plus the
+# length of the placed prefix it reads.  The largest search over the tests,
+# the benchmark workloads, `params` on the catalog and every sweep takes
+# 2,571,226 units (a 10-vertex tree in `sweep thm-trees`); the largest over
+# all trees with n <= 10 is the star K_{1,9}'s 16,768,972.  The cap is over
+# twice the latter, and stops C_300 or K_{1,12} in seconds, not hours.
+LABELING_WORK_CAP = 40_000_000
+
+
+class LabelingOverCap(RuntimeError):
+    """A canonical labeling stopped at LABELING_WORK_CAP."""
+
 
 class CanonicalForm:
     __slots__ = ("key", "perm", "n")
@@ -312,15 +326,20 @@ def _canonical_order(n, seg_of, interchangeable):
     best = None
     best_order = None
     cur = []
+    work = 0
 
     def dfs(placed, remaining):
-        nonlocal best, best_order
+        nonlocal best, best_order, work
         level = len(placed)
         if level == n:
             if best is None or cur < best:
                 best = list(cur)
                 best_order = list(placed)
             return
+        work += len(remaining) * (level + 1)
+        if work > LABELING_WORK_CAP:
+            raise LabelingOverCap(f"canonical labeling over its cap of "
+                                  f"{LABELING_WORK_CAP} work units")
         cands = sorted((seg_of(v, placed), v) for v in remaining)
         if len(remaining) >= 3 and interchangeable(remaining):
             cands = cands[:1]

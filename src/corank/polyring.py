@@ -393,20 +393,6 @@ class Polynomial:
         return Polynomial(self.nvars, domain,
                           {m: domain.coerce(c) for m, c in self.terms.items()})
 
-    def evaluate(self, point):
-        """Evaluate at a full point (one value per variable) in the domain."""
-        assert len(point) == self.nvars
-        dom = self.domain
-        point = [dom.coerce(v) for v in point]
-        total = dom.coerce(0)
-        for m, c in self.terms.items():
-            val = c
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    val = dom.mul(val, point[i])
-            total = dom.add(total, val)
-        return total
-
     # -- comparisons ---------------------------------------------------------
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.nvars == other.nvars
@@ -592,11 +578,10 @@ def _unpacked(terms, pk, nvars, dom):
     return Polynomial(nvars, dom, {pk.unpack(m): c for m, c in terms.items()}, _clean=True)
 
 
-def normal_form(f, divisors, order=DEGREVLEX, with_quotients=False):
+def normal_form(f, divisors, order=DEGREVLEX):
     """Remainder of f under multivariate division by the given divisors.
 
     The remainder has no term divisible by any divisor's leading monomial.
-    With quotients, returns (r, [q_i]) with f = sum q_i*g_i + r exactly.
     """
     if not f.domain.is_field:
         raise DomainMismatch("division requires a field domain")
@@ -607,21 +592,14 @@ def normal_form(f, divisors, order=DEGREVLEX, with_quotients=False):
     nvars, dom = f.nvars, f.domain
 
     def run(pk):
-        packed, invs = [], []
+        packed = []
         for g in divisors:
             lm = g.lead_monomial(order)
             inv = dom.inv(g.terms[lm])
             tail = [(pk.pack(m), dom.mul(c, inv)) for m, c in g.terms.items() if m != lm]
             packed.append(_divisor(pk.pack(lm), 1, tail, dom))
-            invs.append(inv)
-        quots = [{} for _ in divisors] if with_quotients else None
-        r, _ = _reduce({pk.pack(m): c for m, c in f.terms.items()}, packed, pk, dom, quots)
-        r = _unpacked(r, pk, nvars, dom)
-        if with_quotients:
-            # the quotients of the monic divisors, for the divisors themselves
-            return r, [_unpacked({m: dom.mul(c, inv) for m, c in q.items()}, pk, nvars, dom)
-                       for q, inv in zip(quots, invs)]
-        return r
+        r, _ = _reduce({pk.pack(m): c for m, c in f.terms.items()}, packed, pk, dom)
+        return _unpacked(r, pk, nvars, dom)
 
     degree = max(g.total_degree() for g in [f] + divisors)
     return _widening(nvars, order, degree, run)
@@ -653,13 +631,6 @@ class IdealBasis:
     def is_trivial(self):
         return (len(self.generators) == 1 and self.generators[0].is_constant()
                 and not self.generators[0].is_zero())
-
-    def contains(self, f):
-        """Ideal membership via reduction; valid when marked Groebner."""
-        assert self.is_groebner
-        if f.is_zero():
-            return True
-        return normal_form(f, self.generators, self.order).is_zero()
 
     def __repr__(self):
         gens = ", ".join(format_polynomial(g, self.order) for g in self.generators)
@@ -968,6 +939,17 @@ def is_trivial_over_Z(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=3
 
 
 def ideals_equal(basis_a, basis_b):
-    """Equality of two ideals given by Groebner bases, by mutual containment."""
-    return (all(basis_a.contains(g) for g in basis_b.generators)
-            and all(basis_b.contains(g) for g in basis_a.generators))
+    """Equality of two ideals over one field, given by their reduced Groebner
+    bases in one monomial order, as `buchberger` returns them.
+
+    The reduced basis of an ideal is unique (Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 2 sec. 7) and `buchberger` lists it by
+    descending leading monomial, so the ideals are equal exactly when the
+    generator lists are.  ValueError for anything but two such bases.
+    """
+    if not (basis_a.is_groebner and basis_b.is_groebner):
+        raise ValueError("ideals_equal needs two reduced Groebner bases")
+    if basis_a.order != basis_b.order:
+        raise ValueError(f"ideals_equal needs bases in one order, got "
+                         f"{basis_a.order.name} and {basis_b.order.name}")
+    return basis_a.generators == basis_b.generators

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from corank.config import DEFAULT_CONFIG
 from corank.criticalideals import gamma
-from corank.polyring import QQ, ZZ, Polynomial
+from corank.polyring import QQ, ZZ, Polynomial, normal_form
 from corank.zeroforcing import zero_forcing_number
 
 
@@ -57,3 +57,31 @@ def entry(L, u, v):
     if u == v:
         return Polynomial(L.n, ZZ, {tuple(int(j == u) for j in range(L.n)): 1})
     return Polynomial(L.n, ZZ, {(0,) * L.n: -L.multiplicity(u, v)})
+
+
+def contains(basis, f):
+    """Ideal membership by division: f lies in the ideal of a Groebner basis
+    exactly when it reduces to zero by it."""
+    assert basis.is_groebner
+    return f.is_zero() or normal_form(f, basis.generators, basis.order).is_zero()
+
+
+def ideals_equal_by_containment(basis_a, basis_b):
+    """Equality of two ideals given by Groebner bases, by mutual containment."""
+    return (all(contains(basis_a, g) for g in basis_b.generators)
+            and all(contains(basis_b, g) for g in basis_a.generators))
+
+
+def evaluate(p, point):
+    """The polynomial p at a full point (one value per variable) in its domain."""
+    assert len(point) == p.nvars
+    dom = p.domain
+    point = [dom.coerce(v) for v in point]
+    total = dom.coerce(0)
+    for m, c in p.terms.items():
+        val = c
+        for i, e in enumerate(m):
+            for _ in range(e):
+                val = dom.mul(val, point[i])
+        total = dom.add(total, val)
+    return total

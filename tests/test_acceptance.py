@@ -30,7 +30,7 @@ from corank.sweeps import (reproduce_gap_table, sweep_cycles, sweep_digraph1,
                            sweep_linegraphs, sweep_petersen, sweep_rank1,
                            sweep_thm21, sweep_three_exceptional, sweep_trees)
 from corank.zeroforcing import closure, zero_forcing_number
-from oracles import contained_in_monomials_plus_constant
+from oracles import contained_in_monomials_plus_constant, contains, evaluate
 
 
 def _report(criterion, message):
@@ -67,12 +67,12 @@ def test_criterion_02_octahedron_example(shared_cache):
     f2 = GF(2)
     basis2 = buchberger([p.to_domain(f2) for p in gens.generators])
     ref2 = [parse_polynomial(t, 6, f2) for t in OCTAHEDRON_I3_OVER_Z[:-1]]
-    assert all(basis2.contains(p) for p in ref2)
+    assert all(contains(basis2, p) for p in ref2)
     ref_basis2 = buchberger(ref2)
-    assert all(ref_basis2.contains(p) for p in basis2.generators)
+    assert all(contains(ref_basis2, p) for p in basis2.generators)
     gens4 = minor_generators(generalized_laplacian(g), 4)
     zero = [Fraction(0)] * 6
-    assert all(p.to_domain(QQ).evaluate(zero) == 0 for p in gens4.generators)
+    assert all(evaluate(p.to_domain(QQ), zero) == 0 for p in gens4.generators)
     assert exact_rank(generalized_laplacian(g).evaluate((0,) * 6)).rank == 3
     _report(2, "octahedron: Z=4 mz=2 mr=2 gamma_Z=2 gamma_Q=3, ideals verified")
 

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from corank import cli
+from corank import cli, graphs
 from corank.cli import build_parser, main
 from corank.config import RunConfig
 from corank.formats import write_graph6
-from corank.generators import graph_a, graph_b, octahedron, path
+from corank.generators import cycle, graph_a, graph_b, octahedron, path, star
 
 
 def run(capsys, *argv):
@@ -157,7 +157,7 @@ def test_every_option_the_readme_lists_parses():
     """And the README lists every option each command offers."""
     parser = build_parser()
     listed = readme_options()
-    assert set(listed) == set(cli.COMMANDS)
+    assert set(listed) == set(cli.SUBCOMMANDS)
     for command, options in listed.items():
         argv = [command] + POSITIONAL.get(command, ["Bw"])
         for option, metavar in options:
@@ -451,3 +451,12 @@ def test_no_command_ends_in_a_traceback(capsys):
                 assert main([command, *options, text]) in (0, 1, 2, 3), \
                     (command, options, text)
                 capsys.readouterr()
+
+
+@pytest.mark.parametrize("graph", [cycle(300), star(12)], ids=["C300", "K1,12"])
+def test_a_runaway_canonical_labeling_is_undecided(capsys, monkeypatch, graph):
+    # at the real cap each takes about ten seconds to stop; a lower cap
+    # stops the same searches sooner
+    monkeypatch.setattr(graphs, "LABELING_WORK_CAP", 2_000_000)
+    assert main(["zf", write_graph6(graph)]) == 3
+    assert capsys.readouterr().err.startswith("undecided: canonical labeling")

@@ -26,7 +26,7 @@ from corank.polyring import (DEGREVLEX, GF, QQ, ZZ, Polynomial, buchberger,
                              format_polynomial, is_trivial_over_Z, normal_form,
                              parse_polynomial)
 from corank.zeroforcing import zero_forcing_number
-from oracles import contained_in_monomials_plus_constant, entry
+from oracles import contained_in_monomials_plus_constant, contains, entry, evaluate
 
 
 def test_laplacian_matches_printed_bull_matrix():
@@ -348,8 +348,8 @@ def test_groebner_basis_reporting_and_reference_ideals():
     basis = groebner_basis_of_critical_ideal(graph_b(), 4, QQ)
     ref = [parse_polynomial(t, 6, QQ) for t in GRAPH_B_I4]
     ref_basis = buchberger(ref)
-    assert all(ref_basis.contains(p) for p in basis.generators)
-    assert all(basis.contains(p) for p in ref)
+    assert all(contains(ref_basis, p) for p in basis.generators)
+    assert all(contains(basis, p) for p in ref)
     # octahedron I4 over R matches its reference generators as an ideal,
     # in the labeling the reference was computed in (vertices 4 and 5 are
     # swapped relative to the drawn matrix; the graphs are isomorphic)
@@ -359,8 +359,8 @@ def test_groebner_basis_reporting_and_reference_ideals():
     basis_oct = groebner_basis_of_critical_ideal(host, 4, QQ)
     ref_oct = [parse_polynomial(t, 6, QQ) for t in OCTAHEDRON_I4_OVER_R]
     oct_ref_basis = buchberger(ref_oct)
-    assert all(oct_ref_basis.contains(p) for p in basis_oct.generators)
-    assert all(basis_oct.contains(p) for p in ref_oct)
+    assert all(contains(oct_ref_basis, p) for p in basis_oct.generators)
+    assert all(contains(basis_oct, p) for p in ref_oct)
 
 
 def test_octahedron_i3_equals_reference_over_Z():
@@ -375,9 +375,9 @@ def test_octahedron_i3_equals_reference_over_Z():
     f2 = GF(2)
     basis2 = buchberger([p.to_domain(f2) for p in gens.generators])
     ref2 = [parse_polynomial(t, 6, f2) for t in OCTAHEDRON_I3_OVER_Z[:-1]]
-    assert all(basis2.contains(p) for p in ref2)
+    assert all(contains(basis2, p) for p in ref2)
     ref_basis2 = buchberger(ref2)
-    assert all(ref_basis2.contains(p) for p in basis2.generators)
+    assert all(contains(ref_basis2, p) for p in basis2.generators)
     # and mod 3 both are trivial (2 is a unit)
     f3 = GF(3)
     basis3 = buchberger([p.to_domain(f3) for p in gens.generators])
@@ -418,7 +418,7 @@ def test_octahedron_i4_vanishes_at_zero():
     L = generalized_laplacian(octahedron())
     gens = minor_generators(L, 4)
     zero = [Fraction(0)] * 6
-    assert all(p.to_domain(QQ).evaluate(zero) == 0 for p in gens.generators)
+    assert all(evaluate(p.to_domain(QQ), zero) == 0 for p in gens.generators)
     assert exact_rank(L.evaluate((0,) * 6)).rank == 3
 
 
@@ -439,7 +439,7 @@ def test_point_kill_implies_field_nontrivial():
     L = generalized_laplacian(octahedron())
     gens = [p.to_domain(QQ) for p in minor_generators(L, 4).generators]
     zero = [Fraction(0)] * 6
-    assert all(p.evaluate(zero) == 0 for p in gens)
+    assert all(evaluate(p, zero) == 0 for p in gens)
     ok, _ = is_trivial_over_field(gens)
     assert not ok
 
@@ -450,7 +450,7 @@ def test_z_nontriviality_point_kills_generators_mod_p():
     gens = minor_generators(generalized_laplacian(g), 3).generators
     fp = GF(p)
     point = [fp.coerce(x) for x in pt]
-    assert all(q.to_domain(fp).evaluate(point) == 0 for q in gens)
+    assert all(evaluate(q.to_domain(fp), point) == 0 for q in gens)
 
 
 def test_budget_yields_undecided_not_wrong():

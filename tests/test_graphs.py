@@ -6,8 +6,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corank import graphs
 from corank.criticalideals import gamma, generalized_laplacian
-from corank.graphs import (Digraph, Graph, canonical_form,
+from corank.graphs import (Digraph, Graph, LabelingOverCap, canonical_form,
                            complement, contains_induced, induced_subgraph,
                            is_connected, is_tree, line_graph, relabel, rooted_tree)
 from corank.generators import bull, complete, cycle, matching_3k2, path, star
@@ -76,6 +77,20 @@ def test_canonical_form_bull_relabeling():
         rng.shuffle(perm)
         h = relabel(b, perm)
         assert canonical_form(h).key == base.key
+
+
+def test_labeling_work_counts_each_segment_with_its_prefix(monkeypatch):
+    # equal segments everywhere: all 4! orders are searched, and a node with
+    # k vertices placed evaluates each remaining one at k + 1 units each:
+    # 1*4*1 + 4*3*2 + 12*2*3 + 24*1*4 = 196
+    def search():
+        return graphs._canonical_order(4, lambda v, placed: 0, lambda remaining: False)
+
+    monkeypatch.setattr(graphs, "LABELING_WORK_CAP", 196)
+    assert search()[1] == [0, 1, 2, 3]
+    monkeypatch.setattr(graphs, "LABELING_WORK_CAP", 195)
+    with pytest.raises(LabelingOverCap):
+        search()
 
 
 def test_canonical_perm_is_witness():

@@ -4,20 +4,27 @@ A change meant to leave every report byte-identical keeps every pin.  The
 graph commands read the named catalog followed by the 31 connected graphs
 with n <= 5, as graph6 lines.  Regenerate a pin only for a change that
 means to alter that report, and say so where the change is recorded.
+The pins with another exit code, and those of stdin and `--output`, follow
+the first list.
 """
 
 import hashlib
+import io
 
 import pytest
 
 from corank.cli import main
-from corank.enumeration import enumerate_connected_graphs
-from corank.formats import write_graph6
-from corank.generators import NAMED_GRAPHS
+from corank.enumeration import all_trees, enumerate_connected_graphs
+from corank.formats import write_digraph6, write_graph6
+from corank.generators import NAMED_GRAPHS, graph_a
+from corank.sweeps import _disconnected_exceptions
 
 CATALOG = "".join(write_graph6(g) + "\n" for g in
                   [make() for make in NAMED_GRAPHS.values()] + enumerate_connected_graphs(5))
 C4_ARCS = "4 4\n0 1\n1 2\n2 3\n3 0\n"
+TREES = "".join(write_graph6(t) + "\n" for n in range(1, 8) for t in all_trees(n))
+# the three disconnected digraphs where the five-way agreement fails
+DISAGREEING = "".join(write_digraph6(d) + "\n" for d in _disconnected_exceptions())
 
 PINS = [
     (["gamma", "--domain", "fp:5", "--domain", "z", "--domain", "q", CATALOG],
@@ -47,3 +54,47 @@ def test_the_report_is_byte_identical(capsys, argv, digest):
     code = main(argv)
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# argv, exit code, sha256 of stdout
+CODED_PINS = [
+    (["trees", TREES], 0,
+     "4b6979591e930a5cdcef4dcf14ae850f78641b5d9f83eb43558fb400e4b74518"),
+    # budget-undecided over Q at the S-pair cap of one
+    (["gamma", "--domain", "q", "--budget-spairs", "1", "--strict",
+      write_graph6(graph_a())], 3,
+     "cc72946907a03c2b3637e56cf9506f0990ee9b3d7ff78d87fff99ec6494cf50b"),
+    (["classify", DISAGREEING], 1,
+     "bb5936efd5d4dfe4d1c40e9f23606955ac7beaf24f7a5b0e8a7b04705ae78265"),
+]
+
+
+def test_the_25_trees_with_n_at_most_7():
+    assert TREES.count("\n") == 25
+
+
+@pytest.mark.parametrize("argv, code, digest", CODED_PINS,
+                         ids=[" ".join(a for a in argv if "\n" not in a and "?" not in a)
+                              for argv, _, _ in CODED_PINS])
+def test_the_report_and_exit_code_are_pinned(capsys, argv, code, digest):
+    got = main(argv)
+    assert (got, _digest(capsys.readouterr().out)) == (code, digest)
+
+
+def test_zf_reads_the_catalog_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(CATALOG))
+    code = main(["zf", "-"])
+    assert (code, _digest(capsys.readouterr().out)) == \
+        (0, "51d9312cca493a5477d6b17b6a27901d4a6b9cd835d6de461935262b90a7e1c1")
+
+
+def test_gamma_writes_the_output_file_and_nothing_to_stdout(capsys, tmp_path):
+    out = tmp_path / "gamma.json"
+    code = main(["gamma", "--output", str(out), CATALOG])
+    assert (code, capsys.readouterr().out) == (0, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "0365b59fa38c18934d0a2108e2b97228326642a34cdcc2bb829fcb5a319b2e26"

@@ -20,6 +20,7 @@ from corank.polyring import (DEGREVLEX, GRLEX, LEX, GF, QQ, ZZ, BudgetExceeded,
                              ideals_equal, is_trivial_over_Z,
                              is_trivial_over_field, normal_form,
                              parse_polynomial)
+from oracles import evaluate, ideals_equal_by_containment
 
 
 def poly(text, nvars=3, domain=QQ):
@@ -65,7 +66,7 @@ def test_normal_form_power_of_divisor():
     assert r == poly("1")
 
 
-def test_normal_form_quotients_reconstruct():
+def test_normal_form_remainder_is_irreducible():
     rng = random.Random(5)
     for _ in range(250):
         f = _random_poly(rng, QQ)
@@ -73,12 +74,7 @@ def test_normal_form_quotients_reconstruct():
                     if not p.is_zero()]
         if not divisors:
             continue
-        r, quots = normal_form(f, divisors, with_quotients=True)
-        total = r
-        for q, g in zip(quots, divisors):
-            total = total + q * g
-        assert total == f
-        # remainder is irreducible against the divisors
+        r = normal_form(f, divisors)
         assert normal_form(r, divisors) == r
 
 
@@ -141,11 +137,7 @@ def test_division_property_over_prime_field():
                     if not p.is_zero()]
         if not divisors:
             continue
-        r, quots = normal_form(f, divisors, with_quotients=True)
-        total = r
-        for q, g in zip(quots, divisors):
-            total = total + q * g
-        assert total == f
+        r = normal_form(f, divisors)
         assert normal_form(f - r, divisors).is_zero()
 
 
@@ -350,15 +342,61 @@ def test_degrevlex_vs_lex_disagree_when_expected():
     assert p.lead_monomial(GRLEX) == (0, 3, 0)
 
 
-def test_ideals_equal_by_mutual_reduction():
+def test_ideals_equal_by_reduced_basis_identity():
     a = buchberger([poly("x0 + x1", 2), poly("x1^2", 2)])
     assert ideals_equal(a, buchberger([poly("x0*x1", 2), poly("x0 + x1", 2)]))
     assert not ideals_equal(a, buchberger([poly("x0", 2)]))
+    with pytest.raises(ValueError):
+        ideals_equal(a, buchberger([poly("x0 + x1", 2), poly("x1^2", 2)], LEX))
+    with pytest.raises(ValueError):
+        ideals_equal(a, polyring.IdealBasis(a.generators, QQ, DEGREVLEX))
+
+
+def _recombined(rng, gens):
+    """Another generating set of the same ideal: the generators shuffled,
+    scaled by units, and each plus a monomial multiple of the one before."""
+    out = gens[:]
+    rng.shuffle(out)
+    dom = out[0].domain
+    for k in range(len(out)):
+        out[k] = out[k] * Polynomial.constant(3, dom, rng.choice((1, 2, -1)))
+        if k:
+            mono = tuple(rng.randint(0, 1) for _ in range(3))
+            out[k] = out[k] + out[k - 1] * Polynomial(3, dom, {mono: rng.randint(1, 2)})
+    return out
+
+
+def test_ideals_equal_agrees_with_mutual_containment():
+    # seeded small ideals over Q and F_3; a draw whose run passes the S-pair
+    # cap is replaced by the next seed
+    outcomes, seed = [], 0
+    while len(outcomes) < 200:
+        seed += 1
+        rng = random.Random(seed)
+        domain = (QQ, GF(3))[seed % 2]
+        order, other_order = rng.sample([DEGREVLEX, GRLEX, LEX], 2)
+        gens = [p for p in (_random_poly(rng, domain) for _ in range(3)) if not p.is_zero()]
+        if len(gens) < 2:
+            continue
+        try:
+            basis = buchberger(gens, order, spair_cap=20)
+            same = buchberger(_recombined(rng, gens), order, spair_cap=20)
+            dropped = buchberger(gens[1:], order, spair_cap=20)
+            reordered = buchberger(gens, other_order, spair_cap=20)
+        except BudgetExceeded:
+            continue
+        assert ideals_equal(basis, same) and ideals_equal_by_containment(basis, same)
+        equal = ideals_equal(basis, dropped)
+        assert equal == ideals_equal_by_containment(basis, dropped)
+        with pytest.raises(ValueError):
+            ideals_equal(basis, reordered)
+        outcomes.append(equal)
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 def test_evaluate():
     p = poly("x0*x1 - 2*x2 + 3")
-    assert p.evaluate([Fraction(1), Fraction(2), Fraction(1)]) == Fraction(3)
+    assert evaluate(p, [Fraction(1), Fraction(2), Fraction(1)]) == Fraction(3)
 
 
 def _random_poly(rng, domain, nvars=3, max_terms=4, max_deg=2):
