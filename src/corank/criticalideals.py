@@ -4,10 +4,19 @@ gamma is computed by a certificate sandwich: the zero-forcing submatrix
 certifies a lower bound valid over every commutative ring, evaluation ranks
 certify upper bounds, and only a surviving gap is closed index by index
 with unit-minor scans, point certificates and finally Groebner runs.
+
+Every x_u sits on the diagonal only, so every minor is multiaffine.  A minor
+is expanded along its lowest row as a {variable bitmask: int} dict, memoized
+on its (row bitmask, column bitmask); only the kept generators become
+Polynomials, through a per-matrix table from variable bitmask to exponent
+tuple.  The Z route of groebner_basis_of_critical_ideal stops generating
+minors at the first +-1 minor: is_trivial_over_Z decides on its first unit
+constant, so the basis {1} and the decision are those of the full list.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .cache import DecisionCache
@@ -30,7 +39,8 @@ class SymbolicMatrix:
         # offdiag[(u, v)] = multiplicity m_uv (simple inputs: 0/1)
         self.n = n
         self._mult = offdiag
-        self._minor_memo = {}
+        self._minor_memo = {(0, 0): {0: 1}}    # (row bitmask, column bitmask) -> minor
+        self._monos = {}    # variable bitmask -> exponent tuple
 
     def multiplicity(self, u, v):
         if u == v:
@@ -48,47 +58,62 @@ class SymbolicMatrix:
             rows.append(row)
         return rows
 
+    @cached_property
+    def _row_entries(self):
+        """Row r's nonzero entries by column: (column bit, variable bit, factor).
+        Made on the first expansion, since most matrices are only evaluated."""
+        n, mult = self.n, self._mult
+        return [[(1 << c, 1 << c, 1) if c == r else (1 << c, 0, -mult[r, c])
+                 for c in range(n) if c == r or mult.get((r, c), 0)] for r in range(n)]
+
     def minor(self, rows, cols) -> Polynomial:
-        """Exact determinant of the submatrix: the multiaffine polynomial of
-        its {variable bitmask: coefficient} expansion."""
-        n = self.n
-        terms = self._expand(tuple(rows), tuple(cols))
-        return Polynomial(n, ZZ, {tuple((mask >> v) & 1 for v in range(n)): c
-                                  for mask, c in terms.items()}, _clean=True)
+        """Exact determinant of the submatrix on the row and column bitmasks:
+        the multiaffine polynomial of its {variable bitmask: coefficient}
+        expansion.  A variable bitmask becomes its exponent tuple once per
+        matrix."""
+        if rows.bit_count() != cols.bit_count():
+            raise ValueError("a minor needs as many rows as columns")
+        monos = self._monos
+        terms = {}
+        for mask, c in self._expand(rows, cols).items():
+            mono = monos.get(mask)
+            if mono is None:
+                mono = monos[mask] = tuple(mask >> v & 1 for v in range(self.n))
+            terms[mono] = c
+        return Polynomial(self.n, ZZ, terms, _clean=True)
 
     def _expand(self, rows, cols):
-        """The minor as {variable bitmask: nonzero int}, memoized across
-        overlapping row/column subsets.
+        """The minor on the row and column bitmasks as {variable bitmask:
+        nonzero int}, memoized on the two bitmasks across overlapping subsets.
 
         x_u sits only at (u, u), so every minor is multiaffine.  Cofactor
-        expansion along the first row r0: the diagonal column ORs bit r0
+        expansion along the lowest row r0: the diagonal column ORs bit r0
         into the submatrix minor's masks, any other column scales it by
-        -m_{r0,c}.
+        -m_{r0,c}, and a column's sign is its position among the set bits.
         """
         memo = self._minor_memo
-        key = (rows, cols)
-        if key in memo:
-            return memo[key]
-        if len(rows) != len(cols):
-            raise ValueError("a minor needs as many rows as columns")
-        res = {} if rows else {0: 1}
-        for j, c in enumerate(cols):
-            if c == rows[0]:
-                bit, f = 1 << c, 1
-            else:
-                bit, f = 0, -self._mult.get((rows[0], c), 0)
-                if not f:
-                    continue
-            if j % 2:
+        res = memo.get((rows, cols))
+        if res is not None:
+            return res
+        low = rows & -rows
+        rest = rows ^ low
+        res = {}
+        for col, bit, f in self._row_entries[low.bit_length() - 1]:
+            if not cols & col:
+                continue
+            if (cols & (col - 1)).bit_count() & 1:
                 f = -f
-            for mask, v in self._expand(rows[1:], cols[:j] + cols[j + 1:]).items():
+            sub = memo.get((rest, cols ^ col))
+            if sub is None:
+                sub = self._expand(rest, cols ^ col)
+            for mask, v in sub.items():
                 mask |= bit
                 s = res.get(mask, 0) + f * v
                 if s:
                     res[mask] = s
                 else:
                     del res[mask]
-        memo[key] = res
+        memo[rows, cols] = res
         return res
 
 
@@ -129,12 +154,13 @@ def minor_generators(matrix: SymbolicMatrix, size: int,
     seen = set()
     unit = None
     constants = []
-    subsets = list(combinations(range(n), size))
+    subsets = list(zip(combinations(range(n), size),
+                       map(sum, combinations([1 << v for v in range(n)], size))))
     mult = matrix._mult
     symmetric = all(mult.get((v, u), 0) == m for (u, v), m in mult.items())
-    for k, rows in enumerate(subsets):
-        for cols in subsets[k:] if symmetric else subsets:
-            d = matrix._expand(rows, cols)
+    for k, (rows, rmask) in enumerate(subsets):
+        for cols, cmask in subsets[k:] if symmetric else subsets:
+            d = matrix._expand(rmask, cmask)
             if not d:
                 continue
             if len(d) == 1 and 0 in d:
@@ -149,7 +175,7 @@ def minor_generators(matrix: SymbolicMatrix, size: int,
             if key in seen:
                 continue
             seen.add(key)
-            gens.append(matrix.minor(rows, cols))
+            gens.append(matrix.minor(rmask, cmask))
             if unit is not None and stop_at_unit:
                 return MinorGenerators(gens, unit, constants)
     return MinorGenerators(gens, unit, constants)
@@ -543,8 +569,9 @@ def groebner_basis_of_critical_ideal(g, i, domain=QQ, order=DEGREVLEX,
     otherwise it is {1}.  The decision's cofactors are not kept.  True basis
     computation over Z is out of scope by design.
     """
-    gens = minor_generators(generalized_laplacian(g), i)
-    if check_domain(domain) is not ZZ:
+    over_z = check_domain(domain) is ZZ
+    gens = minor_generators(generalized_laplacian(g), i, stop_at_unit=over_z)
+    if not over_z:
         return buchberger(gens.to_domain(domain), order,
                           config.spair_cap, config.degree_cap)
     ok, cert = is_trivial_over_Z(gens.generators, order,

@@ -9,7 +9,11 @@ run keeps its basis monic; over Q it is fraction-free: primitive integer
 polynomials with positive leading coefficients, reduced by pseudo-division
 (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 2),
 and made monic, with Fraction coefficients, only where the run hands a
-polynomial out.  Integer generators go into a Q run as they are.
+polynomial out.  Integer generators go into a Q run as they are.  A run
+packs each generator once and seeds the generators in the order of
+Polynomial.key(), which sorts terms in degrevlex whatever the run's order:
+each term's degrevlex key is an int of the degrevlex layout at the run's
+width, and in a degrevlex run that int, unflipped, is the packed monomial.
 """
 
 import heapq
@@ -236,21 +240,32 @@ class _Overflow(Exception):
     """A packed product would set a guard bit."""
 
 
+def _fields(nvars, order, width):
+    """The order's layout at this width: the variable field shifts, the
+    degree field's shift, the pack weights and the key flip."""
+    low = 0 if order.graded else 1
+    slots = range(low, low + nvars)
+    if not order.reverse:
+        slots = reversed(slots)
+    shifts = [width * s for s in slots]
+    deg_shift = width * nvars if order.graded else 0
+    # a variable's exponent counts once in its field and once in the degree
+    weights = [(1 << s) + (1 << deg_shift) for s in shifts]
+    flip = ((1 << width * nvars) - 1) << width * low if order.reverse else 0
+    return shifts, deg_shift, weights, flip
+
+
 class _Packing:
     """The packed layout of one run: the field shifts, masks and key flip."""
 
     def __init__(self, nvars, order, width):
         self.bits = bits = width - 1
         self.vmax = (1 << bits) - 1
-        low = 0 if order.graded else 1
-        slots = range(low, low + nvars)
-        if not order.reverse:
-            slots = reversed(slots)
-        self.shifts = [width * s for s in slots]
-        self.deg_shift = width * nvars if order.graded else 0
-        # a variable's exponent counts once in its field and once in the degree
-        self.weights = [(1 << s) + (1 << self.deg_shift) for s in self.shifts]
-        self.flip = ((1 << width * nvars) - 1) << width * low if order.reverse else 0
+        self.shifts, self.deg_shift, self.weights, self.flip = _fields(nvars, order, width)
+        # Polynomial.key() sorts terms in degrevlex whatever the run's order:
+        # the weights and flip of that key at this width
+        self.key_weights, self.key_flip = ((self.weights, self.flip) if order == DEGREVLEX
+                                           else _fields(nvars, DEGREVLEX, width)[2:])
         self.guard = sum(1 << width * s + bits for s in range(nvars + 1))
         self.var_guard = self.guard & ~(1 << self.deg_shift + bits)
         self.vals = self.var_guard - (self.var_guard >> bits)   # variable value bits
@@ -259,6 +274,13 @@ class _Packing:
         if sum(mono) > self.vmax:
             raise _Overflow
         return sum(map(operator.mul, mono, self.weights))
+
+    def degrevlex_key(self, mono):
+        """mono's degrevlex key as an int; in a degrevlex run, its packed int
+        with the flip applied."""
+        if sum(mono) > self.vmax:
+            raise _Overflow
+        return sum(map(operator.mul, mono, self.key_weights)) ^ self.key_flip
 
     def unpack(self, m):
         vmax = self.vmax
@@ -693,8 +715,16 @@ def _buchberger(gens, dom, order, pk, spair_cap, degree_cap, track_cofactors):
     mul, neg, inv_of = dom.mul, dom.neg, dom.inv
     guard, degree = pk.guard, pk.degree
     ngens = len(gens)
-    # deterministic seeding order; cofactor slots stay in caller order
-    seed_order = sorted(range(ngens), key=lambda i: gens[i].key())
+    # deterministic seeding order, that of Polynomial.key(), from each
+    # generator's terms sorted by their degrevlex keys; a degrevlex run
+    # unflips those keys into its packed monomials, so it packs each term
+    # once.  Cofactor slots stay in caller order.
+    seeds = []
+    for idx, gen in enumerate(gens):
+        terms = sorted((pk.degrevlex_key(m), m, c) for m, c in gen.terms.items())
+        seeds.append((tuple((m, c) for _, m, c in terms), idx, terms))
+    seeds.sort(key=operator.itemgetter(0))
+    own_key = pk.key_weights is pk.weights
 
     polys = []       # basis elements as packed term dicts, head first
     heads = []       # their leading monomials
@@ -771,11 +801,10 @@ def _buchberger(gens, dom, order, pk, spair_cap, degree_cap, track_cofactors):
 
     # seed the basis, reducing each generator against what came before;
     # a generator's denominators are cleared first (none over F_p or Z)
-    for idx in seed_order:
-        terms = gens[idx].terms
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        g = {pk.pack(mono): c.numerator * (den // c.denominator)
-             for mono, c in terms.items()}
+    for _, idx, terms in seeds:
+        den = math.lcm(*(c.denominator for _, _, c in terms))
+        g = {k ^ pk.flip if own_key else pk.pack(m): c.numerator * (den // c.denominator)
+             for k, m, c in terms}
         gc = None
         if track_cofactors:
             gc = [{} for _ in range(ngens)]

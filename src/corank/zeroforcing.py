@@ -37,6 +37,14 @@ def closure(g, blue, rng=None) -> ColorState:
     Deterministic by default: the lexicographically smallest legal
     (forcer, forced) pair is applied first.  Passing an rng randomizes the
     application order; the final blue set is order-independent.
+
+    The deterministic run keeps a set of blue vertices still to test and
+    tests them lowest first, instead of rescanning from the lowest blue
+    vertex after every force.  A vertex that could not force when tested
+    can become legal only once one of its out-neighbours turns blue, so
+    after a force v -> w only w and the blue in-neighbours of w go back
+    into the set; a forcer has no white neighbour left.  So every legal
+    vertex is in the set, and the first one tested is the smallest.
     """
     adj = g.out_adj
     mask = 0
@@ -45,23 +53,35 @@ def closure(g, blue, rng=None) -> ColorState:
             raise ValueError(f"vertex {v} out of range")
         mask |= 1 << v
     forces = []
-    while True:
-        legal = []
-        rest = mask
-        while rest:
-            low = rest & -rest
+    if rng is None:
+        in_adj = g.in_adj
+        scan = mask
+        while scan:
+            low = scan & -scan
+            scan ^= low
             v = low.bit_length() - 1
-            rest ^= low
             white = adj[v] & ~mask
             if white and white & (white - 1) == 0:
-                legal.append((v, white.bit_length() - 1))
-                if rng is None:
-                    break
-        if not legal:
-            break
-        pick = legal[0] if rng is None else legal[rng.randrange(len(legal))]
-        forces.append(pick)
-        mask |= 1 << pick[1]
+                w = white.bit_length() - 1
+                forces.append((v, w))
+                mask |= white
+                scan |= white | in_adj[w] & mask
+    else:
+        while True:
+            legal = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                rest ^= low
+                white = adj[v] & ~mask
+                if white and white & (white - 1) == 0:
+                    legal.append((v, white.bit_length() - 1))
+            if not legal:
+                break
+            pick = legal[rng.randrange(len(legal))]
+            forces.append(pick)
+            mask |= 1 << pick[1]
     blue_out = frozenset(i for i in range(g.n) if mask >> i & 1)
     return ColorState(blue_out, tuple(forces))
 

@@ -85,3 +85,22 @@ def evaluate(p, point):
                 val = dom.mul(val, point[i])
         total = dom.add(total, val)
     return total
+
+
+def closure_by_rescan(g, blue):
+    """The deterministic closure of the color change rule as (blue, forces),
+    rescanning the blue set from its lowest vertex after every force: the
+    smallest legal forcer forces its one white out-neighbour."""
+    adj = g.out_adj
+    mask = sum(1 << v for v in set(blue))
+    forces = []
+    while True:
+        for v in range(g.n):
+            white = adj[v] & ~mask
+            if mask >> v & 1 and white and white & (white - 1) == 0:
+                w = white.bit_length() - 1
+                forces.append((v, w))
+                mask |= 1 << w
+                break
+        else:
+            return frozenset(v for v in range(g.n) if mask >> v & 1), tuple(forces)

@@ -26,7 +26,8 @@ def _check_certificate(h, i, domain, dec):
             assert exact_rank(L.evaluate(dec.detail)).rank <= i - 1
     elif dec.method in ("unit-minor", "constant-minor"):
         rows, cols, value = dec.detail
-        assert L.minor(rows, cols).constant_value() == value
+        minor = L.minor(sum(1 << r for r in rows), sum(1 << c for c in cols))
+        assert minor.constant_value() == value
     elif dec.method == "groebner":
         # a Groebner decision carries nothing in another caller's labeling
         cold = ideal_trivial(h, i, domain, cache=DecisionCache())

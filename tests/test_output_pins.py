@@ -98,3 +98,51 @@ def test_gamma_writes_the_output_file_and_nothing_to_stdout(capsys, tmp_path):
     assert (code, capsys.readouterr().out) == (0, "")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "0365b59fa38c18934d0a2108e2b97228326642a34cdcc2bb829fcb5a319b2e26"
+
+
+# corank gb --index i --domain D --order O on one graph, exit code 0 throughout:
+# BW, i = 2, is trivial by a unit minor; EK~o, i = 3, is trivial over Q and
+# F_3 but not mod 2; A_, i = 2, is proper over Q.
+GB_PINS = {
+    ("BW", 2): {
+        ("z", "degrevlex"): "afac7185a8e1f1acd5e5277637f4bef3409df145282a0c4b32d6ae32e3481bd8",
+        ("z", "lex"): "cef8e8ea5a3dd57f01ed22958924fa2b5c414d888c2a08a6fcfbfd8f2f5c8a56",
+        ("z", "grlex"): "b09936bb1789961d5f38d92a01c86876ac81cc23c121d8797d1220a8a6ad0e9b",
+        ("q", "degrevlex"): "a6a1109a16f433ba5e853099fc06d8be3dcd20e573c609f1d2235a531476a6be",
+        ("q", "lex"): "bacaabc86363e9bbca467add6bdfd1a2231bafc6e67baa0de13496e7c83090b8",
+        ("q", "grlex"): "338cf11e4090f038aa72e93390e5cf41b2990ce5a9a54904306427ae00e3f454",
+        ("fp:3", "degrevlex"): "a6a1109a16f433ba5e853099fc06d8be3dcd20e573c609f1d2235a531476a6be",
+        ("fp:3", "lex"): "bacaabc86363e9bbca467add6bdfd1a2231bafc6e67baa0de13496e7c83090b8",
+        ("fp:3", "grlex"): "338cf11e4090f038aa72e93390e5cf41b2990ce5a9a54904306427ae00e3f454",
+    },
+    ("EK~o", 3): {
+        ("z", "degrevlex"): "9d11af25cf9d4dbeb5ff93da5d1303b7db86fd990ba1031da205aa20e442070e",
+        ("z", "lex"): "6fd2b632a38bf78174ba3ddb1a99fb4e940035b2fd590ffda1c5426f04da7700",
+        ("z", "grlex"): "bffee88abb63fcaa48efcb185cddfbe142ce1d96edd8fab5386632af6cd084b6",
+        ("q", "degrevlex"): "684e9f40af481e9c6b57e113f813b559c308c40e93e6b2d94b594bf5d1f31450",
+        ("q", "lex"): "44c1dff8a89ce764f36602b490abab38e67ce75b17646ddb2efacef8a4b7638f",
+        ("q", "grlex"): "00efc5868d8c39f532c7f90d9f99cde84f30c3d3b9be437e4781beeff1418f7d",
+        ("fp:3", "degrevlex"): "684e9f40af481e9c6b57e113f813b559c308c40e93e6b2d94b594bf5d1f31450",
+        ("fp:3", "lex"): "44c1dff8a89ce764f36602b490abab38e67ce75b17646ddb2efacef8a4b7638f",
+        ("fp:3", "grlex"): "00efc5868d8c39f532c7f90d9f99cde84f30c3d3b9be437e4781beeff1418f7d",
+    },
+    ("A_", 2): {
+        ("z", "degrevlex"): "e5f5eadb26ed5f57e35226ffc0f673f2f491ae14f2fbbf44521bcdcca6127ddc",
+        ("z", "lex"): "a349f2562690b982470054a6225f223631384ca585238245a530b7e71207c1b8",
+        ("z", "grlex"): "6ca8e69624503390c7eb02f834f3a5bd99e657f7250e321864a5cc7ef4ece208",
+        ("q", "degrevlex"): "c9efb219255acbbf167b24e34711505b87ea907379be4e258ee9bd19591c2846",
+        ("q", "lex"): "2eea79b104685166940274e43eb7007502f7e3d63bc756374fe2b7bcad19c9c7",
+        ("q", "grlex"): "c465f6f57a48493fd02cf88a91db6f4d5ac797292444fa77425e78709533114c",
+        ("fp:3", "degrevlex"): "39ad08194e2f038eeb9fd148e3e1c0928f9c372df6fd162bf1edc42f05a771e1",
+        ("fp:3", "lex"): "063cc1948f27885b9c9d964e5f01675efb25465286bfc57bb2fc20fd93b6d515",
+        ("fp:3", "grlex"): "f3324915831c35c544c6e8acde14811380ce4628cbfcc16332486d9320c2b6cd",
+    },
+}
+
+
+@pytest.mark.parametrize("graph, index, domain, order",
+                         [(*g, *k) for g, pins in GB_PINS.items() for k in pins])
+def test_the_gb_report_is_pinned(capsys, graph, index, domain, order):
+    code = main(["gb", "--index", str(index), "--domain", domain, "--order", order, graph])
+    assert (code, _digest(capsys.readouterr().out)) == \
+        (0, GB_PINS[graph, index][domain, order])

@@ -451,6 +451,10 @@ def test_packed_arithmetic_agrees_with_exponent_tuples(case):
             pk.lcm(pa, pb)
     # the key: packed ints compare as the order's tuple keys do
     assert ((pa ^ pk.flip) < (pb ^ pk.flip)) == (order.key(a) < order.key(b))
+    # the seed key is degrevlex in every order, and the packed int in degrevlex
+    ka, kb = pk.degrevlex_key(a), pk.degrevlex_key(b)
+    assert (ka < kb) == (DEGREVLEX.key(a) < DEGREVLEX.key(b))
+    assert order != DEGREVLEX or (ka, kb) == (pa ^ pk.flip, pb ^ pk.flip)
     assert (pa == pb) == (a == b)
 
 

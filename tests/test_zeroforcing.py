@@ -7,6 +7,7 @@ import pytest
 import corank.zeroforcing as zeroforcing
 from corank.config import RunConfig
 from corank.criticalideals import generalized_laplacian
+from corank.enumeration import enumerate_graphs
 from corank.generators import (bull, complete, cycle, forbidden_family_named,
                                octahedron, path, petersen, star)
 from corank.graphs import Digraph, Graph, induced_subgraph
@@ -14,7 +15,7 @@ from corank.polyring import ZZ, Polynomial
 from corank.zeroforcing import (CertificateError, ForceRecord, certificate_minor,
                                 closure, is_zero_forcing_set, mz,
                                 validate_record, zero_forcing_number)
-from oracles import entry
+from oracles import closure_by_rescan, entry
 
 
 def test_closure_examples():
@@ -85,6 +86,43 @@ def test_closure_confluence():
         reference = closure(g, seed).blue
         for _ in range(3):
             assert closure(g, seed, rng=rng).blue == reference
+
+
+def _starts(n):
+    """Each vertex alone, and the first and the last k vertices for even k."""
+    yield from ({v} for v in range(n))
+    for k in range(2, n + 1, 2):
+        yield range(k)
+        yield range(n - k, n)
+
+
+def _same_record(g, blue):
+    state = closure(g, blue)
+    return (state.blue, state.forces) == closure_by_rescan(g, blue)
+
+
+def test_closure_resumes_to_the_records_of_a_full_rescan():
+    """The scan that resumes below the last forcer applies the forces of one
+    that rescans from the lowest blue vertex, in the same order."""
+    for g in enumerate_graphs(7):
+        assert all(_same_record(g, blue) for blue in _starts(g.n)), g.pairs
+    rng = random.Random(1031)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                        if u != v and rng.random() < 0.4])
+        seeds = [{v for v in range(n) if rng.random() < 0.4} for _ in range(3)]
+        assert all(_same_record(d, blue) for blue in list(_starts(n)) + seeds), d.pairs
+    for g in (cycle(120), path(120)):
+        assert all(_same_record(g, blue) for blue in
+                   [{v} for v in range(0, 120, 7)] + [{v, v + 1} for v in range(0, 119, 7)]
+                   + [range(60), range(60, 120)])
+
+
+def test_greedy_bound_on_a_long_cycle():
+    r = zero_forcing_number(cycle(300))
+    assert (r.z, r.exact, r.witness.initial_set) == (2, False, frozenset({0, 1}))
+    assert (frozenset(range(300)), r.witness.forces) == closure_by_rescan(cycle(300), {0, 1})
 
 
 def test_mz_monotone_under_induced_subgraphs():
