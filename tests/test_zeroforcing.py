@@ -101,9 +101,10 @@ def _same_record(g, blue):
     return (state.blue, state.forces) == closure_by_rescan(g, blue)
 
 
-def test_closure_resumes_to_the_records_of_a_full_rescan():
-    """The scan that resumes below the last forcer applies the forces of one
-    that rescans from the lowest blue vertex, in the same order."""
+def test_closure_applies_the_forces_of_a_full_rescan():
+    """The closure that re-tests only the vertices a force can make legal
+    applies the forces of one that rescans from the lowest blue vertex, in
+    the same order."""
     for g in enumerate_graphs(7):
         assert all(_same_record(g, blue) for blue in _starts(g.n)), g.pairs
     rng = random.Random(1031)
