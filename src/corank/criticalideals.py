@@ -5,6 +5,10 @@ certifies a lower bound valid over every commutative ring, evaluation ranks
 certify upper bounds, and only a surviving gap is closed index by index
 with unit-minor scans, point certificates and finally Groebner runs.
 
+L(G, X) is read from the graph's out-neighbour bitmasks: -1 at each arc,
+x_u on the diagonal.  An evaluation scan takes the graph and the point
+blocks; a SymbolicMatrix is made where minors are expanded.
+
 Every x_u sits on the diagonal only, so every minor is multiaffine.  A minor
 is expanded along its lowest row as a {variable bitmask: int} dict, memoized
 on its (row bitmask, column bitmask); only the kept generators become
@@ -17,7 +21,7 @@ constant, so the basis {1} and the decision are those of the full list.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
@@ -33,38 +37,27 @@ from .zeroforcing import certificate_minor, zero_forcing_number
 # the symbolic matrix
 
 class SymbolicMatrix:
-    """n x n matrix with variable x_u at (u,u) and -m_uv off the diagonal."""
+    """L(G, X) of a graph: variable x_u at (u, u) and -1 at each arc (u, v)."""
 
-    def __init__(self, n, offdiag):
-        # offdiag[(u, v)] = multiplicity m_uv (simple inputs: 0/1)
-        self.n = n
-        self._mult = offdiag
+    def __init__(self, g):
+        self.n = g.n
+        self.out_adj = g.out_adj
+        self.symmetric = g.out_adj == g.in_adj
         self._minor_memo = {(0, 0): {0: 1}}    # (row bitmask, column bitmask) -> minor
         self._monos = {}    # variable bitmask -> exponent tuple
-
-    def multiplicity(self, u, v):
-        if u == v:
-            raise ValueError("diagonal has no multiplicity")
-        return self._mult.get((u, v), 0)
 
     def evaluate(self, point):
         """Integer/rational matrix with the diagonal replaced by the point."""
         assert len(point) == self.n
-        rows = []
-        for u in range(self.n):
-            row = []
-            for v in range(self.n):
-                row.append(point[u] if u == v else -self._mult.get((u, v), 0))
-            rows.append(row)
-        return rows
+        return _laplacian_rows(self.out_adj, point)
 
     @cached_property
     def _row_entries(self):
         """Row r's nonzero entries by column: (column bit, variable bit, factor).
-        Made on the first expansion, since most matrices are only evaluated."""
-        n, mult = self.n, self._mult
-        return [[(1 << c, 1 << c, 1) if c == r else (1 << c, 0, -mult[r, c])
-                 for c in range(n) if c == r or mult.get((r, c), 0)] for r in range(n)]
+        Made on the first expansion, so a matrix only evaluated never makes it."""
+        return [[(1 << c, 1 << c, 1) if c == r else (1 << c, 0, -1)
+                 for c in range(self.n) if c == r or adj >> c & 1]
+                for r, adj in enumerate(self.out_adj)]
 
     def minor(self, rows, cols) -> Polynomial:
         """Exact determinant of the submatrix on the row and column bitmasks:
@@ -88,8 +81,8 @@ class SymbolicMatrix:
 
         x_u sits only at (u, u), so every minor is multiaffine.  Cofactor
         expansion along the lowest row r0: the diagonal column ORs bit r0
-        into the submatrix minor's masks, any other column scales it by
-        -m_{r0,c}, and a column's sign is its position among the set bits.
+        into the submatrix minor's masks, any other column (an arc) negates
+        it, and a column's sign is its position among the set bits.
         """
         memo = self._minor_memo
         res = memo.get((rows, cols))
@@ -117,10 +110,15 @@ class SymbolicMatrix:
         return res
 
 
+def _laplacian_rows(out_adj, diagonal):
+    """The rows of L(G, diagonal), an integer -1 at each bit of the
+    out-neighbour bitmasks out_adj."""
+    return [[diagonal[u] if u == v else -(adj >> v & 1) for v in range(len(out_adj))]
+            for u, adj in enumerate(out_adj)]
+
+
 def generalized_laplacian(g) -> SymbolicMatrix:
-    out_adj = g.out_adj
-    mult = {(u, v): 1 for u in range(g.n) for v in range(g.n) if out_adj[u] >> v & 1}
-    return SymbolicMatrix(g.n, mult)
+    return SymbolicMatrix(g)
 
 
 @dataclass
@@ -156,10 +154,8 @@ def minor_generators(matrix: SymbolicMatrix, size: int,
     constants = []
     subsets = list(zip(combinations(range(n), size),
                        map(sum, combinations([1 << v for v in range(n)], size))))
-    mult = matrix._mult
-    symmetric = all(mult.get((v, u), 0) == m for (u, v), m in mult.items())
     for k, (rows, rmask) in enumerate(subsets):
-        for cols, cmask in subsets[k:] if symmetric else subsets:
+        for cols, cmask in subsets[k:] if matrix.symmetric else subsets:
             d = matrix._expand(rmask, cmask)
             if not d:
                 continue
@@ -184,43 +180,27 @@ def minor_generators(matrix: SymbolicMatrix, size: int,
 # ---------------------------------------------------------------------------
 # evaluation-point searches
 
-def box_points(n, radius):
-    """Integer points of {-radius..radius}^n by increasing max-norm, then lex."""
-    yield (0,) * n
-    for m in range(1, radius + 1):
-        for pt in product(range(-m, m + 1), repeat=n):
-            if max(map(abs, pt), default=0) == m:
+def block_points(blocks):
+    """The points of lex product blocks (axes, rim), in order: each block's
+    lex product, kept where a coordinate lies in its rim unless rim is None."""
+    for axes, rim in blocks:
+        for pt in product(*axes):
+            if rim is None or not rim.isdisjoint(pt):
                 yield pt
 
 
-def field_points(n, p, budget):
-    """Points of F_p^n via centered lifts, by increasing max-norm then lex."""
-    radius = (p - 1) // 2 if p > 2 else 1
-    count = 0
-    if p == 2:
-        for pt in product((0, 1), repeat=n):
-            if count >= budget:
-                return
-            count += 1
-            yield pt
-        return
-    for pt in box_points(n, radius):
-        if count >= budget:
-            return
-        count += 1
-        yield tuple(x % p for x in pt)
-
-
 def box_blocks(n, radius):
-    """box_points(n, radius) as lex product blocks: shell m is the product
-    of (-m..m) kept where some coordinate is +-m.  The shells are made one
-    at a time, so a scan that stops at its budget costs no more than that."""
+    """The integer box {-radius..radius}^n by increasing max-norm, then lex,
+    as blocks: shell m is the product of (-m..m) kept where some coordinate
+    is +-m.  The shells are made one at a time, so a scan that stops at its
+    budget costs no more than that."""
     return (((tuple(range(-m, m + 1)),) * n, frozenset((-m, m)) if m else None)
             for m in range(radius + 1))
 
 
 def field_blocks(n, p):
-    """The points of field_points(n, p, budget) before the budget, as blocks."""
+    """F_p^n as blocks: the box of centred lifts, mod p, in the box's order;
+    {0, 1}^n in lex for p = 2."""
     if p == 2:
         return iter([(((0, 1),) * n, None)])
     return ((tuple(tuple(x % p for x in axis) for axis in axes),
@@ -228,11 +208,21 @@ def field_blocks(n, p):
             for axes, rim in box_blocks(n, (p - 1) // 2))
 
 
-def min_rank_scan(matrix, blocks, domain, lower, upper, upper_point, budget=None):
-    """linalg.rank_scan of the matrix over the domain (ranks over Z taken
-    over Q): (upper, point, exhaustive, points scanned)."""
-    return rank_scan(matrix.evaluate((0,) * matrix.n), blocks, domain.p, lower, upper,
-                     upper_point, budget)
+def box_points(n, radius):
+    """The points of box_blocks(n, radius)."""
+    return block_points(box_blocks(n, radius))
+
+
+def field_points(n, p, budget):
+    """The first `budget` points of field_blocks(n, p)."""
+    return islice(block_points(field_blocks(n, p)), budget)
+
+
+def min_rank_scan(g, blocks, domain, lower, upper, upper_point, budget=None):
+    """linalg.rank_scan of L(g, X) over the domain (ranks over Z taken over
+    Q): (upper, point, exhaustive, points scanned)."""
+    return rank_scan(_laplacian_rows(g.out_adj, (0,) * g.n), blocks, domain.p, lower,
+                     upper, upper_point, budget)
 
 
 @dataclass
@@ -256,9 +246,8 @@ def variety_box_search(g, r, box_radius=None, domain=QQ,
         raise ValueError("r + 1 must be at most n")
     blocks = (field_blocks(g.n, domain.p) if domain.p
               else box_blocks(g.n, box_radius))
-    rank, point, exhaustive, scanned = min_rank_scan(
-        generalized_laplacian(g), blocks, domain, r, r + 1, None,
-        config.box_point_budget)
+    rank, point, exhaustive, scanned = min_rank_scan(g, blocks, domain, r, r + 1, None,
+                                                     config.box_point_budget)
     return BoxSearchResult(point, None if point is None else rank, exhaustive, scanned)
 
 
@@ -273,10 +262,9 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
         raise ValueError("index out of range")
     if domain is QQ:
         return variety_box_search(g, i - 1, config.box_radius, QQ, config).point
-    matrix = generalized_laplacian(g)
     for p in config.primes if domain is ZZ else (domain.p,):
-        _, point, _, _ = min_rank_scan(matrix, field_blocks(n, p), GF(p), i - 1, i,
-                                       None, config.modp_point_budget)
+        _, point, _, _ = min_rank_scan(g, field_blocks(n, p), GF(p), i - 1, i, None,
+                                       config.modp_point_budget)
         if point is not None:
             return (p, point) if domain is ZZ else point
     return None
@@ -398,12 +386,11 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> Triviality
 
 def _decide_trivial(g, i, domain, config):
     from math import comb
-    matrix = generalized_laplacian(g)
     n = g.n
     scan_ok = comb(n, i) ** 2 <= _MINOR_SCAN_CAP
     gens = None
     if scan_ok:
-        gens = minor_generators(matrix, i, stop_at_unit=True)
+        gens = minor_generators(generalized_laplacian(g), i, stop_at_unit=True)
         if gens.unit_minor is not None:
             return TrivialityDecision(True, "unit-minor", gens.unit_minor)
         # over Z a unit constant minor has already returned
@@ -463,7 +450,7 @@ class GammaResult:
                 "status": self.status}
 
 
-def _budgeted_box_scan(g, matrix, lower, upper, upper_point, domain, config, cache):
+def _budgeted_box_scan(g, lower, upper, upper_point, domain, config, cache):
     """Improve the evaluation upper bound by a budgeted scan of the field
     over F_p, or of the integer box over Z and Q.
 
@@ -471,7 +458,7 @@ def _budgeted_box_scan(g, matrix, lower, upper, upper_point, domain, config, cac
     outcome is domain-independent and cached once per (graph, target).
     """
     if domain.p:
-        return min_rank_scan(matrix, field_blocks(g.n, domain.p), domain, lower, upper,
+        return min_rank_scan(g, field_blocks(g.n, domain.p), domain, lower, upper,
                              upper_point, config.gamma_box_budget)[:2]
     form = canonical_form(g)
     key = ("gamma-box-scan", form.hex(), lower, config.box_radius,
@@ -482,7 +469,7 @@ def _budgeted_box_scan(g, matrix, lower, upper, upper_point, domain, config, cac
         if rank is not None and rank < upper:
             return rank, _relabel_point(pt, _inverse(form.perm))
         return upper, upper_point
-    upper, upper_point, _, _ = min_rank_scan(matrix, box_blocks(g.n, config.box_radius),
+    upper, upper_point, _, _ = min_rank_scan(g, box_blocks(g.n, config.box_radius),
                                              domain, lower, upper, upper_point,
                                              config.gamma_box_budget)
     cache.put(key, [upper, list(_relabel_point(upper_point, form.perm))
@@ -525,12 +512,10 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     else:
         result.lower_witness = {"note": "zero forcing bound not exact at this order"}
 
-    matrix = generalized_laplacian(g)
-    upper, upper_point, _, _ = min_rank_scan(matrix, _probe_points(g), domain, lower,
-                                             n, None)
+    upper, upper_point, _, _ = min_rank_scan(g, _probe_points(g), domain, lower, n, None)
     if upper > lower:
-        upper, upper_point = _budgeted_box_scan(g, matrix, lower, upper,
-                                                upper_point, domain, config, cache)
+        upper, upper_point = _budgeted_box_scan(g, lower, upper, upper_point, domain,
+                                                config, cache)
     result.upper_witness = {"point": list(upper_point) if upper_point else None,
                             "rank": upper}
     if upper_point is not None and upper < n:

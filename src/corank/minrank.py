@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
-from .criticalideals import box_blocks, gamma, generalized_laplacian, min_rank_scan
+from .criticalideals import box_blocks, gamma, min_rank_scan
 from .graphs import Graph, adjacency_lists, rooted_tree
 from .linalg import RankComputation, exact_rank
 from .polyring import QQ, ZZ
@@ -87,8 +87,7 @@ def mrcr_bounds(g, domain=ZZ, box_radius=None, config=DEFAULT_CONFIG,
         gamma_result = gamma(g, domain, config)
     lower = gamma_result.value if gamma_result.value is not None else gamma_result.lower
     upper, witness, exhaustive, _ = min_rank_scan(
-        generalized_laplacian(g), box_blocks(g.n, box_radius), domain, lower,
-        g.n, None, config.box_point_budget)
+        g, box_blocks(g.n, box_radius), domain, lower, g.n, None, config.box_point_budget)
     return MrcrBounds(domain.name, lower, upper, witness, exhaustive)
 
 
@@ -431,8 +430,7 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
     gq = gamma(t, QQ, config, cache)
 
     # no diagonal has rank below n - Z, so the first of rank <= mz has rank mz
-    diag_rank, diag, _, _ = min_rank_scan(generalized_laplacian(t),
-                                          [(((-1, 0),) * n, None)], QQ, m_z,
+    diag_rank, diag, _, _ = min_rank_scan(t, [(((-1, 0),) * n, None)], QQ, m_z,
                                           m_z + 1, None)
 
     checks = {

@@ -10,10 +10,11 @@ polynomials with positive leading coefficients, reduced by pseudo-division
 (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 2),
 and made monic, with Fraction coefficients, only where the run hands a
 polynomial out.  Integer generators go into a Q run as they are.  A run
-packs each generator once and seeds the generators in the order of
-Polynomial.key(), which sorts terms in degrevlex whatever the run's order:
-each term's degrevlex key is an int of the degrevlex layout at the run's
-width, and in a degrevlex run that int, unflipped, is the packed monomial.
+packs each generator once and seeds the generators in one order whatever
+the run's: each generator's terms sorted in degrevlex, then the sequences
+of (term, coefficient) pairs compared.  Each term's degrevlex key is an int
+of the degrevlex layout at the run's width, and in a degrevlex run that
+int, unflipped, is the packed monomial.
 """
 
 import heapq
@@ -262,8 +263,8 @@ class _Packing:
         self.bits = bits = width - 1
         self.vmax = (1 << bits) - 1
         self.shifts, self.deg_shift, self.weights, self.flip = _fields(nvars, order, width)
-        # Polynomial.key() sorts terms in degrevlex whatever the run's order:
-        # the weights and flip of that key at this width
+        # the seed order sorts terms in degrevlex whatever the run's order:
+        # the weights and flip of that sort at this width
         self.key_weights, self.key_flip = ((self.weights, self.flip) if order == DEGREVLEX
                                            else _fields(nvars, DEGREVLEX, width)[2:])
         self.guard = sum(1 << width * s + bits for s in range(nvars + 1))
@@ -422,10 +423,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def key(self):
-        """Canonical sortable key: terms sorted under degrevlex."""
-        return tuple(sorted(self.terms.items(), key=lambda t: DEGREVLEX.key(t[0])))
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
@@ -715,10 +712,10 @@ def _buchberger(gens, dom, order, pk, spair_cap, degree_cap, track_cofactors):
     mul, neg, inv_of = dom.mul, dom.neg, dom.inv
     guard, degree = pk.guard, pk.degree
     ngens = len(gens)
-    # deterministic seeding order, that of Polynomial.key(), from each
-    # generator's terms sorted by their degrevlex keys; a degrevlex run
-    # unflips those keys into its packed monomials, so it packs each term
-    # once.  Cofactor slots stay in caller order.
+    # deterministic seeding order: each generator's terms sorted by their
+    # degrevlex keys, then the (term, coefficient) sequences compared.  A
+    # degrevlex run unflips those keys into its packed monomials, so it
+    # packs each term once.  Cofactor slots stay in caller order.
     seeds = []
     for idx, gen in enumerate(gens):
         terms = sorted((pk.degrevlex_key(m), m, c) for m, c in gen.terms.items())

@@ -31,57 +31,38 @@ class ForceRecord:
                 "forces": [list(f) for f in self.forces]}
 
 
-def closure(g, blue, rng=None) -> ColorState:
+def closure(g, blue) -> ColorState:
     """Fixed point of the color change rule starting from the given set.
 
-    Deterministic by default: the lexicographically smallest legal
-    (forcer, forced) pair is applied first.  Passing an rng randomizes the
-    application order; the final blue set is order-independent.
+    The lexicographically smallest legal (forcer, forced) pair is applied
+    first; the final blue set is order-independent.
 
-    The deterministic run keeps a set of blue vertices still to test and
-    tests them lowest first, instead of rescanning from the lowest blue
-    vertex after every force.  A vertex that could not force when tested
-    can become legal only once one of its out-neighbours turns blue, so
-    after a force v -> w only w and the blue in-neighbours of w go back
-    into the set; a forcer has no white neighbour left.  So every legal
-    vertex is in the set, and the first one tested is the smallest.
+    The run keeps a set of blue vertices still to test and tests them
+    lowest first, instead of rescanning from the lowest blue vertex after
+    every force.  A vertex that could not force when tested can become
+    legal only once one of its out-neighbours turns blue, so after a force
+    v -> w only w and the blue in-neighbours of w go back into the set; a
+    forcer has no white neighbour left.  So every legal vertex is in the
+    set, and the first one tested is the smallest.
     """
-    adj = g.out_adj
+    adj, in_adj = g.out_adj, g.in_adj
     mask = 0
     for v in blue:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
         mask |= 1 << v
     forces = []
-    if rng is None:
-        in_adj = g.in_adj
-        scan = mask
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            white = adj[v] & ~mask
-            if white and white & (white - 1) == 0:
-                w = white.bit_length() - 1
-                forces.append((v, w))
-                mask |= white
-                scan |= white | in_adj[w] & mask
-    else:
-        while True:
-            legal = []
-            rest = mask
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                white = adj[v] & ~mask
-                if white and white & (white - 1) == 0:
-                    legal.append((v, white.bit_length() - 1))
-            if not legal:
-                break
-            pick = legal[rng.randrange(len(legal))]
-            forces.append(pick)
-            mask |= 1 << pick[1]
+    scan = mask
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        v = low.bit_length() - 1
+        white = adj[v] & ~mask
+        if white and white & (white - 1) == 0:
+            w = white.bit_length() - 1
+            forces.append((v, w))
+            mask |= white
+            scan |= white | in_adj[w] & mask
     blue_out = frozenset(i for i in range(g.n) if mask >> i & 1)
     return ColorState(blue_out, tuple(forces))
 

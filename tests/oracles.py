@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 from corank.config import DEFAULT_CONFIG
 from corank.criticalideals import gamma
-from corank.polyring import QQ, ZZ, Polynomial, normal_form
-from corank.zeroforcing import zero_forcing_number
+from corank.polyring import DEGREVLEX, QQ, ZZ, Polynomial, normal_form
+from corank.zeroforcing import ColorState, zero_forcing_number
 
 
 def contained_in_monomials_plus_constant(minors, var_indices, constant):
@@ -52,11 +52,17 @@ def check_mr2_corollary(g, config=DEFAULT_CONFIG, cache=None) -> Mr2CorollaryRes
 
 def entry(L, u, v):
     """Entry (u, v) of the generalized Laplacian ``L`` as a polynomial over
-    Z: x_u on the diagonal, -m_uv off it.  Built from the multiplicities
-    alone, so it stays independent of ``L.minor``."""
+    Z: x_u on the diagonal, the entry of ``L.evaluate`` at the zero point
+    off it.  So it stays independent of ``L.minor``."""
     if u == v:
         return Polynomial(L.n, ZZ, {tuple(int(j == u) for j in range(L.n)): 1})
-    return Polynomial(L.n, ZZ, {(0,) * L.n: -L.multiplicity(u, v)})
+    return Polynomial(L.n, ZZ, {(0,) * L.n: L.evaluate((0,) * L.n)[u][v]})
+
+
+def key(p):
+    """The seed order of a Buchberger run as a sortable key: p's
+    (term, coefficient) pairs with the terms sorted in degrevlex."""
+    return tuple(sorted(p.terms.items(), key=lambda t: DEGREVLEX.key(t[0])))
 
 
 def contains(basis, f):
@@ -104,3 +110,28 @@ def closure_by_rescan(g, blue):
                 break
         else:
             return frozenset(v for v in range(g.n) if mask >> v & 1), tuple(forces)
+
+
+def closure_in_random_order(g, blue, rng):
+    """The closure of the color change rule applying a legal (forcer,
+    forced) pair drawn by rng at each step; the final blue set is that of
+    every order."""
+    adj = g.out_adj
+    mask = sum(1 << v for v in set(blue))
+    forces = []
+    while True:
+        legal = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            white = adj[v] & ~mask
+            if white and white & (white - 1) == 0:
+                legal.append((v, white.bit_length() - 1))
+        if not legal:
+            return ColorState(frozenset(v for v in range(g.n) if mask >> v & 1),
+                              tuple(forces))
+        pick = legal[rng.randrange(len(legal))]
+        forces.append(pick)
+        mask |= 1 << pick[1]

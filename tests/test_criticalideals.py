@@ -9,7 +9,7 @@ import pytest
 import corank.polyring as polyring
 from corank.cache import DecisionCache
 from corank.config import RunConfig
-from corank.criticalideals import (SymbolicMatrix, _describe_z_cert, box_points,
+from corank.criticalideals import (_describe_z_cert, box_points,
                                    field_points, gamma,
                                    generalized_laplacian,
                                    groebner_basis_of_critical_ideal,
@@ -27,7 +27,7 @@ from corank.polyring import (DEGREVLEX, GF, QQ, ZZ, Polynomial, buchberger,
                              format_polynomial, is_trivial_over_Z, normal_form,
                              parse_polynomial)
 from corank.zeroforcing import zero_forcing_number
-from oracles import contained_in_monomials_plus_constant, contains, entry, evaluate
+from oracles import contained_in_monomials_plus_constant, contains, entry, evaluate, key
 
 
 def test_laplacian_matches_printed_bull_matrix():
@@ -50,20 +50,17 @@ def test_laplacian_matches_printed_bull_matrix():
 
 
 def test_laplacian_octahedron_offdiagonal_support():
-    L = generalized_laplacian(octahedron())
+    rows = generalized_laplacian(octahedron()).evaluate((0,) * 6)
     for u in range(6):
         for v in range(6):
-            if u == v:
-                continue
-            want = 0 if (u - v) % 3 == 0 else 1
-            assert L.multiplicity(u, v) == want
+            want = 0 if (u - v) % 3 == 0 else -1
+            assert rows[u][v] == want
 
 
 def test_laplacian_k1_and_digraph():
     assert format_polynomial(entry(generalized_laplacian(Graph(1)), 0, 0)) == "x0"
     d = Digraph(2, [(0, 1)])
-    L = generalized_laplacian(d)
-    assert L.multiplicity(0, 1) == 1 and L.multiplicity(1, 0) == 0
+    assert generalized_laplacian(d).evaluate((5, 7)) == [[5, -1], [0, 7]]
 
 
 def test_minor_generators_p3():
@@ -90,17 +87,14 @@ def _all_minors(n):
                 yield rows, cols
 
 
-@pytest.mark.parametrize("matrices", ["graphs n<=5", "digraphs n<=4", "multiplicities"])
+@pytest.mark.parametrize("matrices", ["graphs n<=5", "digraphs n<=4"])
 def test_every_minor_is_multiaffine_and_equals_the_determinant(matrices):
     """A multiaffine polynomial in n variables is fixed by its values on
     {0,1}^n, so agreeing with the determinant there proves the expansion."""
     if matrices == "graphs n<=5":
         mats = [generalized_laplacian(g) for g in enumerate_graphs(5)]
-    elif matrices == "digraphs n<=4":
-        mats = [generalized_laplacian(d) for d in enumerate_digraphs(4)]
     else:
-        mats = [SymbolicMatrix(4, {(0, 1): 2, (1, 0): 3, (1, 2): 3, (2, 3): 2,
-                                   (3, 0): 3, (2, 0): 1, (3, 1): 2})]
+        mats = [generalized_laplacian(d) for d in enumerate_digraphs(4)]
     for L in mats:
         n = L.n
         points = [(pt, L.evaluate(pt)) for pt in product((0, 1), repeat=n)]
@@ -144,9 +138,9 @@ def _oracle_minor_generators(L, size, stop_at_unit, memo):
                 constants.append((rows, cols, c))
                 if unit is None and c in (1, -1):
                     unit = (rows, cols, c)
-            if p.key() in seen or (-p).key() in seen:
+            if key(p) in seen or key(-p) in seen:
                 continue
-            seen.add(p.key())
+            seen.add(key(p))
             gens.append(p)
             if unit is not None and stop_at_unit:
                 return gens, unit, constants
@@ -164,7 +158,7 @@ def test_minor_generators_match_the_polynomial_expansion():
     assert len(graphs) == 143
     for g in graphs + enumerate_digraphs(3):
         L, memo = generalized_laplacian(g), {}
-        symmetric = all(L.multiplicity(u, v) == L.multiplicity(v, u)
+        symmetric = all(g.has_arc(u, v) == g.has_arc(v, u)
                         for u, v in combinations(range(g.n), 2))
         for i in range(g.n + 1):
             for stop in (False, True):
@@ -311,11 +305,32 @@ def test_degree_vector_kills_determinant():
         assert exact_rank(L.evaluate(deg)).rank < n
 
 
+def _shell_order(n, radius):
+    """{-radius..radius}^n sorted by (max |x|, the tuple)."""
+    return sorted(product(range(-radius, radius + 1), repeat=n),
+                  key=lambda pt: (max(map(abs, pt), default=0), pt))
+
+
 def test_box_points_order():
-    pts = list(box_points(2, 1))
-    assert pts[0] == (0, 0)
-    assert set(pts) == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
-    assert pts[1] == (-1, -1)  # lexicographic within the shell
+    for n in range(5):
+        for radius in range(3):
+            assert list(box_points(n, radius)) == _shell_order(n, radius)
+    assert list(box_points(2, 1))[:2] == [(0, 0), (-1, -1)]
+
+
+def test_field_points_order():
+    """The first `budget` points of the shell order over the centred lifts,
+    mod p, and {0, 1}^n in lex for p = 2.  Every budget is tried, so some
+    cut a shell in the middle (p = 5, n = 2, budget 5 inside shell 1)."""
+    for p in (2, 3, 5, 7):
+        for n in range(4):
+            if p == 2:
+                order = list(product((0, 1), repeat=n))
+            else:
+                order = [tuple(x % p for x in pt) for pt in _shell_order(n, (p - 1) // 2)]
+            assert sorted(order) == sorted(product(range(p), repeat=n))
+            for budget in range(len(order) + 2):
+                assert list(field_points(n, p, budget)) == order[:budget]
 
 
 def test_point_generators_in_dimension_zero_yield_only_the_origin():

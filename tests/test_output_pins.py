@@ -26,11 +26,18 @@ TREES = "".join(write_graph6(t) + "\n" for n in range(1, 8) for t in all_trees(n
 # the three disconnected digraphs where the five-way agreement fails
 DISAGREEING = "".join(write_digraph6(d) + "\n" for d in _disconnected_exceptions())
 
+# the parameter report is one whatever the --jobs width
+PARAMS = "949b20da884db6c5d8311d529b3d4127eeb1f94051695784578a1a08f7ed4abe"
+
 PINS = [
     (["gamma", "--domain", "fp:5", "--domain", "z", "--domain", "q", CATALOG],
      "d41e683d7a3e61f248ee1f24415fe8fbd6a4ebbbb14638fb249e13a74c835b76"),
     (["mrcr", "--box", "1", CATALOG],
      "12d0485ff359400e254ec36f2e2909c34c3ad915769b0d4eb82824eb827eee39"),
+    (["mrcr", CATALOG],
+     "e6f00b43f2e27b12aaccd3ed70d56aed2c647f8de48f7289087437170776cdc3"),
+    (["params", "--jobs", "1", CATALOG], PARAMS),
+    (["params", "--jobs", "2", CATALOG], PARAMS),
     (["classify", CATALOG],
      "af215ec5775a18c6364a0d97d6a64f5f9c1aa924d40790840324407817dab6ae"),
     (["zf", CATALOG],
