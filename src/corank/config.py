@@ -27,10 +27,12 @@ class RunConfig:
                                  f"got {getattr(self, name)}")
         if not all(is_prime(p) for p in self.primes):
             raise ValueError(f"primes must be at least 2 and prime, got {list(self.primes)}")
+        # every cache key carries it: hashed once, not per decision
+        blob = json.dumps(asdict(self), sort_keys=True, default=list)
+        object.__setattr__(self, "_budget_hash", hashlib.sha256(blob.encode()).hexdigest()[:16])
 
     def budget_hash(self):
-        blob = json.dumps(asdict(self), sort_keys=True, default=list)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return self._budget_hash
 
     def as_dict(self):
         d = asdict(self)

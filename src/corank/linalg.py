@@ -14,8 +14,11 @@ Setting coordinate k adds d_k times the last pivot (1 over F_p) to entry
 whose unpivoted rest is zero.  Every diagonal below a node therefore keeps
 rank r + [rows beside that zero block are nonzero] + [columns are], so a
 subtree whose bound reaches the running minimum is skipped and its points
-are counted by product sizes.  At the last coordinate a nonzero side gives
-the rank outright, and otherwise the corner does: O(1) per value.
+are counted by product sizes.  A node one pivot short of the minimum
+counts such subtrees before making them: a nonzero new entry (k, k) is
+one more pivot, so only the child whose entry is zero is copied and
+eliminated.  At the last coordinate a nonzero side gives the rank
+outright, and otherwise the corner does: O(1) per value.
 """
 
 from dataclasses import dataclass
@@ -168,9 +171,17 @@ def rank_scan(base_rows, blocks, p, lower, upper, upper_point, budget=None):
         c = m[k][k]
         for v in axes[k]:
             point[k] = v
+            z = (c + v * prev) % p if p else c + v * prev
+            child_hit = hit or v in rim
+            if z and r + 1 >= upper:
+                # a nonzero new entry gives the child another pivot, so it
+                # would skip itself whole: count its points here, uncopied
+                if skip(sizes[k + 1] if child_hit else sizes[k + 1] - free[k + 1]):
+                    return True
+                continue
             m2 = m[:r] + [row[:] for row in m[r:]]
-            m2[k][k] = (c + v * prev) % p if p else c + v * prev
-            if visit(k + 1, m2, *_eliminate(m2, r, prev, p, k + 1), hit or v in rim):
+            m2[k][k] = z
+            if visit(k + 1, m2, *_eliminate(m2, r, prev, p, k + 1), child_hit):
                 return True
         return False
 

@@ -120,7 +120,7 @@ def test_criterion_05_tree_suite(shared_cache):
 
     def timed(g):
         best = float("inf")
-        for _ in range(3):
+        for _ in range(5):
             t0 = time.perf_counter()
             delta_parameter(g)
             best = min(best, time.perf_counter() - t0)

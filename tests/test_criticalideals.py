@@ -1,6 +1,7 @@
 """The symbolic matrix, minor ideals, triviality decisions and gamma."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,7 +9,7 @@ import pytest
 
 import corank.polyring as polyring
 from corank.cache import DecisionCache
-from corank.config import RunConfig
+from corank.config import DEFAULT_CONFIG, RunConfig
 from corank.criticalideals import (_describe_z_cert, box_points,
                                    field_points, gamma,
                                    generalized_laplacian,
@@ -503,6 +504,13 @@ def test_undecided_gamma_names_its_budget():
     prefix = "budget: S-pair cap exceeded, partial basis of "
     assert stuck.startswith(prefix) and stuck.endswith(" polynomials")
     assert int(stuck[len(prefix):].split()[0]) > 0
+
+
+def test_budget_hash_is_pinned():
+    # cache files written by earlier versions stay keyed the same
+    assert DEFAULT_CONFIG.budget_hash() == "fb546a3e713c0e18"
+    assert RunConfig(spair_cap=40000).budget_hash() == "7c0008c06c552153"
+    assert replace(DEFAULT_CONFIG, spair_cap=40000).budget_hash() == "7c0008c06c552153"
 
 
 def test_cache_respects_budget_hash():

@@ -130,6 +130,12 @@ def test_rank_scan_every_budget():
                        Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))]
     blocks = [(((0,), (0,), (0, 1, 2)), None)] * 2
     cases.append((Graph(3, [(0, 2)]), blocks, _block_points(blocks), 3))
+    # upper 2 on K_4: a node with one pivot counts each child whose new
+    # entry is nonzero from its own matrix, whole or (d_0 = +-1 in the
+    # radius-2 shell) only its rim points, and budgets end inside those
+    # children
+    cases.append((Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+                  list(box_blocks(4, 2)), box_points(4, 2), 2))
     for g, blocks, points, upper in cases:
         base = generalized_laplacian(g).evaluate((0,) * g.n)
         points = list(points)
@@ -144,6 +150,40 @@ def test_rank_scan_every_budget():
             for r in range(g.n):
                 assert rank_scan(base, blocks, p, r, r + 1, None) == \
                     _reference_scan(ranked, r, r + 1, None)
+
+
+def _count_eliminations(monkeypatch, run):
+    calls = 0
+    eliminate = linalg._eliminate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return eliminate(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_eliminate", counted)
+        run()
+    return calls
+
+
+def test_elimination_counts(monkeypatch):
+    # deterministic work counters of the scans: children that their
+    # parent's matrix decides are never copied or eliminated (without that
+    # look-ahead the two runs make 28,320 and 592 calls)
+    def gap_table():
+        for g in enumerate_connected_graphs(6):
+            cache = DecisionCache()
+            gamma(g, ZZ, cache=cache)
+            gamma(g, QQ, cache=cache)
+
+    def trees():
+        for n in range(1, 8):
+            for t in all_trees(n):
+                tree_suite(t)
+
+    assert _count_eliminations(monkeypatch, gap_table) <= 13_715
+    assert _count_eliminations(monkeypatch, trees) <= 461
 
 
 def test_a_field_block_comes_before_the_whole_field_is_built():
