@@ -51,7 +51,7 @@ def classify_rank1_graph(g: Graph, config=DEFAULT_CONFIG, cache=None) -> Equival
     complete = is_complete_graph(g)
     p3_hit = contains_induced(g, path(3)) if g.n >= 3 else None
     p3_free = p3_hit is None
-    zf = zero_forcing_number(g, config)
+    zf = zero_forcing_number(g)
     m_z = g.n - zf.z
     # one cache for both gamma calls: gamma_Z reuses gamma_Q's box scan
     cache = cache if cache is not None else DecisionCache()
@@ -181,7 +181,7 @@ def classify_digraph1(d: Digraph, config=DEFAULT_CONFIG, cache=None) -> Equivale
     if matrix is not None:
         _assert_pattern(d, matrix)
 
-    zf = zero_forcing_number(d, config)
+    zf = zero_forcing_number(d)
     m_z = d.n - zf.z
     # one cache for both gamma calls: gamma_Z reuses gamma_Q's box scan
     cache = cache if cache is not None else DecisionCache()

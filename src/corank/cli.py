@@ -49,10 +49,13 @@ def _read_input(token, digraph_lists=False):
     return autodetect(text, digraph_lists=digraph_lists)
 
 
+# the RunConfig field each budget option sets; RunConfig has no other field
+CONFIG_OPTIONS = {"box": "box_radius", "budget_spairs": "spair_cap",
+                  "budget_degree": "degree_cap"}
+
+
 def _config_from_args(args):
-    fields = {"box": "box_radius", "budget_spairs": "spair_cap",
-              "budget_degree": "degree_cap"}
-    return RunConfig(**{field: getattr(args, option) for option, field in fields.items()
+    return RunConfig(**{field: getattr(args, option) for option, field in CONFIG_OPTIONS.items()
                         if getattr(args, option, None) is not None})
 
 
@@ -165,8 +168,7 @@ def cmd_gb(args):
     config = _config_from_args(args)
     order = ORDERS[args.order]
     domain = parse_domain(args.domain)
-    result = groebner_basis_of_critical_ideal(g, args.index, domain, order, config)
-    basis, decision = result if domain is ZZ else (result, None)
+    basis, decision = groebner_basis_of_critical_ideal(g, args.index, domain, order, config)
     payload = {
         "graph_id": canonical_graph6(g),
         "index": args.index,

@@ -498,7 +498,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     n = g.n
     result = GammaResult(check_domain(domain).name, 0, n, None)
 
-    zf = zero_forcing_number(g, config)
+    zf = zero_forcing_number(g)
     lower = g.n - zf.z
     provenance = {}
     if zf.exact:
@@ -546,19 +546,19 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
 
 def groebner_basis_of_critical_ideal(g, i, domain=QQ, order=DEGREVLEX,
                                      config=DEFAULT_CONFIG):
-    """Reduced Groebner basis of I_i(g) for reporting and ideal comparison.
+    """(basis, decision) of I_i(g), for reporting and ideal comparison.
 
-    Field domains return the basis directly.  For Z the basis over Q is
-    paired with the exact Z-triviality decision, which computes that basis
-    first: its certificate carries it when the ideal is proper over Q, and
-    otherwise it is {1}.  The decision's cofactors are not kept.  True basis
-    computation over Z is out of scope by design.
+    Over a field: its reduced basis, and None.  Over Z: the basis over Q and
+    the exact Z-triviality decision, which computes that basis first: its
+    certificate carries it when the ideal is proper over Q, and otherwise it
+    is {1}.  The decision's cofactors are not kept.  True basis computation
+    over Z is out of scope by design.
     """
     over_z = check_domain(domain) is ZZ
     gens = minor_generators(generalized_laplacian(g), i, stop_at_unit=over_z)
     if not over_z:
         return buchberger(gens.to_domain(domain), order,
-                          config.spair_cap, config.degree_cap)
+                          config.spair_cap, config.degree_cap), None
     ok, cert = is_trivial_over_Z(gens.generators, order,
                                  config.spair_cap, config.degree_cap)
     q_gens = (cert[1].generators if cert[0] == "rational-basis"

@@ -8,7 +8,7 @@ the search-heavy routines (closures, canonical labeling, induced-pattern
 embedding), which read `out_adj`/`in_adj` whatever the kind.  Instances are
 immutable after construction, so the facts that depend on the graph alone
 are computed once and kept on it: the bitmasks, the canonical form and the
-exact zero forcing search.  The kind matters only where the mathematics
+zero forcing result.  The kind matters only where the mathematics
 differs: the canonical segments, graph6 against digraph6, and the
 classifications.
 """

@@ -49,9 +49,9 @@ def mr_small(g: Graph, config=DEFAULT_CONFIG, cache=None) -> MinimumRankResult:
     explicitly flagged non-exact; their gamma over Q is decided through the
     cache (a fresh one by default).
     """
-    zf = zero_forcing_number(g, config)
+    zf = zero_forcing_number(g)
     lo = g.n - zf.z
-    if g.n <= 7 and zf.exact:
+    if g.n <= 7:
         return MinimumRankResult(True, lo, lo, "zero-forcing identity (n <= 7)")
     bounds = mrcr_bounds(g, QQ, config.box_radius, config,
                          gamma_result=gamma(g, QQ, config, cache))
@@ -419,7 +419,7 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
         raise ValueError(f"tree suite verifies exactly only up to "
                          f"n={config.zf_exact_max_n}; use delta_parameter / "
                          f"two_matching_number for large trees")
-    zf = zero_forcing_number(t, config)
+    zf = zero_forcing_number(t)
     m_z = n - zf.z
     nu2, matching = _nu2_tree(order, children)
     cover = _paths_of_matching(t, matching)

@@ -36,7 +36,7 @@ def build_parameter_report(g, config=DEFAULT_CONFIG, cache=None,
     cache = cache if cache is not None else DecisionCache()
     t0 = time.monotonic()
     directed = isinstance(g, Digraph)
-    zf = zero_forcing_number(g, config)
+    zf = zero_forcing_number(g)
     report = {
         "graph_id": canonical_graph6(g),
         "directed": directed,

@@ -51,7 +51,7 @@ def compute_gamma_table(graphs, config=DEFAULT_CONFIG, cache=None):
         key = canonical_graph6(g)
         if key in table:
             continue
-        zf = zero_forcing_number(g, config)
+        zf = zero_forcing_number(g)
         gz = gamma(g, ZZ, config, cache)
         gq = gamma(g, QQ, config, cache)
         table[key] = {"graph": g, "z": zf.z, "mz": g.n - zf.z,
@@ -97,7 +97,7 @@ def sweep_thm21(config=DEFAULT_CONFIG, cache=None, table=None):
         + [{"graph": d} for d in random_digraphs(300, 5, seed=20250809)]
     for entry in hosts:
         g = entry["graph"]
-        zf = zero_forcing_number(g, config)
+        zf = zero_forcing_number(g)
         try:
             cert = certificate_minor(g, zf.witness)
         except Exception as exc:  # noqa: BLE001 - failure payload wanted
@@ -135,7 +135,7 @@ def sweep_monotone(config=DEFAULT_CONFIG, cache=None):
         verts = sorted(rng.sample(range(g.n), k))
         h = induced_subgraph(g, verts)
         pairs += 1
-        if mz(h, config) > mz(g, config):
+        if mz(h) > mz(g):
             failures.append({"g": repr(g), "h": repr(h), "kind": "mz"})
         for dom, name in ((QQ, "Q"), (ZZ, "Z")):
             gg = gamma(g, dom, config, cache)
@@ -173,7 +173,7 @@ def sweep_cycles(config=DEFAULT_CONFIG, cache=None):
     notes = []
     for n in range(3, 11):
         c = cycle(n)
-        m_z = mz(c, config)
+        m_z = mz(c)
         if m_z != n - 2:
             failures.append({"n": n, "mz": m_z})
             continue
@@ -207,7 +207,7 @@ def sweep_petersen(config=DEFAULT_CONFIG, cache=None):
     cache = cache if cache is not None else DecisionCache()
     g = petersen()
     failures = []
-    zf = zero_forcing_number(g, config)
+    zf = zero_forcing_number(g)
     if zf.z != 5:
         failures.append({"z": zf.z})
     rank1 = exact_rank(generalized_laplacian(g).evaluate((1,) * 10)).rank
@@ -233,7 +233,7 @@ def sweep_linegraphs(config=DEFAULT_CONFIG, cache=None):
     for n in range(4, 7):
         for t in all_trees(n):
             lg = line_graph(t)
-            m_z = mz(lg, config)
+            m_z = mz(lg)
             gz = gamma(lg, ZZ, config, cache)
             if gz.value != m_z:
                 # the equality chain forces gamma_Z = mz on these graphs
@@ -322,7 +322,7 @@ def sweep_digraph1(config=DEFAULT_CONFIG, cache=None):
                      "the three known disconnected family-free mz=2 digraphs "
                      "are the only exceptions")
     for name, d, marked in forbidden_family_named():
-        m_z = d.n - zero_forcing_number(d, config).z
+        m_z = d.n - zero_forcing_number(d).z
         if m_z != 2:
             failures.append({"family": name, "mz": m_z})
     rng = random.Random(20250811)
@@ -333,7 +333,7 @@ def sweep_digraph1(config=DEFAULT_CONFIG, cache=None):
             continue
         samples += 1
         lam = lambda_digraph(*parts)
-        m_z = lam.n - zero_forcing_number(lam, config).z
+        m_z = lam.n - zero_forcing_number(lam).z
         if m_z > 1:
             failures.append({"lambda": parts, "mz": m_z})
         from .classify import lambda_pattern_matrix

@@ -1,4 +1,4 @@
-"""The color-change game: closures, exact zero forcing numbers, and the
+"""The color-change game: closures, zero forcing numbers, and the
 unit-determinant certificate submatrix extracted from a chronological list.
 
 Rules: a blue vertex with exactly one white neighbor forces it; on digraphs
@@ -8,7 +8,7 @@ the unique white *out*-neighbor is forced (in-neighbors are irrelevant).
 from dataclasses import dataclass
 from itertools import combinations
 
-from .config import DEFAULT_CONFIG
+from .config import RunConfig
 
 
 class CertificateError(ValueError):
@@ -78,19 +78,17 @@ class ZeroForcingResult:
     exact: bool
 
 
-def zero_forcing_number(g, config=DEFAULT_CONFIG) -> ZeroForcingResult:
+def zero_forcing_number(g) -> ZeroForcingResult:
     """Minimum zero forcing set by ascending-cardinality subset search.
 
-    Exact for n <= config.zf_exact_max_n; the witness is the
-    lexicographically least minimum set.  The exact result depends on the
-    graph alone, so it is searched for once per graph object and kept in its
-    _zf slot.  Beyond the exact tier a greedy upper bound is returned with
-    exact=False, and never kept.
+    Exact for n <= RunConfig.zf_exact_max_n; the witness is the
+    lexicographically least minimum set.  Beyond that tier a greedy upper
+    bound is returned with exact=False.  Either result depends on the graph
+    alone, so it is computed once per graph object and kept in its _zf slot.
     """
-    if g.n > config.zf_exact_max_n:
-        return _greedy_upper_bound(g)
     if g._zf is None:
-        g._zf = _exact_search(g)
+        g._zf = (_exact_search(g) if g.n <= RunConfig.zf_exact_max_n
+                 else _greedy_upper_bound(g))
     return g._zf
 
 
@@ -131,9 +129,9 @@ def _greedy_upper_bound(g):
                              False)
 
 
-def mz(g, config=DEFAULT_CONFIG) -> int:
+def mz(g) -> int:
     """n - Z(g); a lower bound on n - Z when beyond the exact tier."""
-    return g.n - zero_forcing_number(g, config).z
+    return g.n - zero_forcing_number(g).z
 
 
 def validate_record(g, record: ForceRecord) -> bool:

@@ -42,7 +42,7 @@ def check_mr2_corollary(g, config=DEFAULT_CONFIG, cache=None) -> Mr2CorollaryRes
     """
     if g.n > 7:
         raise ValueError("exact minimum rank needs n <= 7")
-    zf = zero_forcing_number(g, config)
+    zf = zero_forcing_number(g)
     mr = g.n - zf.z
     gq = gamma(g, QQ, config, cache)
     if mr > 2:

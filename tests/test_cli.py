@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -200,21 +201,29 @@ def test_an_invalid_budget_is_an_error_not_a_traceback(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_run_config_rejects_a_prime_below_two():
-    with pytest.raises(ValueError, match="primes must be at least 2"):
-        RunConfig(primes=(1,))
-
-
 @pytest.mark.parametrize("field, value", [
     ("zf_exact_max_n", -1),
     ("modp_point_budget", -5),
     ("gamma_box_budget", -2),
     ("box_point_budget", -3),
     ("primes", (2, 4)),
+    ("box_radius", -1),
+    ("spair_cap", 0),
+    ("degree_cap", -4),
 ])
 def test_run_config_names_the_field_it_rejects(field, value):
-    with pytest.raises(ValueError, match=field):
+    # a settable budget out of range; a fixed budget whatever its value
+    settable = field in cli.CONFIG_OPTIONS.values()
+    with pytest.raises(ValueError if settable else TypeError, match=field):
         RunConfig(**{field: value})
+
+
+def test_run_config_holds_only_the_budgets_a_command_sets():
+    # a budget that no option sets is fixed in config.py, not a field
+    assert [f.name for f in fields(RunConfig)] == list(cli.CONFIG_OPTIONS.values())
+    args = build_parser().parse_args(["params", "--box", "3", "--budget-spairs", "7",
+                                      "--budget-degree", "9", "Bw"])
+    assert cli._config_from_args(args) == RunConfig(box_radius=3, spair_cap=7, degree_cap=9)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

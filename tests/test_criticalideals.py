@@ -351,10 +351,11 @@ def test_variety_box_search_examples():
     assert res3.point is None and res3.exhaustive
 
 
-def test_field_box_search_cut_by_its_budget_is_not_exhaustive():
+def test_field_box_search_cut_by_its_budget_is_not_exhaustive(monkeypatch):
     # 50 of the 13^6 points of F_13^6: absence there settles nothing
-    cut = variety_box_search(cycle(6), 0, domain=GF(13),
-                             config=RunConfig(box_point_budget=50))
+    with monkeypatch.context() as patch:
+        patch.setattr(RunConfig, "box_point_budget", 50)
+        cut = variety_box_search(cycle(6), 0, domain=GF(13), config=RunConfig())
     assert (cut.point, cut.points_scanned, cut.exhaustive) == (None, 50, False)
     whole = variety_box_search(cycle(6), 0, domain=GF(3))
     assert (whole.point, whole.points_scanned, whole.exhaustive) == (None, 3 ** 6, True)
@@ -362,7 +363,8 @@ def test_field_box_search_cut_by_its_budget_is_not_exhaustive():
 
 def test_groebner_basis_reporting_and_reference_ideals():
     # field basis of the prism's 4-minor ideal equals the reference basis
-    basis = groebner_basis_of_critical_ideal(graph_b(), 4, QQ)
+    basis, decision = groebner_basis_of_critical_ideal(graph_b(), 4, QQ)
+    assert decision is None
     ref = [parse_polynomial(t, 6, QQ) for t in GRAPH_B_I4]
     ref_basis = buchberger(ref)
     assert all(contains(ref_basis, p) for p in basis.generators)
@@ -373,7 +375,7 @@ def test_groebner_basis_reporting_and_reference_ideals():
     from corank.goldens import octahedron_for_reference_i4
     host = octahedron_for_reference_i4()
     assert canonical_form(host) == canonical_form(octahedron())
-    basis_oct = groebner_basis_of_critical_ideal(host, 4, QQ)
+    basis_oct, _ = groebner_basis_of_critical_ideal(host, 4, QQ)
     ref_oct = [parse_polynomial(t, 6, QQ) for t in OCTAHEDRON_I4_OVER_R]
     oct_ref_basis = buchberger(ref_oct)
     assert all(contains(oct_ref_basis, p) for p in basis_oct.generators)
@@ -490,9 +492,11 @@ def test_z_nontriviality_point_kills_generators_mod_p():
     assert all(evaluate(q.to_domain(fp), point) == 0 for q in gens)
 
 
-def test_budget_yields_undecided_not_wrong():
-    tight = RunConfig(spair_cap=1, degree_cap=30, gamma_box_budget=3,
-                      box_point_budget=3, modp_point_budget=1, primes=(2,))
+def test_budget_yields_undecided_not_wrong(monkeypatch):
+    for name, value in (("gamma_box_budget", 3), ("box_point_budget", 3),
+                        ("modp_point_budget", 1), ("primes", (2,))):
+        monkeypatch.setattr(RunConfig, name, value)
+    tight = RunConfig(spair_cap=1, degree_cap=30)
     r = gamma(graph_b(), QQ, tight, DecisionCache())
     assert r.status == "undecided" or r.value == 3
 
@@ -511,6 +515,12 @@ def test_budget_hash_is_pinned():
     assert DEFAULT_CONFIG.budget_hash() == "fb546a3e713c0e18"
     assert RunConfig(spair_cap=40000).budget_hash() == "7c0008c06c552153"
     assert replace(DEFAULT_CONFIG, spair_cap=40000).budget_hash() == "7c0008c06c552153"
+    wide = RunConfig(box_radius=3, degree_cap=12)
+    assert wide.budget_hash() == "3ec4a352fd716558"
+    assert wide.as_dict() == {"box_radius": 3, "primes": [2, 3, 5, 7, 11, 13],
+                              "spair_cap": 50000, "degree_cap": 12, "zf_exact_max_n": 12,
+                              "modp_point_budget": 20000, "box_point_budget": 200000,
+                              "gamma_box_budget": 20000}
 
 
 def test_cache_respects_budget_hash():

@@ -1,12 +1,11 @@
-"""Facts kept on the graph object: the canonical form and the exact zero
-forcing search run once per graph, and are never served across zero
-forcing tiers or labelings."""
+"""Facts kept on the graph object: the canonical form and the zero forcing
+result are computed once per graph, and are never served across
+labelings."""
 
 import pytest
 
 from corank import graphs, zeroforcing
 from corank.cache import DecisionCache
-from corank.config import RunConfig
 from corank.criticalideals import gamma
 from corank.enumeration import all_trees, enumerate_connected_graphs
 from corank.generators import cycle, octahedron, petersen
@@ -50,13 +49,17 @@ def runs_per_graph(monkeypatch):
     return measure
 
 
-def test_zero_forcing_tier_is_respected_in_both_orders():
-    small_tier = RunConfig(zf_exact_max_n=7)
-    g = cycle(8)
-    assert not zero_forcing_number(g, small_tier).exact
-    assert zero_forcing_number(g).exact
-    assert not zero_forcing_number(g, small_tier).exact
-    assert zero_forcing_number(g).exact
+def test_the_greedy_bound_is_kept_like_the_exact_one(monkeypatch):
+    g = cycle(40)  # past the exact tier
+    first = zero_forcing_number(g)
+    assert not first.exact
+    real, closures = zeroforcing.closure, []
+    monkeypatch.setattr(zeroforcing, "closure",
+                        lambda *args: closures.append(args) or real(*args))
+    assert zero_forcing_number(g) is first and closures == []
+    monkeypatch.undo()
+    again = zero_forcing_number(fresh(g))
+    assert again == first and not again.exact
 
 
 def test_relabeled_copy_gets_its_own_canonical_form():

@@ -42,6 +42,8 @@ PINS = [
      "af215ec5775a18c6364a0d97d6a64f5f9c1aa924d40790840324407817dab6ae"),
     (["zf", CATALOG],
      "51d9312cca493a5477d6b17b6a27901d4a6b9cd835d6de461935262b90a7e1c1"),
+    (["params", "--box", "1", "--budget-spairs", "500", "--budget-degree", "12", CATALOG],
+     "461f5307925ccb999f3932cef7d94bcb64579e4cd482e919b1fae9c81c89dbd6"),
     (["params", "--digraph", C4_ARCS],
      "ff9e25bd52c117d9bcfdb69080a9e2f9ad6fcea54655a7865cfc58a4be3d69c2"),
     (["sweep", "thm-rank1"],

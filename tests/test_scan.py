@@ -1,7 +1,9 @@
 """The evaluation-rank scan kernel and the scan sites routed through it."""
 
+from contextlib import contextmanager
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import corank
@@ -207,10 +209,20 @@ def test_rank_scan_stops_at_the_first_point_reaching_lower():
 # every scan site gives the same witness and count through the kernel as
 # through one exact rank per point
 
-# Small budgets, so that scans also stop on their budgets mid-shell.
-SMALL = RunConfig(box_radius=1, primes=(2, 3), modp_point_budget=30,
-                  box_point_budget=60, gamma_box_budget=40)
-GAMMA_CONFIG = RunConfig(gamma_box_budget=40)
+# Small budgets, so that scans also stop on their budgets mid-shell.  The
+# fixed budgets are set on RunConfig for the calls that read them.
+SMALL = RunConfig(box_radius=1)
+SMALL_BUDGETS = dict(primes=(2, 3), modp_point_budget=30, box_point_budget=60,
+                     gamma_box_budget=40)
+GAMMA_BUDGETS = dict(gamma_box_budget=40)
+
+
+@contextmanager
+def budgets(**values):
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in values.items():
+            patch.setattr(RunConfig, name, value)
+        yield
 
 
 def _site_outputs(graphs):
@@ -219,15 +231,18 @@ def _site_outputs(graphs):
     out = []
     for g in graphs:
         for dom in (ZZ, GF(3)):
-            res = gamma(g, dom, GAMMA_CONFIG, DecisionCache())
+            with budgets(**GAMMA_BUDGETS):
+                res = gamma(g, dom, RunConfig(), DecisionCache())
             out.append(res.to_json())
-            out.append(mrcr_bounds(g, dom, 1, SMALL, gamma_result=res))
-        for r in range(g.n):
-            for dom in (QQ, GF(5)):
-                out.append(variety_box_search(g, r, 1, dom, SMALL))
-        for i in range(1, g.n + 1):
-            for dom in (QQ, ZZ, GF(5)):
-                out.append(nontriviality_certificate(g, i, dom, SMALL))
+            with budgets(**SMALL_BUDGETS):
+                out.append(mrcr_bounds(g, dom, 1, SMALL, gamma_result=res))
+        with budgets(**SMALL_BUDGETS):
+            for r in range(g.n):
+                for dom in (QQ, GF(5)):
+                    out.append(variety_box_search(g, r, 1, dom, SMALL))
+            for i in range(1, g.n + 1):
+                for dom in (QQ, ZZ, GF(5)):
+                    out.append(nontriviality_certificate(g, i, dom, SMALL))
     return out
 
 

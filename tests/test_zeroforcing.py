@@ -5,7 +5,6 @@ import random
 import pytest
 
 import corank.zeroforcing as zeroforcing
-from corank.config import RunConfig
 from corank.criticalideals import generalized_laplacian
 from corank.enumeration import enumerate_graphs
 from corank.generators import (bull, complete, cycle, forbidden_family_named,
@@ -214,7 +213,7 @@ def test_certificate_shape_checks_stand_without_the_replay(monkeypatch):
 
 def test_heuristic_tier_flags_inexact():
     big = path(20)
-    r = zero_forcing_number(big, RunConfig(zf_exact_max_n=12))
+    r = zero_forcing_number(big)
     assert not r.exact
     assert is_zero_forcing_set(big, r.witness.initial_set)
 
