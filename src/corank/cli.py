@@ -42,7 +42,7 @@ def _read_input(token, digraph_lists=False):
     else:
         p = Path(token)
         try:
-            is_file = p.exists()
+            is_file = token != "" and p.exists()  # Path("") is the directory "."
         except OSError:  # e.g. an inline graph6 token longer than a file name may be
             is_file = False
         text = p.read_text() if is_file else token

@@ -487,12 +487,31 @@ def _probe_points(g):
     return [(tuple(zip(p)), None) for p in dict.fromkeys(pts)]
 
 
+def _sandwich_prefix(g, zf, domain):
+    """(certificate minor or None, (upper, point) of the probe scan): facts of
+    the graph and the scan's prime alone, kept in g's _sandwich slot.  The
+    certificate is validated once; Z and Q share the probe entry of
+    domain.p None, because ranks over Z are taken over Q."""
+    kept = g._sandwich
+    if kept is None:
+        cert = certificate_minor(g, zf.witness) if zf.exact else None
+        kept = g._sandwich = (cert, {})
+    cert, probes = kept
+    probe = probes.get(domain.p)
+    if probe is None:
+        probe = probes[domain.p] = min_rank_scan(g, _probe_points(g), domain, g.n - zf.z,
+                                                 g.n, None)[:2]
+    return cert, probe
+
+
 def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     """The largest i with I_i(g) trivial over the domain.
 
     Sandwich first: the zero-forcing certificate minor gives the lower
     bound, evaluation ranks give the upper bound; no Groebner machinery
-    runs unless a gap survives.
+    runs unless a gap survives.  The certificate and the probe-point bound
+    are kept on the graph; box scans and per-index decisions go through
+    the cache.
     """
     cache = cache if cache is not None else DecisionCache()
     n = g.n
@@ -500,9 +519,9 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
 
     zf = zero_forcing_number(g)
     lower = g.n - zf.z
+    cert, (upper, upper_point) = _sandwich_prefix(g, zf, domain)
     provenance = {}
-    if zf.exact:
-        cert = certificate_minor(g, zf.witness)  # structural validation
+    if cert is not None:
         result.lower_witness = {"force_record": zf.witness.to_json(),
                                 "certificate_rows": list(cert.rows),
                                 "certificate_cols": list(cert.cols),
@@ -512,7 +531,6 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     else:
         result.lower_witness = {"note": "zero forcing bound not exact at this order"}
 
-    upper, upper_point, _, _ = min_rank_scan(g, _probe_points(g), domain, lower, n, None)
     if upper > lower:
         upper, upper_point = _budgeted_box_scan(g, lower, upper, upper_point, domain,
                                                 config, cache)

@@ -7,10 +7,11 @@ also named `adj`), equality, hashing and the kept facts.  The bitmasks drive
 the search-heavy routines (closures, canonical labeling, induced-pattern
 embedding), which read `out_adj`/`in_adj` whatever the kind.  Instances are
 immutable after construction, so the facts that depend on the graph alone
-are computed once and kept on it: the bitmasks, the canonical form and the
-zero forcing result.  The kind matters only where the mathematics
-differs: the canonical segments, graph6 against digraph6, and the
-classifications.
+are computed once and kept on it: the bitmasks, the canonical form, the
+zero forcing result and the prefix of gamma's sandwich (the certificate
+minor and the probe-point bound).  The kind matters only where the
+mathematics differs: the canonical segments, graph6 against digraph6, and
+the classifications.
 """
 
 from itertools import combinations
@@ -28,7 +29,7 @@ class _PairGraph:
     """n vertices and a frozen set of ordered pairs, `pairs`; a subclass
     with _symmetric set stores each edge once as (min, max)."""
 
-    __slots__ = ("n", "pairs", "_out_adj", "_in_adj", "_canonical", "_zf")
+    __slots__ = ("n", "pairs", "_out_adj", "_in_adj", "_canonical", "_zf", "_sandwich")
     _symmetric = False
     _noun = "arc"
 
@@ -41,7 +42,7 @@ class _PairGraph:
             ps.add((min(u, v), max(u, v)) if self._symmetric else (u, v))
         self.n = n
         self.pairs = frozenset(ps)
-        self._out_adj = self._in_adj = self._canonical = self._zf = None
+        self._out_adj = self._in_adj = self._canonical = self._zf = self._sandwich = None
 
     def _build(self):
         # bitmask rows cost O(n^2/64) to build; huge sparse graphs (the

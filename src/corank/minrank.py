@@ -410,8 +410,9 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
     mz = gamma_Z = gamma_Q = mr = n - P = n - Delta = nu2, plus a diagonal
     d in {-1,0}^n with rank L(t,d) = mz.  Any failed equality raises
     TreeTheoremViolation: the theorems hold, so only a bug can trip it.
-    Both gamma calls share the cache (a fresh one by default), so gamma_Q
-    reuses gamma_Z's box scan.
+    gamma_Q reuses gamma_Z's certificate minor and probe-point bound, kept
+    on the tree, and its box scan, through the shared cache (a fresh one
+    by default).
     """
     adj, order, children = rooted_tree(t)
     n = t.n

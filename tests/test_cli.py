@@ -175,6 +175,16 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["params", "gamma", "zf", "mrcr", "classify"])
+def test_an_empty_token_is_empty_input_not_the_current_directory(capsys, tmp_path, command):
+    assert main([command, ""]) == 2
+    assert capsys.readouterr().err == "parse error: empty input\n"
+    # a directory that is named is still read as a path, and fails as one
+    assert main([command, str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_strict_budget_exit_code(capsys):
     g6 = write_graph6(graph_b())
     code, out = run(capsys, "gamma", "--domain", "q", "--strict",

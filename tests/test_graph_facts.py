@@ -1,17 +1,20 @@
-"""Facts kept on the graph object: the canonical form and the zero forcing
-result are computed once per graph, and are never served across
-labelings."""
+"""Facts kept on the graph object: the canonical form, the zero forcing
+result and gamma's certificate minor and probe-point bound are computed
+once per graph, and are never served across labelings.  The probe bound is
+kept per scan prime, one entry shared by Z and Q."""
+
+from collections import Counter
 
 import pytest
 
-from corank import graphs, zeroforcing
+from corank import criticalideals, graphs, zeroforcing
 from corank.cache import DecisionCache
 from corank.criticalideals import gamma
 from corank.enumeration import all_trees, enumerate_connected_graphs
 from corank.generators import cycle, octahedron, petersen
 from corank.graphs import Graph, canonical_form, relabel
 from corank.minrank import tree_suite
-from corank.polyring import QQ, ZZ
+from corank.polyring import GF, QQ, ZZ
 from corank.report import build_parameter_report
 from corank.zeroforcing import zero_forcing_number
 
@@ -75,7 +78,34 @@ def test_kept_facts_stay_out_of_equality_and_repr():
     g, h = octahedron(), octahedron()
     canonical_form(g)
     zero_forcing_number(g)
+    gamma(g, ZZ)
+    assert g._sandwich is not None and h._sandwich is None
     assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+
+
+def test_the_sandwich_prefix_is_kept_once_per_graph_and_scan_prime(monkeypatch):
+    runs = Counter()
+    certificate, scan = criticalideals.certificate_minor, criticalideals.min_rank_scan
+
+    def counted_certificate(*args):
+        runs["certificate"] += 1
+        return certificate(*args)
+
+    def counted_scan(g, blocks, domain, lower, upper, upper_point, budget=None):
+        if budget is None:  # the probe scan is gamma's only scan without a point budget
+            runs["probe", domain.p] += 1
+        return scan(g, blocks, domain, lower, upper, upper_point, budget)
+
+    monkeypatch.setattr(criticalideals, "certificate_minor", counted_certificate)
+    monkeypatch.setattr(criticalideals, "min_rank_scan", counted_scan)
+    g, domains = octahedron(), (ZZ, QQ, GF(3), GF(3))
+    cache = DecisionCache()
+    kept = [gamma(g, dom, cache=cache).to_json() for dom in domains]
+    assert runs == {"certificate": 1, ("probe", None): 1, ("probe", 3): 1}
+    # only the certificate and the probe bounds: no box scan, no decision
+    assert set(g._sandwich[1]) == {None, 3}
+    monkeypatch.undo()
+    assert [gamma(fresh(g), dom).to_json() for dom in domains] == kept
 
 
 def bench_item(g):
