@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
-from .criticalideals import gamma, jsonable
+from .criticalideals import gamma
 from .generators import forbidden_family_named, path
 from .graphs import Digraph, Graph, contains_induced, is_connected
 from .polyring import QQ, ZZ
@@ -33,7 +33,7 @@ class EquivalenceReport:
     def to_json(self):
         return {"kind": self.kind, "conditions": dict(self.conditions),
                 "agreement": self.agreement,
-                "witnesses": jsonable(self.witnesses)}
+                "witnesses": self.witnesses}
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def classify_rank1_graph(g: Graph, config=DEFAULT_CONFIG, cache=None) -> Equival
     gq = gamma(g, QQ, config, cache)
     gz = gamma(g, ZZ, config, cache)
     mr_le_1 = complete  # the all-ones matrix is the rank-one witness
-    witnesses = {"zero_forcing_set": zf.witness.initial_set,
+    witnesses = {"zero_forcing_set": sorted(zf.witness.initial_set),
                  "gamma_q": gq.value, "gamma_z": gz.value}
     if p3_hit is not None:
         witnesses["induced_p3"] = p3_hit
@@ -196,7 +196,7 @@ def classify_digraph1(d: Digraph, config=DEFAULT_CONFIG, cache=None) -> Equivale
         "gamma_le_1": gq.value is not None and gq.value <= 1
                       and gz.value is not None and gz.value <= 1,
     }
-    witnesses = {"zero_forcing_set": zf.witness.initial_set,
+    witnesses = {"zero_forcing_set": sorted(zf.witness.initial_set),
                  "mz": m_z, "gamma_q": gq.value, "gamma_z": gz.value}
     if hits:
         witnesses["forbidden_embeddings"] = hits[:3]

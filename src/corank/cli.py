@@ -13,6 +13,7 @@ S-pair or degree cap, or a canonical labeling over its work cap).
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from .cache import DecisionCache
@@ -70,41 +71,43 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _report_worker(payload):
-    """One graph's report, from its own cache, whatever the --jobs width."""
-    g, config, domains, cache_dir, timings = payload
-    return build_parameter_report(g, config, DecisionCache(cache_dir), domains,
-                                  include_timings=timings)
-
-
-def cmd_params(args):
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    graphs = _read_input(args.input, args.digraph)
-    config = _config_from_args(args)
-    domains = _domains(args)
-    payloads = [(g, config, domains, args.cache, args.timings) for g in graphs]
-    workers = min(args.jobs, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_report_worker, payloads))
-    else:
-        reports = list(map(_report_worker, payloads))
-    _emit(args, RENDERERS[args.format](reports))
-    if args.strict and any(report_undecided(r) for r in reports):
-        return EXIT_UNDECIDED
-    return EXIT_OK
+def _graph_rows(rows, cache_dir, config, g):
+    return list(rows(g, config, DecisionCache(cache_dir)))
 
 
 def _each_graph(args, rows):
-    """Run rows(g, config, cache) -> [row] over every input graph with one
-    config and one cache; emit all rows as one JSON list and return it."""
+    """Run rows(g, config, cache) -> [row] over every input graph, each with
+    its own DecisionCache(args.cache), so that no row reads what another
+    input line left in memory; with --jobs N > 1 the graphs go to a process
+    pool.  Emit all rows in input order and return them."""
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     graphs = _read_input(args.input, getattr(args, "digraph", False))
-    config = _config_from_args(args)
-    cache = DecisionCache(getattr(args, "cache", None))
-    out = [row for g in graphs for row in rows(g, config, cache)]
-    _emit(args, render_json(out))
+    per_graph = partial(_graph_rows, rows, getattr(args, "cache", None),
+                        _config_from_args(args))
+    workers = min(jobs, len(graphs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_line = list(pool.map(per_graph, graphs))
+    else:
+        per_line = map(per_graph, graphs)
+    out = [row for line in per_line for row in line]
+    _emit(args, RENDERERS[getattr(args, "format", "json")](out))
     return out
+
+
+# a module-level function, unlike the other commands' rows, because --jobs
+# workers unpickle it
+def _report_rows(domains, timings, g, config, cache):
+    return [build_parameter_report(g, config, cache, domains, timings)]
+
+
+def cmd_params(args):
+    reports = _each_graph(args, partial(_report_rows, _domains(args), args.timings))
+    if args.strict and any(report_undecided(r) for r in reports):
+        return EXIT_UNDECIDED
+    return EXIT_OK
 
 
 def cmd_gamma(args):
@@ -136,10 +139,7 @@ def cmd_mrcr(args):
         for dom in domains:
             pre = gamma(g, dom, config, cache)
             b = mrcr_bounds(g, dom, config.box_radius, config, gamma_result=pre)
-            yield {"graph_id": canonical_graph6(g), "domain": b.domain,
-                   "lower": b.lower, "upper": b.upper,
-                   "witness": list(b.witness) if b.witness else None,
-                   "exhaustive": b.exhaustive}
+            yield {"graph_id": canonical_graph6(g), "domain": b.domain, **b.to_json()}
 
     _each_graph(args, rows)
     return EXIT_OK

@@ -19,7 +19,6 @@ constant, so the basis {1} and the decision are those of the full list.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, product
 
@@ -330,24 +329,7 @@ class TrivialityDecision:
     detail: object = None
 
     def to_json(self):
-        return {"trivial": self.trivial, "method": self.method,
-                "detail": jsonable(self.detail)}
-
-
-def jsonable(obj):
-    """obj as plain JSON data: tuples become lists, sets sorted lists,
-    fractions strings and dictionary keys strings."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return [jsonable(x) for x in sorted(obj)]
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    return repr(obj)
+        return {"trivial": self.trivial, "method": self.method, "detail": self.detail}
 
 
 _MINOR_SCAN_CAP = 250_000  # skip the unit-minor scan when C(n,i)^2 exceeds this
@@ -361,11 +343,8 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> Triviality
     (canonical form, i, domain, budget hash).
     """
     cache = cache if cache is not None else DecisionCache()
-    n = g.n
-    if i <= 0:
-        return TrivialityDecision(True, "empty-minor")
-    if i > n:
-        raise ValueError(f"minor size {i} exceeds n={n}")
+    if i > g.n:
+        raise ValueError(f"minor size {i} exceeds n={g.n}")
     form = canonical_form(g)
     key = ("ideal_trivial", form.hex(), i, check_domain(domain).name,
            config.budget_hash())
@@ -397,8 +376,6 @@ def _decide_trivial(g, i, domain, config):
         for minor in gens.constant_minors:
             if domain.is_unit(minor[2]):
                 return TrivialityDecision(True, "constant-minor", minor)
-        if not gens.generators:
-            return TrivialityDecision(False, "zero-ideal")
 
     cert = nontriviality_certificate(g, i, domain, config)
     if cert is not None:
@@ -444,8 +421,8 @@ class GammaResult:
 
     def to_json(self):
         return {"domain": self.domain, "lower": self.lower, "upper": self.upper,
-                "value": self.value, "lower_witness": jsonable(self.lower_witness),
-                "upper_witness": jsonable(self.upper_witness),
+                "value": self.value, "lower_witness": self.lower_witness,
+                "upper_witness": self.upper_witness,
                 "provenance": {str(k): v for k, v in sorted(self.provenance.items())},
                 "status": self.status}
 

@@ -296,12 +296,11 @@ class LabelingOverCap(RuntimeError):
 
 
 class CanonicalForm:
-    __slots__ = ("key", "perm", "n")
+    __slots__ = ("key", "perm")
 
-    def __init__(self, key, perm, n):
+    def __init__(self, key, perm):
         self.key = key          # bytes; equal iff isomorphic
         self.perm = perm        # old label -> canonical label witness
-        self.n = n
 
     def __eq__(self, other):
         return isinstance(other, CanonicalForm) and self.key == other.key
@@ -365,7 +364,7 @@ def canonical_form(g) -> CanonicalForm:
     directed = isinstance(g, Digraph)
     n = g.n
     if n == 0:
-        return CanonicalForm(b"D0" if directed else b"G0", (), 0)
+        return CanonicalForm(b"D0" if directed else b"G0", ())
 
     out_adj, in_adj = g.out_adj, g.in_adj
     if directed:
@@ -404,7 +403,7 @@ def canonical_form(g) -> CanonicalForm:
     perm = [0] * n
     for new, old in enumerate(order):
         perm[old] = new
-    g._canonical = CanonicalForm(_pack_key(n, segments, directed), tuple(perm), n)
+    g._canonical = CanonicalForm(_pack_key(n, segments, directed), tuple(perm))
     return g._canonical
 
 

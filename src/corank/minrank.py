@@ -67,11 +67,10 @@ class MrcrBounds:
     witness: tuple | None   # diagonal achieving the upper bound
     exhaustive: bool        # whole box scanned (upper is exact over the box)
 
-    @property
-    def value(self):
-        if self.lower != self.upper:
-            raise ValueError("bounds did not close")
-        return self.lower
+    def to_json(self):
+        return {"lower": self.lower, "upper": self.upper,
+                "witness": list(self.witness) if self.witness else None,
+                "exhaustive": self.exhaustive}
 
 
 def mrcr_bounds(g, domain=ZZ, box_radius=None, config=DEFAULT_CONFIG,

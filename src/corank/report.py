@@ -61,9 +61,7 @@ def build_parameter_report(g, config=DEFAULT_CONFIG, cache=None,
             if dom.p:
                 continue
             b = mrcr_bounds(g, dom, config.box_radius, config, gamma_result=res)
-            mrcr[b.domain] = {"lower": b.lower, "upper": b.upper,
-                              "witness": list(b.witness) if b.witness else None,
-                              "exhaustive": b.exhaustive}
+            mrcr[b.domain] = b.to_json()
         report["mrcr"] = mrcr
         flags = {"connected": is_connected(g), "tree": is_tree(g),
                  "complete": is_complete_graph(g)}

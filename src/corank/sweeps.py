@@ -168,7 +168,6 @@ def sweep_trees(config=DEFAULT_CONFIG, cache=None, max_n=10):
 
 def sweep_cycles(config=DEFAULT_CONFIG, cache=None):
     """mz(C_n) = n - 2 with an integer diagonal witness of matching rank."""
-    cache = cache if cache is not None else DecisionCache()
     failures = []
     notes = []
     for n in range(3, 11):

@@ -80,6 +80,26 @@ def test_params_jobs_parallel_identical(capsys, tmp_path):
     assert out1 == out2
 
 
+# four graphs, each in two labelings, one after the other
+RELABELED = ("E`]o", "EygW", "E`]w", "EywW", "EJnW", "E^bg", "EJnw", "E|{o")
+ROW_COMMANDS = [
+    ("gamma", "--domain", "z", "--domain", "q", "--domain", "fp:3"),
+    ("mrcr",),
+    ("classify",),
+    ("params", "--jobs", "1"),
+    ("params", "--jobs", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", ROW_COMMANDS, ids=" ".join)
+def test_each_row_equals_its_line_run_alone(capsys, argv):
+    # the second labeling must not read the box scan the first one left
+    code, out = run(capsys, *argv, "\n".join(RELABELED))
+    alone = [run(capsys, *argv, line) for line in RELABELED]
+    assert code == 0 and {c for c, _ in alone} == {0}
+    assert json.loads(out) == [row for _, text in alone for row in json.loads(text)]
+
+
 def test_params_jobs_parallel_identical_over_several_domains(capsys):
     # the domains reach each worker process as objects
     argv = ("params", "--domain", "fp:3", "--domain", "z", "Bw\nD{c\nE`]o")
