@@ -11,12 +11,10 @@ carry agreement=False rather than hiding it.
 
 from dataclasses import dataclass, field
 
-from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
-from .criticalideals import gamma
+from .criticalideals import gamma_row
 from .generators import forbidden_family_named, path
 from .graphs import Digraph, Graph, contains_induced, is_connected
-from .polyring import QQ, ZZ
 from .zeroforcing import zero_forcing_number
 
 
@@ -51,14 +49,10 @@ def classify_rank1_graph(g: Graph, config=DEFAULT_CONFIG, cache=None) -> Equival
     complete = is_complete_graph(g)
     p3_hit = contains_induced(g, path(3)) if g.n >= 3 else None
     p3_free = p3_hit is None
-    zf = zero_forcing_number(g)
-    m_z = g.n - zf.z
-    # one cache for both gamma calls: gamma_Z reuses gamma_Q's box scan
-    cache = cache if cache is not None else DecisionCache()
-    gq = gamma(g, QQ, config, cache)
-    gz = gamma(g, ZZ, config, cache)
+    row = gamma_row(g, config, cache)
+    m_z, gq, gz = row["mz"], row["gamma_q"], row["gamma_z"]
     mr_le_1 = complete  # the all-ones matrix is the rank-one witness
-    witnesses = {"zero_forcing_set": sorted(zf.witness.initial_set),
+    witnesses = {"zero_forcing_set": sorted(zero_forcing_number(g).witness.initial_set),
                  "gamma_q": gq.value, "gamma_z": gz.value}
     if p3_hit is not None:
         witnesses["induced_p3"] = p3_hit
@@ -181,12 +175,8 @@ def classify_digraph1(d: Digraph, config=DEFAULT_CONFIG, cache=None) -> Equivale
     if matrix is not None:
         _assert_pattern(d, matrix)
 
-    zf = zero_forcing_number(d)
-    m_z = d.n - zf.z
-    # one cache for both gamma calls: gamma_Z reuses gamma_Q's box scan
-    cache = cache if cache is not None else DecisionCache()
-    gq = gamma(d, QQ, config, cache)
-    gz = gamma(d, ZZ, config, cache)
+    row = gamma_row(d, config, cache)
+    m_z, gq, gz = row["mz"], row["gamma_q"], row["gamma_z"]
 
     conditions = {
         "family_free": family_free,
@@ -196,7 +186,7 @@ def classify_digraph1(d: Digraph, config=DEFAULT_CONFIG, cache=None) -> Equivale
         "gamma_le_1": gq.value is not None and gq.value <= 1
                       and gz.value is not None and gz.value <= 1,
     }
-    witnesses = {"zero_forcing_set": sorted(zf.witness.initial_set),
+    witnesses = {"zero_forcing_set": sorted(zero_forcing_number(d).witness.initial_set),
                  "mz": m_z, "gamma_q": gq.value, "gamma_z": gz.value}
     if hits:
         witnesses["forbidden_embeddings"] = hits[:3]

@@ -137,8 +137,7 @@ def cmd_mrcr(args):
 
     def rows(g, config, cache):
         for dom in domains:
-            pre = gamma(g, dom, config, cache)
-            b = mrcr_bounds(g, dom, config.box_radius, config, gamma_result=pre)
+            b = mrcr_bounds(g, dom, gamma(g, dom, config, cache), config)
             yield {"graph_id": canonical_graph6(g), "domain": b.domain, **b.to_json()}
 
     _each_graph(args, rows)

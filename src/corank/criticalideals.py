@@ -18,7 +18,7 @@ minors at the first +-1 minor: is_trivial_over_Z decides on its first unit
 constant, so the basis {1} and the decision are those of the full list.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice, product
 
@@ -232,19 +232,17 @@ class BoxSearchResult:
     points_scanned: int
 
 
-def variety_box_search(g, r, box_radius=None, domain=QQ,
-                       config=DEFAULT_CONFIG) -> BoxSearchResult:
-    """First point in the integer box with rank L(g, a) <= r.
+def variety_box_search(g, r, domain=QQ, config=DEFAULT_CONFIG) -> BoxSearchResult:
+    """First point in the integer box of radius config.box_radius (over F_p,
+    in the field) with rank L(g, a) <= r.
 
     Scan order: increasing max-norm, then lexicographic.  Absence with
     exhaustive=True is definitive for the box (not for the domain).
     """
-    if box_radius is None:
-        box_radius = config.box_radius
     if r + 1 > g.n:
         raise ValueError("r + 1 must be at most n")
     blocks = (field_blocks(g.n, domain.p) if domain.p
-              else box_blocks(g.n, box_radius))
+              else box_blocks(g.n, config.box_radius))
     rank, point, exhaustive, scanned = min_rank_scan(g, blocks, domain, r, r + 1, None,
                                                      config.box_point_budget)
     return BoxSearchResult(point, None if point is None else rank, exhaustive, scanned)
@@ -260,7 +258,7 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
     if i < 1 or i > n:
         raise ValueError("index out of range")
     if domain is QQ:
-        return variety_box_search(g, i - 1, config.box_radius, QQ, config).point
+        return variety_box_search(g, i - 1, QQ, config).point
     for p in config.primes if domain is ZZ else (domain.p,):
         _, point, _, _ = min_rank_scan(g, field_blocks(n, p), GF(p), i - 1, i, None,
                                        config.modp_point_budget)
@@ -414,10 +412,10 @@ class GammaResult:
     lower: int
     upper: int
     value: int | None
-    lower_witness: dict = field(default_factory=dict)
-    upper_witness: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)   # index -> method string
-    status: str = "exact"                            # exact | undecided
+    lower_witness: dict
+    upper_witness: dict
+    provenance: dict    # index -> method string
+    status: str         # exact | undecided
 
     def to_json(self):
         return {"domain": self.domain, "lower": self.lower, "upper": self.upper,
@@ -465,14 +463,15 @@ def _probe_points(g):
 
 
 def _sandwich_prefix(g, zf, domain):
-    """(certificate minor or None, (upper, point) of the probe scan): facts of
-    the graph and the scan's prime alone, kept in g's _sandwich slot.  The
-    certificate is validated once; Z and Q share the probe entry of
-    domain.p None, because ranks over Z are taken over Q."""
+    """(certificate minor, (upper, point) of the probe scan): facts of the
+    graph and the scan's prime alone, kept in g's _sandwich slot.  The
+    certificate comes from the zero forcing record, exact or greedy (any
+    zero forcing set's record certifies its own complement size), and is
+    validated once; Z and Q share the probe entry of domain.p None, because
+    ranks over Z are taken over Q."""
     kept = g._sandwich
     if kept is None:
-        cert = certificate_minor(g, zf.witness) if zf.exact else None
-        kept = g._sandwich = (cert, {})
+        kept = g._sandwich = (certificate_minor(g, zf.witness), {})
     cert, probes = kept
     probe = probes.get(domain.p)
     if probe is None:
@@ -491,52 +490,48 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     the cache.
     """
     cache = cache if cache is not None else DecisionCache()
+    name = check_domain(domain).name
     n = g.n
-    result = GammaResult(check_domain(domain).name, 0, n, None)
-
     zf = zero_forcing_number(g)
-    lower = g.n - zf.z
+    lower = n - zf.z
     cert, (upper, upper_point) = _sandwich_prefix(g, zf, domain)
-    provenance = {}
-    if cert is not None:
-        result.lower_witness = {"force_record": zf.witness.to_json(),
-                                "certificate_rows": list(cert.rows),
-                                "certificate_cols": list(cert.cols),
-                                "determinant": cert.determinant}
-        for i in range(1, lower + 1):
-            provenance[i] = "zero-forcing-certificate"
-    else:
-        result.lower_witness = {"note": "zero forcing bound not exact at this order"}
+    lower_witness = {"force_record": zf.witness.to_json(),
+                     "certificate_rows": list(cert.rows),
+                     "certificate_cols": list(cert.cols),
+                     "determinant": cert.determinant}
+    provenance = dict.fromkeys(range(1, lower + 1), "zero-forcing-certificate")
 
     if upper > lower:
         upper, upper_point = _budgeted_box_scan(g, lower, upper, upper_point, domain,
                                                 config, cache)
-    result.upper_witness = {"point": list(upper_point) if upper_point else None,
-                            "rank": upper}
+    upper_witness = {"point": list(upper_point) if upper_point else None, "rank": upper}
     if upper_point is not None and upper < n:
         provenance[upper + 1] = "evaluation-rank"
 
     while lower < upper:
         i = lower + 1
         dec = ideal_trivial(g, i, domain, config, cache)
-        if dec.trivial is True:
-            lower = i
-            provenance[i] = dec.method
-        elif dec.trivial is False:
-            upper = i - 1
-            provenance[i] = dec.method
-        else:
+        if dec.trivial is None:
             provenance[i] = f"budget: {dec.detail}"
-            result.lower, result.upper = lower, upper
-            result.provenance = provenance
-            result.status = "undecided"
-            result.value = None
-            return result
+            break
+        provenance[i] = dec.method
+        if dec.trivial:
+            lower = i
+        else:
+            upper = i - 1
+    exact = lower == upper    # a budget stop leaves a gap
+    return GammaResult(name, lower, upper, lower if exact else None, lower_witness,
+                       upper_witness, provenance, "exact" if exact else "undecided")
 
-    result.lower = result.upper = lower
-    result.value = lower
-    result.provenance = provenance
-    return result
+
+def gamma_row(g, config=DEFAULT_CONFIG, cache=None):
+    """A graph's row of the paper's comparison: Z, mz = n - Z, and the
+    GammaResults over Z and Q, both through one cache (a fresh one by
+    default), so gamma_Q reads gamma_Z's box scan."""
+    cache = cache if cache is not None else DecisionCache()
+    z = zero_forcing_number(g).z
+    return {"graph": g, "z": z, "mz": g.n - z,
+            "gamma_z": gamma(g, ZZ, config, cache), "gamma_q": gamma(g, QQ, config, cache)}
 
 
 def groebner_basis_of_critical_ideal(g, i, domain=QQ, order=DEGREVLEX,

@@ -97,9 +97,6 @@ class Graph(_PairGraph):
     adj = _PairGraph.out_adj
     has_edge = _PairGraph.has_arc
 
-    def degree(self, v):
-        return self.adj[v].bit_count()
-
     def degrees(self):
         return tuple(a.bit_count() for a in self.adj)
 

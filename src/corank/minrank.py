@@ -8,12 +8,11 @@ with each other and with exponential oracles is part of the test gate.
 
 from dataclasses import dataclass, field
 
-from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
-from .criticalideals import box_blocks, gamma, min_rank_scan
+from .criticalideals import box_blocks, gamma, gamma_row, min_rank_scan
 from .graphs import Graph, adjacency_lists, rooted_tree
 from .linalg import RankComputation, exact_rank
-from .polyring import QQ, ZZ
+from .polyring import QQ
 from .zeroforcing import zero_forcing_number
 
 __all__ = ["exact_rank", "RankComputation", "mr_small", "mrcr_bounds",
@@ -53,8 +52,7 @@ def mr_small(g: Graph, config=DEFAULT_CONFIG, cache=None) -> MinimumRankResult:
     lo = g.n - zf.z
     if g.n <= 7:
         return MinimumRankResult(True, lo, lo, "zero-forcing identity (n <= 7)")
-    bounds = mrcr_bounds(g, QQ, config.box_radius, config,
-                         gamma_result=gamma(g, QQ, config, cache))
+    bounds = mrcr_bounds(g, QQ, gamma(g, QQ, config, cache), config)
     return MinimumRankResult(False, lo, bounds.upper,
                              "bounds only: zero-forcing lower, evaluation upper")
 
@@ -73,20 +71,17 @@ class MrcrBounds:
                 "exhaustive": self.exhaustive}
 
 
-def mrcr_bounds(g, domain=ZZ, box_radius=None, config=DEFAULT_CONFIG,
-                gamma_result=None) -> MrcrBounds:
+def mrcr_bounds(g, domain, gamma_result, config=DEFAULT_CONFIG) -> MrcrBounds:
     """Bounds on the least rank of L(g, d) over diagonals d in the domain.
 
-    Lower bound: the co-rank evidence (which itself dominates n - Z);
-    upper bound: the best exact rank over the integer box.
+    Lower bound: gamma_result, the co-rank gamma(g, domain) (which itself
+    dominates n - Z); upper bound: the best exact rank over the integer box
+    of radius config.box_radius.
     """
-    if box_radius is None:
-        box_radius = config.box_radius
-    if gamma_result is None:
-        gamma_result = gamma(g, domain, config)
     lower = gamma_result.value if gamma_result.value is not None else gamma_result.lower
     upper, witness, exhaustive, _ = min_rank_scan(
-        g, box_blocks(g.n, box_radius), domain, lower, g.n, None, config.box_point_budget)
+        g, box_blocks(g.n, config.box_radius), domain, lower, g.n, None,
+        config.box_point_budget)
     return MrcrBounds(domain.name, lower, upper, witness, exhaustive)
 
 
@@ -409,9 +404,8 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
     mz = gamma_Z = gamma_Q = mr = n - P = n - Delta = nu2, plus a diagonal
     d in {-1,0}^n with rank L(t,d) = mz.  Any failed equality raises
     TreeTheoremViolation: the theorems hold, so only a bug can trip it.
-    gamma_Q reuses gamma_Z's certificate minor and probe-point bound, kept
-    on the tree, and its box scan, through the shared cache (a fresh one
-    by default).
+    mz, gamma_Z and gamma_Q come from gamma_row, through the cache (a fresh
+    one by default).
     """
     adj, order, children = rooted_tree(t)
     n = t.n
@@ -419,15 +413,12 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
         raise ValueError(f"tree suite verifies exactly only up to "
                          f"n={config.zf_exact_max_n}; use delta_parameter / "
                          f"two_matching_number for large trees")
-    zf = zero_forcing_number(t)
-    m_z = n - zf.z
     nu2, matching = _nu2_tree(order, children)
     cover = _paths_of_matching(t, matching)
     p_cover = len(cover)
     delta, deletion, paths = _delta_tree(t, adj, order, children)
-    cache = cache if cache is not None else DecisionCache()
-    gz = gamma(t, ZZ, config, cache)
-    gq = gamma(t, QQ, config, cache)
+    row = gamma_row(t, config, cache)
+    m_z, gz, gq = row["mz"], row["gamma_z"], row["gamma_q"]
 
     # no diagonal has rank below n - Z, so the first of rank <= mz has rank mz
     diag_rank, diag, _, _ = min_rank_scan(t, [(((-1, 0),) * n, None)], QQ, m_z,

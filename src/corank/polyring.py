@@ -23,6 +23,8 @@ import operator
 from fractions import Fraction
 from math import gcd
 
+from .config import RunConfig
+
 
 class DomainMismatch(ValueError):
     pass
@@ -90,17 +92,12 @@ class _Integers(_Numbers):
             return c.numerator
         return int(c)
 
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise DomainMismatch(f"{a} is not a unit in Z")
-
     def is_unit(self, a):
         return a in (1, -1)
 
 
 def is_prime(p):
-    return p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1))
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 class GF:
@@ -674,8 +671,8 @@ def _add_shifted(out, terms, shift, scale, pk, dom):
             out[m] = s
 
 
-def buchberger(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30,
-               track_cofactors=False):
+def buchberger(generators, order=DEGREVLEX, spair_cap=RunConfig.spair_cap,
+               degree_cap=RunConfig.degree_cap, track_cofactors=False):
     """Reduced Groebner basis over the field of the generators' domain: Q
     for integer generators, which go into the run as they are.
 
@@ -876,8 +873,8 @@ def _buchberger(gens, dom, order, pk, spair_cap, degree_cap, track_cofactors):
                                  for _, cvec in out] if track_cofactors else None)
 
 
-def is_trivial_over_field(generators, order=DEGREVLEX, spair_cap=50000,
-                          degree_cap=30, want_cofactors=False):
+def is_trivial_over_field(generators, order=DEGREVLEX, spair_cap=RunConfig.spair_cap,
+                          degree_cap=RunConfig.degree_cap, want_cofactors=False):
     """Decide 1 in <generators> over the field of their coefficient domain
     (Q for integer generators).
 
@@ -921,7 +918,8 @@ def _factor_desk_scale(d):
     return primes
 
 
-def is_trivial_over_Z(generators, order=DEGREVLEX, spair_cap=50000, degree_cap=30):
+def is_trivial_over_Z(generators, order=DEGREVLEX, spair_cap=RunConfig.spair_cap,
+                      degree_cap=RunConfig.degree_cap):
     """Decide 1 in <generators> inside Z[X].
 
     Strategy: decide over Q without cofactors.  Non-trivial over Q is

@@ -22,7 +22,11 @@ def parse_domain(text):
     if text in ("q", "r", "qq", "q=r"):
         return QQ
     if text.startswith("fp:"):
-        return GF(int(text[3:]))
+        p = text[3:]
+        # P < 2^31 bounds the primality test by 46,341 trial divisions
+        if not (p.isdecimal() and len(p) <= 10 and int(p) < 2 ** 31):
+            raise ValueError(f"domain {text!r}: P must be a decimal prime below 2^31")
+        return GF(int(p))
     raise ValueError(f"unknown domain {text!r}; use z, q or fp:P")
 
 
@@ -60,7 +64,7 @@ def build_parameter_report(g, config=DEFAULT_CONFIG, cache=None,
         for dom, res in gammas:
             if dom.p:
                 continue
-            b = mrcr_bounds(g, dom, config.box_radius, config, gamma_result=res)
+            b = mrcr_bounds(g, dom, res, config)
             mrcr[b.domain] = b.to_json()
         report["mrcr"] = mrcr
         flags = {"connected": is_connected(g), "tree": is_tree(g),

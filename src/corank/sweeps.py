@@ -6,12 +6,13 @@ command and the acceptance tests both drive these functions.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import combinations, permutations
 
 from .cache import DecisionCache
 from .classify import classify_digraph1, classify_rank1_graph
 from .config import DEFAULT_CONFIG
-from .criticalideals import (box_points, gamma, generalized_laplacian,
+from .criticalideals import (box_points, gamma, gamma_row, generalized_laplacian,
                              minor_generators, variety_box_search)
 from .enumeration import all_trees, enumerate_connected_graphs, enumerate_digraphs
 from .formats import canonical_graph6
@@ -44,40 +45,34 @@ class SweepResult:
 # shared parameter table
 
 def compute_gamma_table(graphs, config=DEFAULT_CONFIG, cache=None):
-    """mz and exact gamma over Z and Q for every graph, keyed canonically."""
-    cache = cache if cache is not None else DecisionCache()
+    """The gamma_row of every graph, keyed canonically; the first labeling
+    of a graph is kept, so no two rows share a cache entry, and without a
+    cache each row gets a fresh one."""
     table = {}
     for g in graphs:
         key = canonical_graph6(g)
-        if key in table:
-            continue
-        zf = zero_forcing_number(g)
-        gz = gamma(g, ZZ, config, cache)
-        gq = gamma(g, QQ, config, cache)
-        table[key] = {"graph": g, "z": zf.z, "mz": g.n - zf.z,
-                      "gamma_z": gz, "gamma_q": gq}
+        if key not in table:
+            table[key] = gamma_row(g, config, cache)
     return table
 
 
-def random_digraphs(count, max_n, seed):
+def appendix_table(config, cache, table):
+    """The given table, or else the gamma table of the 143 connected graphs
+    with n <= 6 that the paper's appendix covers."""
+    if table is None:
+        table = compute_gamma_table(enumerate_connected_graphs(6), config, cache)
+    return table
+
+
+def random_graphs(kind, count, max_n, seed, p):
+    """count seeded random graphs (kind Graph) or digraphs (kind Digraph) on
+    2..max_n vertices, each pair an edge or arc with probability p."""
+    pairs = combinations if kind is Graph else permutations
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         n = rng.randint(2, max_n)
-        arcs = [(u, v) for u in range(n) for v in range(n)
-                if u != v and rng.random() < 0.4]
-        out.append(Digraph(n, arcs))
-    return out
-
-
-def random_graphs(count, max_n, seed, p=0.5):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.randint(2, max_n)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < p]
-        out.append(Graph(n, edges))
+        out.append(kind(n, [pair for pair in pairs(range(n), 2) if rng.random() < p]))
     return out
 
 
@@ -88,13 +83,10 @@ def sweep_thm21(config=DEFAULT_CONFIG, cache=None, table=None):
     """Certificate minors are triangular with unit determinant and the
     zero-forcing complement never exceeds the co-rank, over all connected
     graphs n <= 6 and 300 seeded random digraphs n <= 5."""
-    cache = cache if cache is not None else DecisionCache()
     failures = []
-    graphs = enumerate_connected_graphs(6)
-    if table is None:
-        table = compute_gamma_table(graphs, config, cache)
-    hosts = list(table.values()) \
-        + [{"graph": d} for d in random_digraphs(300, 5, seed=20250809)]
+    hosts = list(appendix_table(config, cache, table).values()) \
+        + [gamma_row(d, config, cache)
+           for d in random_graphs(Digraph, 300, 5, seed=20250809, p=0.4)]
     for entry in hosts:
         g = entry["graph"]
         zf = zero_forcing_number(g)
@@ -106,16 +98,10 @@ def sweep_thm21(config=DEFAULT_CONFIG, cache=None, table=None):
         if cert.determinant not in (1, -1):
             failures.append({"graph": repr(g), "det": cert.determinant})
             continue
-        m_z = g.n - zf.z
-        if "gamma_z" in entry:
-            gz, gq = entry["gamma_z"], entry["gamma_q"]
-        else:
-            gz = gamma(g, ZZ, config, cache)
-            gq = gamma(g, QQ, config, cache)
-        for gr in (gz, gq):
+        for gr in (entry["gamma_z"], entry["gamma_q"]):
             bound = gr.value if gr.value is not None else gr.lower
-            if m_z > bound:
-                failures.append({"graph": repr(g), "mz": m_z,
+            if entry["mz"] > bound:
+                failures.append({"graph": repr(g), "mz": entry["mz"],
                                  "domain": gr.domain, "gamma": bound})
     total = len(hosts)
     return SweepResult("thm2.1", not failures,
@@ -130,7 +116,7 @@ def sweep_monotone(config=DEFAULT_CONFIG, cache=None):
     failures = []
     pairs = 0
     while pairs < 200:
-        g = random_graphs(1, 6, seed=rng.randrange(1 << 30))[0]
+        g = random_graphs(Graph, 1, 6, seed=rng.randrange(1 << 30), p=0.5)[0]
         k = rng.randint(1, g.n)
         verts = sorted(rng.sample(range(g.n), k))
         h = induced_subgraph(g, verts)
@@ -176,7 +162,7 @@ def sweep_cycles(config=DEFAULT_CONFIG, cache=None):
         if m_z != n - 2:
             failures.append({"n": n, "mz": m_z})
             continue
-        res = variety_box_search(c, n - 2, 2, QQ, config)
+        res = variety_box_search(c, n - 2, QQ, replace(config, box_radius=2))
         if res.point is None:
             failures.append({"n": n, "missing": "box point at rank n-2"})
             continue
@@ -241,7 +227,7 @@ def sweep_linegraphs(config=DEFAULT_CONFIG, cache=None):
             closed_at = None
             last = None
             for radius in (1, 2, 3):
-                last = mrcr_bounds(lg, ZZ, radius, config, gamma_result=gz)
+                last = mrcr_bounds(lg, ZZ, gz, replace(config, box_radius=radius))
                 if last.upper <= m_z:
                     closed_at = radius
                     break
@@ -347,10 +333,7 @@ def sweep_three_exceptional(config=DEFAULT_CONFIG, cache=None, table=None):
     """Box search at r = gamma_Q succeeds for every connected graph n <= 6
     except exactly the three known graphs, whose real witnesses are then
     verified symbolically against the reference bases."""
-    cache = cache if cache is not None else DecisionCache()
-    graphs = enumerate_connected_graphs(6)
-    if table is None:
-        table = compute_gamma_table(graphs, config, cache)
+    table = appendix_table(config, cache, table)
     exceptional_keys = {canonical_graph6(g): name
                         for name, g, _ in exceptional_graphs()}
     failures = []
@@ -363,7 +346,7 @@ def sweep_three_exceptional(config=DEFAULT_CONFIG, cache=None, table=None):
             continue
         if r >= g.n:
             continue  # box search needs r + 1 <= n; complete-graph case
-        res = variety_box_search(g, r, 2, QQ, config)
+        res = variety_box_search(g, r, QQ, replace(config, box_radius=2))
         found = res.point is not None
         if found == (key in exceptional_keys):
             failures.append({"graph": key, "found": found,
@@ -461,10 +444,7 @@ def reproduce_gap_table(config=DEFAULT_CONFIG, cache=None, table=None):
     """Recompute (mz, gamma_Z, gamma_R) over the 143 connected graphs on at
     most six vertices and diff the mz < gamma_R rows against the golden
     table.  Returns (ok, computed rows, diff list)."""
-    cache = cache if cache is not None else DecisionCache()
-    graphs = enumerate_connected_graphs(6)
-    if table is None:
-        table = compute_gamma_table(graphs, config, cache)
+    table = appendix_table(config, cache, table)
     computed = []
     for key in sorted(table):
         e = table[key]
@@ -475,6 +455,7 @@ def reproduce_gap_table(config=DEFAULT_CONFIG, cache=None, table=None):
             computed.append((key, e["mz"], gz, gq))
     golden = gap_table()
     diffs = []
+    graphs = enumerate_connected_graphs(6)
     if len(graphs) != 143:
         diffs.append({"kind": "enumeration size", "got": len(graphs)})
     gold_map = {row[0]: row for row in golden}

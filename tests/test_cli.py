@@ -1,7 +1,10 @@
 """The command-line front door: commands, formats, exit codes, caching."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -490,6 +493,35 @@ def test_no_command_ends_in_a_traceback(capsys):
                 assert main([command, *options, text]) in (0, 1, 2, 3), \
                     (command, options, text)
                 capsys.readouterr()
+
+
+_HUGE_PRIMES = [str(2 ** 61 - 1), str(10 ** 400 + 1)]
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "?"] for command in ("params", "gamma", "mrcr", "zf", "classify", "trees")),
+    ["gb", "--index", "1", "?"],
+    ["gb", "--index", "-1", "Bw"],
+    *(["gamma", "--domain", f"fp:{p}", "Bw"] for p in ("x", "1", "")),
+    ["params", "--box", "-1", "Bw"],
+    ["params", "&@"],
+])
+def test_an_edge_input_ends_in_an_exit_code_not_a_traceback(capsys, argv):
+    assert main(argv) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", _HUGE_PRIMES, ids=["2^61-1", "401 digits"])
+def test_a_huge_field_prime_is_an_error_not_a_traceback_or_a_hang(p):
+    # a prime past 2^31 would take trial division to sqrt(P), and one past
+    # the float range broke it; a subprocess so that a hang fails the test
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "corank.cli", "gamma", "--domain",
+                           f"fp:{p}", "Bw"], capture_output=True, text=True, env=env,
+                          timeout=30)
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: domain 'fp:{p}'")
 
 
 @pytest.mark.parametrize("graph", [cycle(300), star(12)], ids=["C300", "K1,12"])

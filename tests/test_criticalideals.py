@@ -27,7 +27,8 @@ from corank.linalg import det_exact, exact_rank
 from corank.polyring import (DEGREVLEX, GF, QQ, ZZ, Polynomial, buchberger,
                              format_polynomial, is_trivial_over_Z, normal_form,
                              parse_polynomial)
-from corank.zeroforcing import zero_forcing_number
+from corank.zeroforcing import (ForceRecord, certificate_minor, validate_record,
+                                zero_forcing_number)
 from oracles import contained_in_monomials_plus_constant, contains, entry, evaluate, key
 
 
@@ -302,7 +303,7 @@ def test_degree_vector_kills_determinant():
             continue
         checked += 1
         L = generalized_laplacian(g)
-        deg = [g.degree(v) for v in range(n)]
+        deg = g.degrees()
         assert exact_rank(L.evaluate(deg)).rank < n
 
 
@@ -340,14 +341,14 @@ def test_point_generators_in_dimension_zero_yield_only_the_origin():
 
 
 def test_variety_box_search_examples():
-    res = variety_box_search(cycle(5), 3, 2, QQ)
+    res = variety_box_search(cycle(5), 3, QQ)
     assert res.point is not None and res.rank <= 3
     # K2 at diagonal (1,1) evaluates to rank 1
-    res2 = variety_box_search(Graph(2, [(0, 1)]), 1, 1, QQ)
+    res2 = variety_box_search(Graph(2, [(0, 1)]), 1, QQ, RunConfig(box_radius=1))
     assert res2.point is not None
     assert exact_rank([[res2.point[0], -1], [-1, res2.point[1]]]).rank == 1
     # the prism graph has no radius-2 witness at rank 3
-    res3 = variety_box_search(graph_b(), 3, 2, QQ)
+    res3 = variety_box_search(graph_b(), 3, QQ)
     assert res3.point is None and res3.exhaustive
 
 
@@ -529,3 +530,22 @@ def test_cache_respects_budget_hash():
     r1 = gamma(g, QQ, RunConfig(), cache)
     r2 = gamma(g, QQ, RunConfig(spair_cap=40000), cache)
     assert r1.value == r2.value == 3
+
+
+@pytest.mark.parametrize("g", [cycle(13), path(14)], ids=["C13", "P14"])
+def test_the_greedy_zero_forcing_tier_certifies_the_lower_bound(g):
+    # past the exact tier the greedy force record still replays, and its
+    # triangular minor certifies every index up to the lower bound
+    assert not zero_forcing_number(g).exact
+    for domain in (QQ, ZZ):
+        r = gamma(g, domain)
+        w = r.lower_witness
+        record = ForceRecord(frozenset(w["force_record"]["initial_set"]),
+                             tuple(map(tuple, w["force_record"]["forces"])))
+        assert validate_record(g, record)
+        cert = certificate_minor(g, record)
+        assert (list(cert.rows), list(cert.cols), cert.determinant) == \
+            (w["certificate_rows"], w["certificate_cols"], w["determinant"])
+        assert len(cert.rows) == r.lower
+        assert all(r.provenance[i] == "zero-forcing-certificate"
+                   for i in range(1, r.lower + 1))

@@ -13,7 +13,7 @@ from corank.graphs import canonical_form, complement, is_connected
 def test_petersen():
     g = petersen()
     assert g.n == 10 and g.m == 15
-    assert all(g.degree(v) == 3 for v in range(10))
+    assert g.degrees() == (3,) * 10
     assert is_connected(g)
     # girth 5: no triangles or 4-cycles through vertex 0
     from corank.generators import cycle as cyc
@@ -37,9 +37,9 @@ def test_exceptional_trio_shapes():
     a, b, c = graph_a(), graph_b(), graph_c()
     assert (a.n, a.m) == (6, 11)
     assert (b.n, b.m) == (6, 9)
-    assert all(b.degree(v) == 3 for v in range(6))  # the triangular prism
+    assert b.degrees() == (3,) * 6                  # the triangular prism
     assert (c.n, c.m) == (6, 10)
-    assert c.degree(0) == 5                         # the wheel hub
+    assert c.degrees()[0] == 5                      # the wheel hub
     assert canonical_form(b) != canonical_form(complete_multipartite([3, 3]))
 
 

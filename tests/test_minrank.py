@@ -8,6 +8,7 @@ import pytest
 import corank.graphs as graphs
 import corank.minrank as minrank
 from corank.cache import DecisionCache
+from corank.config import RunConfig
 from corank.criticalideals import gamma, generalized_laplacian
 from corank.enumeration import all_trees
 from corank.generators import (bull, complete, complete_multipartite, cycle,
@@ -45,7 +46,7 @@ def test_mr_small_decides_gamma_through_the_given_cache():
 def test_mrcr_tree_box():
     cache = DecisionCache()
     for t in all_trees(6):
-        b = mrcr_bounds(t, ZZ, 1, gamma_result=gamma(t, ZZ, cache=cache))
+        b = mrcr_bounds(t, ZZ, gamma(t, ZZ, cache=cache), RunConfig(box_radius=1))
         assert b.lower == b.upper  # trees close inside the radius-1 box
         assert b.witness is not None
         assert all(x in (-1, 0, 1) for x in b.witness)
@@ -53,12 +54,11 @@ def test_mrcr_tree_box():
 
 def test_mrcr_octahedron():
     cache = DecisionCache()
-    bq = mrcr_bounds(octahedron(), QQ, 2, gamma_result=gamma(octahedron(), QQ,
-                                                             cache=cache))
+    bq = mrcr_bounds(octahedron(), QQ, gamma(octahedron(), QQ, cache=cache))
     assert (bq.lower, bq.upper) == (3, 3)
     assert bq.witness == (0,) * 6
-    bz = mrcr_bounds(petersen(), ZZ, 1, gamma_result=gamma(petersen(), ZZ,
-                                                           cache=cache))
+    bz = mrcr_bounds(petersen(), ZZ, gamma(petersen(), ZZ, cache=cache),
+                     RunConfig(box_radius=1))
     assert bz.upper == 5
 
 

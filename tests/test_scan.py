@@ -238,11 +238,11 @@ def _site_outputs(graphs):
                 res = gamma(g, dom, RunConfig(), DecisionCache())
             out.append(res.to_json())
             with budgets(**SMALL_BUDGETS):
-                out.append(mrcr_bounds(g, dom, 1, SMALL, gamma_result=res))
+                out.append(mrcr_bounds(g, dom, res, SMALL))
         with budgets(**SMALL_BUDGETS):
             for r in range(g.n):
                 for dom in (QQ, GF(5)):
-                    out.append(variety_box_search(g, r, 1, dom, SMALL))
+                    out.append(variety_box_search(g, r, dom, SMALL))
             for i in range(1, g.n + 1):
                 for dom in (QQ, ZZ, GF(5)):
                     out.append(nontriviality_certificate(g, i, dom, SMALL))
