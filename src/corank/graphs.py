@@ -274,17 +274,22 @@ def contains_induced(g, pattern):
 #     graphs:   (degree, adjacency bits to positions 0..j-1)
 #     digraphs: (outdeg, indeg, interleaved arc bits to positions 0..j-1)
 # Including the degrees first makes degree-based candidate pruning exact.
-# Exhaustive (hence a true isomorphism certificate) at any n, but intended
-# for n <= 8; beyond that it is increasingly slow, never wrong, and a search
-# past LABELING_WORK_CAP stops with LabelingOverCap.  The form is computed
-# once per graph object and kept in its _canonical slot.
+# Exhaustive (hence a true isomorphism certificate) at any n.  Twin and
+# orbit pruning make graphs with many automorphisms cheap: K_{1,40}, the
+# 4-cube and the Petersen graph label in milliseconds.  Branches that tie
+# and then lose are searched in full, so long paths and cycles grow fast:
+# P_16 and C_16 take about 0.4 s, and P_20 and C_20 stop past
+# LABELING_WORK_CAP with LabelingOverCap, never wrong.  The form is
+# computed once per graph object and kept in its _canonical slot.
 
 # Work of one canonical labeling: each segment evaluation costs 1 plus the
-# length of the placed prefix it reads.  The largest search over the tests,
-# the benchmark workloads, `params` on the catalog and every sweep takes
-# 2,571,226 units (a 10-vertex tree in `sweep thm-trees`); the largest over
-# all trees with n <= 10 is the star K_{1,9}'s 16,768,972.  The cap is over
-# twice the latter, and stops C_300 or K_{1,12} in seconds, not hours.
+# length of the placed prefix it reads; a pruned branch costs nothing.  The
+# largest search over the benchmark workloads, `params` on the catalog and
+# every sweep takes 16,718 units (a 10-vertex tree in `sweep thm-trees`),
+# the largest over all trees with n <= 10 in four labelings each 18,298,
+# and the largest in the tests is a relabeled 4-cube's 167,458.  The cap
+# dates from searches without pruning, when the star K_{1,9} took
+# 16,768,972; it stops P_20, C_20 or C_300 in about 5 s, not hours.
 LABELING_WORK_CAP = 40_000_000
 
 
@@ -312,46 +317,95 @@ class CanonicalForm:
         return f"CanonicalForm({self.key.hex()})"
 
 
-def _canonical_order(n, seg_of, interchangeable):
+def _canonical_order(n, seg_of, twin):
     """Minimize the segment sequence over all placement orders.
 
     seg_of(v, placed) -> comparable segment key.
-    interchangeable(remaining) -> True when any relative order of the
-    remaining vertices yields the same continuation (used to collapse the
-    factorial tie blowup on complete/empty remainders).
+    twin[v] -> the least vertex of v's twin class; any two twins swap by an
+    automorphism that fixes every other vertex.
+
+    Returns the least sequence and the first order found that reaches it.
+    A subtree that is the automorphic image of one already searched holds
+    the same sequences and comes later, so with the strict < it can never
+    replace the best order.  Three kinds of such subtree are skipped, at no
+    cost in work units:
+    - a candidate twin to an explored sibling;
+    - a candidate in the orbit of an explored sibling, under the
+      automorphisms found so far that fix the placed prefix pointwise.  A
+      leaf with the best sequence gives the automorphism
+      best_order[i] -> order[i];
+    - the rest of the subtree in which such a leaf was found, below the
+      node where its order parts from the best one: the automorphism maps
+      the best order's subtree there onto it.
     """
     best = None
     best_order = None
     cur = []
+    placed = []
+    autos = []
     work = 0
 
-    def dfs(placed, remaining):
+    def repeats(v, tried):
+        # v's twin class lies in the orbit of a tried one, under the
+        # automorphisms found that fix the placed prefix
+        fixing = [a for a in autos if all(a[p] == p for p in placed)]
+        orbit = {twin[v]}
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for a in fixing:
+                t = twin[a[x]]
+                if t in tried:
+                    return True
+                if t not in orbit:
+                    orbit.add(t)
+                    stack.append(a[x])
+        return False
+
+    def dfs(remaining):
+        # the level to resume at, below this one when the rest of its
+        # subtree repeats one searched
         nonlocal best, best_order, work
         level = len(placed)
         if level == n:
             if best is None or cur < best:
                 best = list(cur)
                 best_order = list(placed)
-            return
+                return level
+            # equal to the best: keep the automorphism between the two
+            # orders and back up to the node where they part
+            aut = [0] * n
+            for b, v in zip(best_order, placed):
+                aut[b] = v
+            autos.append(aut)
+            k = 0
+            while best_order[k] == placed[k]:
+                k += 1
+            return k
         work += len(remaining) * (level + 1)
         if work > LABELING_WORK_CAP:
             raise LabelingOverCap(f"canonical labeling over its cap of "
                                   f"{LABELING_WORK_CAP} work units")
         cands = sorted((seg_of(v, placed), v) for v in remaining)
-        if len(remaining) >= 3 and interchangeable(remaining):
-            cands = cands[:1]
+        tried = set()  # twin classes of the candidates searched
         for key, v in cands:
             if best is not None and cur == best[:level] and key > best[level]:
                 break  # candidates are sorted; nothing smaller follows
+            if twin[v] in tried or tried and autos and repeats(v, tried):
+                continue
+            tried.add(twin[v])
             cur.append(key)
             placed.append(v)
             remaining.remove(v)
-            dfs(placed, remaining)
+            back = dfs(remaining)
             remaining.add(v)
             placed.pop()
             cur.pop()
+            if back < level:
+                return back
+        return level
 
-    dfs([], set(range(n)))
+    dfs(set(range(n)))
     return best, best_order
 
 
@@ -382,21 +436,16 @@ def canonical_form(g) -> CanonicalForm:
                 bits = bits << 1 | (out_adj[v] >> p & 1)
             return (deg[v], bits)
 
-    def interchangeable(remaining):
-        rem_mask = 0
-        for v in remaining:
-            rem_mask |= 1 << v
-        rs = list(remaining)
-        ro = out_adj[rs[0]] & ~rem_mask
-        ri = in_adj[rs[0]] & ~rem_mask
-        for v in rs[1:]:
-            if out_adj[v] & ~rem_mask != ro or in_adj[v] & ~rem_mask != ri:
-                return False
-        k = len(rs)
-        inner = sum((out_adj[v] & rem_mask).bit_count() for v in rs)
-        return inner == 0 or inner == k * (k - 1)
+    # twins have equal (out, in) rows, or rows that are equal once each sets
+    # its own bit; no vertex has twins of both kinds
+    first = {}
+    twin = []
+    for v in range(n):
+        b = 1 << v
+        twin.append(min(first.setdefault((0, out_adj[v], in_adj[v]), v),
+                        first.setdefault((1, out_adj[v] | b, in_adj[v] | b), v)))
 
-    segments, order = _canonical_order(n, seg_of, interchangeable)
+    segments, order = _canonical_order(n, seg_of, twin)
     perm = [0] * n
     for new, old in enumerate(order):
         perm[old] = new

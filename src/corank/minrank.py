@@ -41,18 +41,20 @@ class MinimumRankResult:
         return self.lower
 
 
-def mr_small(g: Graph, config=DEFAULT_CONFIG, cache=None) -> MinimumRankResult:
+def mr_small(g: Graph, config=DEFAULT_CONFIG, cache=None,
+             q_bounds=None) -> MinimumRankResult:
     """Real minimum rank, exact for n <= 7 where it coincides with n - Z.
 
     Larger orders get the interval [n - Z, best diagonal-evaluation rank],
-    explicitly flagged non-exact; their gamma over Q is decided through the
-    cache (a fresh one by default).
+    explicitly flagged non-exact: the upper end is q_bounds, the caller's
+    mrcr_bounds over Q, or else a box scan after deciding gamma over Q
+    through the cache (a fresh one by default).
     """
     zf = zero_forcing_number(g)
     lo = g.n - zf.z
     if g.n <= 7:
         return MinimumRankResult(True, lo, lo, "zero-forcing identity (n <= 7)")
-    bounds = mrcr_bounds(g, QQ, gamma(g, QQ, config, cache), config)
+    bounds = q_bounds or mrcr_bounds(g, QQ, gamma(g, QQ, config, cache), config)
     return MinimumRankResult(False, lo, bounds.upper,
                              "bounds only: zero-forcing lower, evaluation upper")
 

@@ -57,16 +57,12 @@ def build_parameter_report(g, config=DEFAULT_CONFIG, cache=None,
     for _, res in gammas:
         report["gamma"][res.domain] = res.to_json()
     if not directed:
-        mr = mr_small(g, config, cache)
+        bounds = {b.domain: b for b in (mrcr_bounds(g, dom, res, config)
+                                        for dom, res in gammas if not dom.p)}
+        mr = mr_small(g, config, cache, bounds.get(QQ.name))
         report["mr"] = {"exact": mr.exact, "lower": mr.lower, "upper": mr.upper,
                         "provenance": mr.provenance}
-        mrcr = {}
-        for dom, res in gammas:
-            if dom.p:
-                continue
-            b = mrcr_bounds(g, dom, res, config)
-            mrcr[b.domain] = b.to_json()
-        report["mrcr"] = mrcr
+        report["mrcr"] = {name: b.to_json() for name, b in bounds.items()}
         flags = {"connected": is_connected(g), "tree": is_tree(g),
                  "complete": is_complete_graph(g)}
         if flags["connected"] and g.n >= 1:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from corank.config import DEFAULT_CONFIG
 from corank.criticalideals import gamma
+from corank.graphs import Digraph, _pack_key
 from corank.polyring import DEGREVLEX, QQ, ZZ, Polynomial, normal_form
 from corank.zeroforcing import ColorState, zero_forcing_number
 
@@ -135,3 +136,63 @@ def closure_in_random_order(g, blue, rng):
         pick = legal[rng.randrange(len(legal))]
         forces.append(pick)
         mask |= 1 << pick[1]
+
+
+def canonical_form_by_tie_search(g):
+    """(key, perm) of ``graphs.canonical_form`` by the search that tries
+    every tied placement order.  Its one shortcut places only the first
+    vertex of a remainder of at least three whose vertices are all
+    interchangeable: the same rows outside it, and no arc or every arc
+    inside it.  No work cap."""
+    directed = isinstance(g, Digraph)
+    n = g.n
+    out_adj, in_adj = g.out_adj, g.in_adj
+    outd = [a.bit_count() for a in out_adj]
+    ind = [a.bit_count() for a in in_adj]
+
+    def seg_of(v, placed):
+        bits = 0
+        for p in placed:
+            if directed:
+                bits = bits << 2 | (out_adj[p] >> v & 1) << 1 | (out_adj[v] >> p & 1)
+            else:
+                bits = bits << 1 | (out_adj[v] >> p & 1)
+        return (outd[v], ind[v], bits) if directed else (outd[v], bits)
+
+    def interchangeable(remaining):
+        rem_mask = sum(1 << v for v in remaining)
+        rs = list(remaining)
+        rows = {(out_adj[v] & ~rem_mask, in_adj[v] & ~rem_mask) for v in rs}
+        inner = sum((out_adj[v] & rem_mask).bit_count() for v in rs)
+        return len(rows) == 1 and inner in (0, len(rs) * (len(rs) - 1))
+
+    best = best_order = None
+    cur = []
+
+    def dfs(placed, remaining):
+        nonlocal best, best_order
+        level = len(placed)
+        if level == n:
+            if best is None or cur < best:
+                best, best_order = list(cur), list(placed)
+            return
+        cands = sorted((seg_of(v, placed), v) for v in remaining)
+        if len(remaining) >= 3 and interchangeable(remaining):
+            cands = cands[:1]
+        for seg, v in cands:
+            if best is not None and cur == best[:level] and seg > best[level]:
+                break
+            cur.append(seg)
+            placed.append(v)
+            remaining.remove(v)
+            dfs(placed, remaining)
+            remaining.add(v)
+            placed.pop()
+            cur.pop()
+
+    dfs([], set(range(n)))
+    perm = [0] * n
+    for new, old in enumerate(best_order or ()):
+        perm[old] = new
+    key = _pack_key(n, best, directed) if n else (b"D0" if directed else b"G0")
+    return key, tuple(perm)

@@ -524,10 +524,17 @@ def test_a_huge_field_prime_is_an_error_not_a_traceback_or_a_hang(p):
     assert done.stderr.startswith(f"error: domain 'fp:{p}'")
 
 
-@pytest.mark.parametrize("graph", [cycle(300), star(12)], ids=["C300", "K1,12"])
+@pytest.mark.parametrize("graph", [cycle(300), path(300)], ids=["C300", "P300"])
 def test_a_runaway_canonical_labeling_is_undecided(capsys, monkeypatch, graph):
-    # at the real cap each takes about ten seconds to stop; a lower cap
-    # stops the same searches sooner
+    # at the real cap each takes seconds to stop; a lower cap stops the
+    # same searches sooner
     monkeypatch.setattr(graphs, "LABELING_WORK_CAP", 2_000_000)
     assert main(["zf", write_graph6(graph)]) == 3
     assert capsys.readouterr().err.startswith("undecided: canonical labeling")
+
+
+def test_a_large_star_labels_at_once(capsys):
+    # its 40 leaves are one twin class, so the search places one of them per
+    # level instead of trying all 40! orders
+    assert main(["zf", write_graph6(star(40))]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["z"] == 39

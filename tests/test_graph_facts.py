@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from corank import criticalideals, graphs, zeroforcing
+from corank import criticalideals, graphs, minrank, zeroforcing
 from corank.cache import DecisionCache
 from corank.criticalideals import gamma
 from corank.enumeration import all_trees, enumerate_connected_graphs
@@ -130,3 +130,16 @@ def test_one_search_and_at_most_one_labeling_per_tree_suite(runs_per_graph):
 @pytest.mark.parametrize("make", [petersen, octahedron])
 def test_one_search_and_labeling_per_parameter_report(runs_per_graph, make):
     assert runs_per_graph(build_parameter_report, [make()]) == {(1, 1)}
+
+
+def test_a_parameter_report_scans_each_box_once(monkeypatch):
+    # past n = 7 the mr interval reads its upper end from the report's
+    # mrcr bounds over Q instead of scanning the same box again
+    domains = []
+    scan = minrank.min_rank_scan
+    monkeypatch.setattr(minrank, "min_rank_scan",
+                        lambda g, blocks, domain, *rest: domains.append(domain.name)
+                        or scan(g, blocks, domain, *rest))
+    report = build_parameter_report(petersen())
+    assert sorted(domains) == ["Q=R", "Z"]
+    assert report["mr"]["upper"] == report["mrcr"]["Q=R"]["upper"]

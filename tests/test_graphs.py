@@ -11,9 +11,12 @@ from corank.criticalideals import gamma, generalized_laplacian
 from corank.graphs import (Digraph, Graph, LabelingOverCap, canonical_form,
                            complement, contains_induced, induced_subgraph,
                            is_connected, is_tree, line_graph, relabel, rooted_tree)
-from corank.generators import bull, complete, cycle, matching_3k2, path, star
+from corank.enumeration import all_trees, enumerate_digraphs, enumerate_graphs
+from corank.generators import (NAMED_GRAPHS, bull, complete, cycle, matching_3k2, path,
+                               petersen, star)
 from corank.polyring import QQ
 from corank.zeroforcing import zero_forcing_number
+from oracles import canonical_form_by_tie_search
 
 
 def test_graph_validation():
@@ -80,17 +83,57 @@ def test_canonical_form_bull_relabeling():
 
 
 def test_labeling_work_counts_each_segment_with_its_prefix(monkeypatch):
-    # equal segments everywhere: all 4! orders are searched, and a node with
-    # k vertices placed evaluates each remaining one at k + 1 units each:
-    # 1*4*1 + 4*3*2 + 12*2*3 + 24*1*4 = 196
+    # equal segments until the last, which falls in search order: every
+    # leaf beats the one before, so no pruning fires and all 4! orders are
+    # searched.  A node with k vertices placed evaluates each remaining one
+    # at k + 1 units: 1*4*1 + 4*3*2 + 12*2*3 + 24*1*4 = 196
+    orders = list(permutations(range(4)))
+
+    def seg_of(v, placed):
+        return -orders.index((*placed, v)) if len(placed) == 3 else 0
+
     def search():
-        return graphs._canonical_order(4, lambda v, placed: 0, lambda remaining: False)
+        return graphs._canonical_order(4, seg_of, range(4))
 
     monkeypatch.setattr(graphs, "LABELING_WORK_CAP", 196)
-    assert search()[1] == [0, 1, 2, 3]
+    assert search() == ([0, 0, 0, -23], [3, 2, 1, 0])
     monkeypatch.setattr(graphs, "LABELING_WORK_CAP", 195)
     with pytest.raises(LabelingOverCap):
         search()
+
+
+def cube(d):
+    return Graph(1 << d, [(u, u | 1 << i) for u in range(1 << d) for i in range(d)
+                          if not u >> i & 1])
+
+
+@pytest.mark.parametrize("g, cap", [(star(40), 20_000), (cube(4), 200_000),
+                                    (petersen(), 2_000)], ids=["K1,40", "Q4", "Petersen"])
+def test_symmetric_graphs_label_under_a_low_cap(monkeypatch, g, cap):
+    # the tie search tries all 40! orders of K_{1,40}'s leaves; twin and
+    # orbit pruning bring each of these far under the real cap
+    monkeypatch.setattr(graphs, "LABELING_WORK_CAP", cap)
+    key = canonical_form(g).key
+    rng = random.Random(43)
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(g, perm)).key == key
+
+
+def test_canonical_form_matches_the_tie_search_oracle():
+    # twin and orbit pruning skip only repeats, so the key and the first
+    # best order, hence perm, are those of the search over every tie
+    rng = random.Random(41)
+    for g in [*enumerate_graphs(7), *enumerate_digraphs(4),
+              *(t for n in range(1, 10) for t in all_trees(n)),
+              *(make() for make in NAMED_GRAPHS.values())]:
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            cf = canonical_form(h)
+            assert (cf.key, cf.perm) == canonical_form_by_tie_search(h), h
 
 
 def test_canonical_perm_is_witness():
