@@ -13,9 +13,11 @@ Every x_u sits on the diagonal only, so every minor is multiaffine.  A minor
 is expanded along its lowest row as a {variable bitmask: int} dict, memoized
 on its (row bitmask, column bitmask); only the kept generators become
 Polynomials, through a per-matrix table from variable bitmask to exponent
-tuple.  The Z route of groebner_basis_of_critical_ideal stops generating
-minors at the first +-1 minor: is_trivial_over_Z decides on its first unit
-constant, so the basis {1} and the decision are those of the full list.
+tuple.  Minor generation stops at the first +-1 minor: it makes the ideal
+trivial over every ring, so the basis over any field is {1} and the Z
+decision is that of the full list.  One route, _groebner, turns a minor list
+into a basis and a decision for both ideal_trivial and
+groebner_basis_of_critical_ideal.
 """
 
 from dataclasses import dataclass
@@ -27,8 +29,7 @@ from .config import DEFAULT_CONFIG
 from .graphs import canonical_form
 from .linalg import rank_scan
 from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, IdealBasis, Polynomial,
-                       buchberger, check_domain, is_trivial_over_field,
-                       is_trivial_over_Z)
+                       buchberger, check_domain, is_trivial_over_Z)
 from .zeroforcing import certificate_minor, zero_forcing_number
 
 
@@ -130,14 +131,15 @@ class MinorGenerators:
         return [g.to_domain(domain) for g in self.generators]
 
 
-def minor_generators(matrix: SymbolicMatrix, size: int,
-                     stop_at_unit=False) -> MinorGenerators:
-    """All size x size minors, expanded, deduplicated up to sign.
+def minor_generators(matrix: SymbolicMatrix, size: int) -> MinorGenerators:
+    """The size x size minors, expanded, deduplicated up to sign, up to the
+    first +-1 minor.
 
     Minors come as the matrix's multiaffine bitmask dicts; a minor is kept,
     with the sign it was found with, when neither it nor its negative was
-    kept before.  With stop_at_unit, generation stops as soon as a +-1
-    constant minor is found (it already decides triviality over every ring).
+    kept before.  Generation stops as soon as a +-1 constant minor is kept:
+    it makes the ideal trivial over every ring, so the minors after it
+    change no basis and no decision.
 
     A symmetric matrix has minor(rows, cols) = minor(cols, rows), and of the
     two the one with the smaller row set comes first, so only cols >= rows
@@ -171,7 +173,7 @@ def minor_generators(matrix: SymbolicMatrix, size: int,
                 continue
             seen.add(key)
             gens.append(matrix.minor(rmask, cmask))
-            if unit is not None and stop_at_unit:
+            if unit is not None:
                 return MinorGenerators(gens, unit, constants)
     return MinorGenerators(gens, unit, constants)
 
@@ -249,21 +251,26 @@ def variety_box_search(g, r, domain=QQ, config=DEFAULT_CONFIG) -> BoxSearchResul
 
 
 def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
-    """A point killing every i-minor, or None (absence is inconclusive).
+    """A point killing every i-minor over Q or Z, or None (absence is
+    inconclusive).
 
     Over Q the point is an integer box point; over Z it is a pair
-    (p, point) with all i-minors vanishing mod p; over F_p a field point.
+    (p, point) with all i-minors vanishing mod p.  Over F_p gamma asks for
+    I_i only at i <= the least rank its scan of the same points found under
+    an equal budget, so a search there would find nothing: ValueError.
     """
+    if domain is not QQ and domain is not ZZ:
+        raise ValueError(f"nontriviality_certificate searches over Q or Z, not {domain!r}")
     n = g.n
     if i < 1 or i > n:
         raise ValueError("index out of range")
     if domain is QQ:
         return variety_box_search(g, i - 1, QQ, config).point
-    for p in config.primes if domain is ZZ else (domain.p,):
+    for p in config.primes:
         _, point, _, _ = min_rank_scan(g, field_blocks(n, p), GF(p), i - 1, i, None,
                                        config.modp_point_budget)
         if point is not None:
-            return (p, point) if domain is ZZ else point
+            return p, point
     return None
 
 
@@ -337,8 +344,8 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> Triviality
     """Decide 1 in I_i(g) over the domain, with certificates preferred.
 
     Order of attack: unit constant minor (trivial, every domain), point
-    certificate (non-trivial), Groebner fallback.  Decisions are cached by
-    (canonical form, i, domain, budget hash).
+    certificate (non-trivial, over Q and Z), Groebner fallback.  Decisions
+    are cached by (canonical form, i, domain, budget hash).
     """
     cache = cache if cache is not None else DecisionCache()
     if i > g.n:
@@ -364,34 +371,46 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> Triviality
 def _decide_trivial(g, i, domain, config):
     from math import comb
     n = g.n
-    scan_ok = comb(n, i) ** 2 <= _MINOR_SCAN_CAP
     gens = None
-    if scan_ok:
-        gens = minor_generators(generalized_laplacian(g), i, stop_at_unit=True)
+    if comb(n, i) ** 2 <= _MINOR_SCAN_CAP:
+        gens = minor_generators(generalized_laplacian(g), i)
         if gens.unit_minor is not None:
             return TrivialityDecision(True, "unit-minor", gens.unit_minor)
-        # over Z a unit constant minor has already returned
         for minor in gens.constant_minors:
             if domain.is_unit(minor[2]):
                 return TrivialityDecision(True, "constant-minor", minor)
 
-    cert = nontriviality_certificate(g, i, domain, config)
-    if cert is not None:
-        return TrivialityDecision(False, "point-certificate", cert)
+    if not domain.p:
+        cert = nontriviality_certificate(g, i, domain, config)
+        if cert is not None:
+            return TrivialityDecision(False, "point-certificate", cert)
 
     if gens is None:
         return TrivialityDecision(None, "budget", "minor scan too large")
     try:
-        if domain is ZZ:
-            ok, cert = is_trivial_over_Z(gens.generators, DEGREVLEX,
-                                         config.spair_cap, config.degree_cap)
-            return TrivialityDecision(ok, "groebner", _describe_z_cert(cert))
-        ok, _ = is_trivial_over_field(gens.to_domain(domain), DEGREVLEX,
-                                      config.spair_cap, config.degree_cap)
-        return TrivialityDecision(ok, "groebner", None)
+        return _groebner(gens, domain, DEGREVLEX, config)[1]
     except BudgetExceeded as exc:
         return TrivialityDecision(None, "budget", f"{exc.reason}, partial basis of "
                                                   f"{len(exc.partial)} polynomials")
+
+
+def _groebner(gens, domain, order, config):
+    """(basis, decision) of the ideal of the minor generators over the domain.
+
+    Over a field: its reduced basis, and whether that basis is {1}.  Over Z:
+    the reduced basis over Q and the exact Z-triviality decision, which
+    computes that basis first: its certificate carries it when the ideal is
+    proper over Q, and otherwise it is {1}.  The decision's cofactors are
+    not kept.  A budget stop raises BudgetExceeded.
+    """
+    if domain is not ZZ:
+        basis = buchberger(gens.to_domain(domain), order, config.spair_cap, config.degree_cap)
+        return basis, TrivialityDecision(basis.is_trivial(), "groebner", None)
+    ok, cert = is_trivial_over_Z(gens.generators, order, config.spair_cap, config.degree_cap)
+    q_gens = (cert[1].generators if cert[0] == "rational-basis"
+              else [Polynomial.constant(gens.generators[0].nvars, QQ, 1)])
+    return (IdealBasis(q_gens, QQ, order, is_groebner=True),
+            TrivialityDecision(ok, "groebner", _describe_z_cert(cert)))
 
 
 def _describe_z_cert(cert):
@@ -539,19 +558,10 @@ def groebner_basis_of_critical_ideal(g, i, domain=QQ, order=DEGREVLEX,
     """(basis, decision) of I_i(g), for reporting and ideal comparison.
 
     Over a field: its reduced basis, and None.  Over Z: the basis over Q and
-    the exact Z-triviality decision, which computes that basis first: its
-    certificate carries it when the ideal is proper over Q, and otherwise it
-    is {1}.  The decision's cofactors are not kept.  True basis computation
+    the exact Z-triviality decision (see _groebner).  True basis computation
     over Z is out of scope by design.
     """
     over_z = check_domain(domain) is ZZ
-    gens = minor_generators(generalized_laplacian(g), i, stop_at_unit=over_z)
-    if not over_z:
-        return buchberger(gens.to_domain(domain), order,
-                          config.spair_cap, config.degree_cap), None
-    ok, cert = is_trivial_over_Z(gens.generators, order,
-                                 config.spair_cap, config.degree_cap)
-    q_gens = (cert[1].generators if cert[0] == "rational-basis"
-              else [Polynomial.constant(g.n, QQ, 1)])
-    q_basis = IdealBasis(q_gens, QQ, order, is_groebner=True)
-    return q_basis, TrivialityDecision(ok, "groebner", _describe_z_cert(cert))
+    basis, decision = _groebner(minor_generators(generalized_laplacian(g), i), domain,
+                                order, config)
+    return basis, decision if over_z else None

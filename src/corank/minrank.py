@@ -233,32 +233,38 @@ def delta_parameter(t: Graph):
     """Maximum of (paths left) - (vertices deleted) over vertex deletions
     of a tree that leave a disjoint union of paths.
 
-    Linear-time DP.  States per vertex: deleted; kept with 0, 1 or 2
-    surviving child branches (two branches close the component: the parent
-    must then be deleted).  Returns (delta, deleted set, path count).
+    Linear-time DP.  States per vertex: deleted; kept with 0 or 1
+    surviving child branches.  Keeping 2 branches is never better than
+    deleting the vertex (see _delta_tree).  Returns (delta, deleted set,
+    path count).
     """
     return _delta_tree(t, *rooted_tree(t))
 
 
 def _delta_tree(t, adj, order, children):
-    """delta_parameter of t, rooted as rooted_tree(t) gives it."""
+    """delta_parameter of t, rooted as rooted_tree(t) gives it.
+
+    A vertex kept with two open child branches c1, c2 is never the best
+    closed state.  That state is worth the other children's dpD plus
+    open_up(c1) + open_up(c2) + 1, and deleting the vertex instead is worth
+    the sum of closed(c) - 1, where closed(c) >= dpD[c] and closed(c) >=
+    open_up(c) + 1: at least as much, and ties go to D.
+    """
     n = t.n
     dpD = [0] * n
     dp0 = [0] * n
     dp1 = [NEG] * n
-    dp2 = [NEG] * n
     choice1 = [None] * n  # child kept open in state 1
-    choice2 = [None] * n  # children pair kept open in state 2
 
     def closed(c):
-        return max(dpD[c], dp0[c] + 1, dp1[c] + 1, dp2[c] + 1)
+        return max(dpD[c], dp0[c] + 1, dp1[c] + 1)
 
     def open_up(c):
         return max(dp0[c], dp1[c])
 
     def closed_state(c):
-        # the state achieving closed(c); ties go to D, 0, 1, 2 in that order
-        values = {"D": dpD[c], "0": dp0[c] + 1, "1": dp1[c] + 1, "2": dp2[c] + 1}
+        # the state achieving closed(c); ties go to D, 0, 1 in that order
+        values = {"D": dpD[c], "0": dp0[c] + 1, "1": dp1[c] + 1}
         return max(values, key=values.get)
 
     for v in reversed(order):
@@ -267,15 +273,10 @@ def _delta_tree(t, adj, order, children):
         sum_deleted = sum(dpD[c] for c in kids)
         dpD[v] = sum_closed - 1
         dp0[v] = sum_deleted
-        gains = sorted(((open_up(c) - dpD[c], c) for c in kids), reverse=True)
         if kids:
-            g1, c1 = gains[0]
+            g1, c1 = max((open_up(c) - dpD[c], c) for c in kids)
             dp1[v] = sum_deleted + g1
             choice1[v] = c1
-        if len(kids) >= 2:
-            g2, c2 = gains[1]
-            dp2[v] = sum_deleted + g1 + g2
-            choice2[v] = (c1, c2)
 
     root = order[0]
     delta = closed(root)
@@ -291,11 +292,7 @@ def _delta_tree(t, adj, order, children):
             for c in kids:
                 stack.append((c, closed_state(c)))
             continue
-        keep_open = []
-        if state == "1":
-            keep_open = [choice1[v]]
-        elif state == "2":
-            keep_open = list(choice2[v])
+        keep_open = [choice1[v]] if state == "1" else []
         for c in kids:
             if c in keep_open:
                 sub = "0" if dp0[c] >= dp1[c] else "1"

@@ -26,7 +26,7 @@ from .linalg import exact_rank
 from .minrank import mrcr_bounds, tree_suite
 from .polyring import (DEGREVLEX, QQ, ZZ, buchberger, ideals_equal, normal_form,
                        parse_polynomial)
-from .zeroforcing import certificate_minor, mz, zero_forcing_number
+from .zeroforcing import mz, zero_forcing_number
 
 @dataclass
 class SweepResult:
@@ -89,14 +89,9 @@ def sweep_thm21(config=DEFAULT_CONFIG, cache=None, table=None):
            for d in random_graphs(Digraph, 300, 5, seed=20250809, p=0.4)]
     for entry in hosts:
         g = entry["graph"]
-        zf = zero_forcing_number(g)
-        try:
-            cert = certificate_minor(g, zf.witness)
-        except Exception as exc:  # noqa: BLE001 - failure payload wanted
-            failures.append({"graph": repr(g), "error": str(exc)})
-            continue
-        if cert.determinant not in (1, -1):
-            failures.append({"graph": repr(g), "det": cert.determinant})
+        det = entry["gamma_z"].lower_witness["determinant"]
+        if det not in (1, -1):
+            failures.append({"graph": repr(g), "det": det})
             continue
         for gr in (entry["gamma_z"], entry["gamma_q"]):
             bound = gr.value if gr.value is not None else gr.lower

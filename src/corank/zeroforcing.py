@@ -93,29 +93,15 @@ def zero_forcing_number(g) -> ZeroForcingResult:
 
 
 def _exact_search(g):
+    """The first zero forcing set among all vertex subsets, by ascending
+    size and then lexicographically; V itself always forces."""
     n = g.n
-    if n == 0:
-        return ZeroForcingResult(0, ForceRecord(frozenset(), ()), True)
-    failed_closures = []  # maximal non-spanning closed sets seen so far
-    full = (1 << n) - 1
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         for combo in combinations(range(n), k):
-            cmask = 0
-            for v in combo:
-                cmask |= 1 << v
-            if any(cmask & ~c == 0 for c in failed_closures):
-                continue  # closure stays inside a known non-spanning closed set
             state = closure(g, combo)
             if len(state.blue) == n:
-                record = ForceRecord(frozenset(combo), state.forces)
-                return ZeroForcingResult(k, record, True)
-            cl = 0
-            for v in state.blue:
-                cl |= 1 << v
-            if not any(cl & ~c == 0 for c in failed_closures):
-                failed_closures = [c for c in failed_closures if c & ~cl != 0]
-                failed_closures.append(cl)
-    raise AssertionError("V itself always forces")  # pragma: no cover
+                return ZeroForcingResult(k, ForceRecord(frozenset(combo), state.forces),
+                                         True)
 
 
 def _greedy_upper_bound(g):

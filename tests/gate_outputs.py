@@ -16,17 +16,22 @@ in two labelings each; ``params`` with budgets, as csv and md, with
 ``--strict`` and on a digraph; ``gamma --strict`` at one S-pair; ``trees``
 on the 25 trees with n <= 7; ``classify`` on the three disconnected
 digraphs where the five-way agreement fails; ``gb --index 3|4`` over z, q
-and fp:3 in lex, grlex and degrevlex on four graphs; the nine sweeps.
+and fp:3 in lex, grlex and degrevlex on four graphs; the nine sweeps;
+``zf`` on E_12, K_{6,6} and G(12, 1/2) drawn with seed 5, at the top of
+the exact zero forcing tier.
 """
 
 import contextlib
 import hashlib
 import io
+import random
+from itertools import combinations
 
 from corank.cli import main
 from corank.enumeration import all_trees, enumerate_connected_graphs
 from corank.formats import write_digraph6, write_graph6
-from corank.generators import NAMED_GRAPHS, graph_a
+from corank.generators import NAMED_GRAPHS, complete_multipartite, graph_a
+from corank.graphs import Graph
 from corank.sweeps import SWEEPS, _disconnected_exceptions
 
 CATALOG = "".join(write_graph6(g) + "\n" for g in
@@ -35,6 +40,9 @@ TREES = "".join(write_graph6(t) + "\n" for n in range(1, 8) for t in all_trees(n
 DISAGREEING = "".join(write_digraph6(d) + "\n" for d in _disconnected_exceptions())
 # four graphs, each in two labelings, one after the other
 RELABELED = "E`]o\nEygW\nE`]w\nEywW\nEJnW\nE^bg\nEJnw\nE|{o\n"
+_RNG = random.Random(5)
+EXACT_TOP = [Graph(12), complete_multipartite([6, 6]),
+             Graph(12, [e for e in combinations(range(12), 2) if _RNG.random() < 0.5])]
 GB_GRAPHS = ("D{O", "E`]o", write_graph6(graph_a()), write_graph6(NAMED_GRAPHS["bull"]()))
 
 
@@ -69,6 +77,8 @@ def runs():
                     yield ["gb", "--index", index, "--domain", domain, "--order", order, g6]
     for name in SWEEPS:
         yield ["sweep", name]
+    for g in EXACT_TOP:
+        yield ["zf", write_graph6(g)]
 
 
 def run_digest(argv):

@@ -5,12 +5,14 @@ engine against it.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from corank.config import DEFAULT_CONFIG
 from corank.criticalideals import gamma
 from corank.graphs import Digraph, _pack_key
 from corank.polyring import DEGREVLEX, QQ, ZZ, Polynomial, normal_form
-from corank.zeroforcing import ColorState, zero_forcing_number
+from corank.zeroforcing import (ColorState, ForceRecord, ZeroForcingResult, closure,
+                                zero_forcing_number)
 
 
 def contained_in_monomials_plus_constant(minors, var_indices, constant):
@@ -111,6 +113,28 @@ def closure_by_rescan(g, blue):
                 break
         else:
             return frozenset(v for v in range(g.n) if mask >> v & 1), tuple(forces)
+
+
+def zero_forcing_by_pruned_search(g):
+    """The exact zero forcing result by the ascending-cardinality subset
+    search that skips every subset inside a known non-spanning closed set:
+    such a subset's closure stays inside that set, so it fails as well, and
+    the first success is still the lexicographically least minimum set."""
+    n = g.n
+    failed_closures = []  # maximal non-spanning closed sets seen so far
+    for k in range(n + 1):
+        for combo in combinations(range(n), k):
+            cmask = sum(1 << v for v in combo)
+            if any(cmask & ~c == 0 for c in failed_closures):
+                continue
+            state = closure(g, combo)
+            if len(state.blue) == n:
+                return ZeroForcingResult(k, ForceRecord(frozenset(combo), state.forces),
+                                         True)
+            cl = sum(1 << v for v in state.blue)
+            if not any(cl & ~c == 0 for c in failed_closures):
+                failed_closures = [c for c in failed_closures if c & ~cl != 0]
+                failed_closures.append(cl)
 
 
 def closure_in_random_order(g, blue, rng):

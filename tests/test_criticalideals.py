@@ -1,5 +1,7 @@
 """The symbolic matrix, minor ideals, triviality decisions and gamma."""
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
+import corank.criticalideals as criticalideals
 import corank.polyring as polyring
 from corank.cache import DecisionCache
 from corank.config import DEFAULT_CONFIG, RunConfig
@@ -78,8 +81,9 @@ def test_minor_generators_size1_and_bull_unit():
     L = generalized_laplacian(bull())
     one = minor_generators(L, 1)
     assert one.unit_minor is not None  # any edge entry is -1
-    three = minor_generators(L, 3, stop_at_unit=True)
+    three = minor_generators(L, 3)
     assert three.unit_minor is not None  # from the zero forcing certificate
+    assert three.generators[-1].constant_value() == three.unit_minor[2]
 
 
 def _all_minors(n):
@@ -153,9 +157,11 @@ def test_minor_generators_match_the_polynomial_expansion():
     """Generator order, signs and terms, the unit minor and the constant
     minors of all 143 graphs and the 16 digraphs on 3 vertices at every
     index, against the oracle, which expands every pair of row and column
-    sets.  A symmetric Laplacian skips the transposed minors: its constant
-    minors are the oracle's with cols >= rows, and the first one each
-    domain takes for a unit is the oracle's first."""
+    sets, stopped at the first +-1 minor as minor_generators is.  A
+    symmetric Laplacian skips the transposed minors: its constant minors
+    are the oracle's with cols >= rows.  Against the oracle's full list,
+    the unit minor and the first constant each domain takes for a unit are
+    the same, so stopping changes no decision."""
     graphs = enumerate_connected_graphs(6)
     assert len(graphs) == 143
     for g in graphs + enumerate_digraphs(3):
@@ -163,17 +169,22 @@ def test_minor_generators_match_the_polynomial_expansion():
         symmetric = all(g.has_arc(u, v) == g.has_arc(v, u)
                         for u, v in combinations(range(g.n), 2))
         for i in range(g.n + 1):
-            for stop in (False, True):
-                got = minor_generators(L, i, stop)
-                gens, unit, constants = _oracle_minor_generators(L, i, stop, memo)
-                assert got.generators == gens, (g, i, stop)
-                assert got.unit_minor == unit
-                assert got.constant_minors == [m for m in constants
-                                               if not symmetric or m[1] >= m[0]]
-                for domain in (QQ, GF(2), GF(3)):
-                    assert next((m for m in got.constant_minors if domain.is_unit(m[2])),
-                                None) == \
-                        next((m for m in constants if domain.is_unit(m[2])), None)
+            got = minor_generators(L, i)
+            gens, unit, constants = _oracle_minor_generators(L, i, True, memo)
+            assert got.generators == gens, (g, i)
+            assert got.unit_minor == unit
+            assert got.constant_minors == [m for m in constants
+                                           if not symmetric or m[1] >= m[0]]
+            full_gens, full_unit, full_constants = _oracle_minor_generators(L, i, False,
+                                                                            memo)
+            assert full_unit == unit
+            assert full_gens[:len(gens)] == gens
+            if unit is None:
+                assert full_gens == gens
+            for domain in (QQ, GF(2), GF(3)):
+                assert next((m for m in got.constant_minors if domain.is_unit(m[2])),
+                            None) == \
+                    next((m for m in full_constants if domain.is_unit(m[2])), None)
 
 
 def test_z_decision_tracks_cofactors_only_for_rationally_trivial_ideals(monkeypatch):
@@ -225,6 +236,9 @@ def test_nontriviality_certificates():
     pt = nontriviality_certificate(k4, 2, QQ)
     assert pt is not None
     assert exact_rank(generalized_laplacian(k4).evaluate(pt)).rank == 1
+    # over F_p gamma's own field scan has already looked at every point
+    with pytest.raises(ValueError, match=r"not GF\(5\)"):
+        nontriviality_certificate(g, 3, GF(5))
 
 
 def test_gamma_key_values():
@@ -434,17 +448,21 @@ def test_z_basis_and_decision_match_their_separate_computations():
     assert decision.to_json()["detail"] == "non-trivial mod 2"
 
 
+def _every_4th_item():
+    items = [(g, i) for g in enumerate_connected_graphs(6) for i in range(1, g.n + 1)]
+    return items[::4]
+
+
 def test_the_z_route_stopped_at_the_unit_minor_matches_the_full_minor_list():
-    """Over Z, minor generation stops at the first +-1 minor.  The route on
+    """Minor generation stops at the first +-1 minor.  Over Z the route on
     the full, unstopped list gives the same Q basis, decision and detail on
     every 4th (graph, index) of the 143 connected graphs with n <= 6."""
-    items = [(g, i) for g in enumerate_connected_graphs(6) for i in range(1, g.n + 1)]
     stopped = 0
-    for g, i in items[::4]:
+    for g, i in _every_4th_item():
         basis, decision = groebner_basis_of_critical_ideal(g, i, ZZ)
         L = generalized_laplacian(g)
-        gens = minor_generators(L, i).generators
-        stopped += len(gens) > len(minor_generators(L, i, stop_at_unit=True).generators)
+        gens, _, _ = _oracle_minor_generators(L, i, False, {})
+        stopped += len(gens) > len(minor_generators(L, i).generators)
         ok, cert = is_trivial_over_Z(gens)
         q_gens = (cert[1].generators if cert[0] == "rational-basis"
                   else [Polynomial.constant(g.n, QQ, 1)])
@@ -452,6 +470,48 @@ def test_the_z_route_stopped_at_the_unit_minor_matches_the_full_minor_list():
         assert (decision.trivial, decision.method, decision.detail) == \
             (ok, "groebner", _describe_z_cert(cert)), (g.pairs, i)
     assert stopped > 0
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(3)], ids=["Q", "F3"])
+def test_the_field_route_stopped_at_the_unit_minor_matches_the_full_minor_list(domain):
+    """Over a field, the reduced basis from the minors up to the first +-1
+    minor is Buchberger's on the full list, on every 4th (graph, index) of
+    the 143 connected graphs with n <= 6."""
+    stopped = 0
+    for g, i in _every_4th_item():
+        basis, decision = groebner_basis_of_critical_ideal(g, i, domain)
+        L = generalized_laplacian(g)
+        gens, _, _ = _oracle_minor_generators(L, i, False, {})
+        stopped += len(gens) > len(minor_generators(L, i).generators)
+        want = buchberger([p.to_domain(domain) for p in gens])
+        assert basis.generators == want.generators, (g.pairs, i)
+        assert decision is None
+    assert stopped > 0
+
+
+FIELD_GAMMA_SHA256 = "1f618bae0c609597082c0442d54eb9ecf0909129f0076d2fd5c1dd5a4ba34217"
+
+
+def test_gamma_over_a_field_runs_no_point_search(monkeypatch):
+    """gamma over F_2, F_3 and F_5 asks ideal_trivial only at indices up to
+    the least rank its own field scan found, so a point search there could
+    never succeed, and none runs: on the 143 connected graphs with n <= 6
+    nontriviality_certificate is never called, and the results are those
+    pinned from the engine that still ran the search (sha256 of their
+    to_json, one per line, in graph order and F_2, F_3, F_5 per graph)."""
+    calls = []
+    search = criticalideals.nontriviality_certificate
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(criticalideals, "nontriviality_certificate", counted)
+    lines = [json.dumps(gamma(g, GF(p), cache=DecisionCache()).to_json(),
+                        sort_keys=True)
+             for g in enumerate_connected_graphs(6) for p in (2, 3, 5)]
+    assert calls == []
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FIELD_GAMMA_SHA256
 
 
 def test_octahedron_i4_vanishes_at_zero():

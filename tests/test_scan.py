@@ -244,7 +244,7 @@ def _site_outputs(graphs):
                 for dom in (QQ, GF(5)):
                     out.append(variety_box_search(g, r, dom, SMALL))
             for i in range(1, g.n + 1):
-                for dom in (QQ, ZZ, GF(5)):
+                for dom in (QQ, ZZ):
                     out.append(nontriviality_certificate(g, i, dom, SMALL))
     return out
 

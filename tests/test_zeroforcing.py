@@ -6,15 +6,16 @@ import pytest
 
 import corank.zeroforcing as zeroforcing
 from corank.criticalideals import generalized_laplacian
-from corank.enumeration import enumerate_graphs
-from corank.generators import (bull, complete, cycle, forbidden_family_named,
-                               octahedron, path, petersen, star)
+from corank.enumeration import all_trees, enumerate_digraphs, enumerate_graphs
+from corank.generators import (NAMED_GRAPHS, bull, complete, complete_multipartite, cycle,
+                               forbidden_family_named, octahedron, path, petersen, star)
 from corank.graphs import Digraph, Graph, induced_subgraph
 from corank.polyring import ZZ, Polynomial
 from corank.zeroforcing import (CertificateError, ForceRecord, certificate_minor,
                                 closure, is_zero_forcing_set, mz,
                                 validate_record, zero_forcing_number)
-from oracles import closure_by_rescan, closure_in_random_order, entry
+from oracles import (closure_by_rescan, closure_in_random_order, entry,
+                     zero_forcing_by_pruned_search)
 
 
 def test_closure_examples():
@@ -60,6 +61,19 @@ def test_witness_is_lex_least_and_forcing():
     r = zero_forcing_number(cycle(5))
     assert r.witness.initial_set == frozenset({0, 1})
     assert validate_record(cycle(5), r.witness)
+
+
+def test_exact_search_matches_the_pruned_search():
+    """The plain subset search gives the (Z, witness, forces) of the search
+    that skips subsets inside known non-spanning closed sets: all graphs
+    with n <= 7, all digraphs with n <= 4, all trees with n <= 9, the named
+    catalog, and E_12, K_12 and K_{6,6} at the top of the exact tier."""
+    graphs = (enumerate_graphs(7) + enumerate_digraphs(4)
+              + [t for n in range(1, 10) for t in all_trees(n)]
+              + [make() for make in NAMED_GRAPHS.values()]
+              + [Graph(12), complete(12), complete_multipartite([6, 6])])
+    for g in graphs:
+        assert zeroforcing._exact_search(g) == zero_forcing_by_pruned_search(g), g
 
 
 def test_digraph_rule_uses_out_neighbors():
