@@ -4,15 +4,14 @@ Budget fields are part of every key so changed budgets can never serve a
 stale decision.  The optional directory back-end stores one JSON file per
 entry.  Every process, including each ``--jobs`` worker, writes directly;
 writes are atomic (a temporary file, then a rename), so concurrent writers
-of the same entry are safe, and an entry that cannot be parsed is counted
-in ``corrupt`` and treated as a miss.
+of the same entry are safe, and an entry that cannot be parsed, or that a
+caller's check rejects, is counted in ``corrupt`` and treated as a miss.
 """
 
 import hashlib
 import json
 import os
 import tempfile
-from pathlib import Path
 
 # Salts every file name: entries written under an older layout (witnesses
 # in the caller's labeling rather than the canonical one, or a field
@@ -24,31 +23,46 @@ SCHEMA = 3
 class DecisionCache:
     def __init__(self, directory=None):
         self._mem = {}
-        self._dir = Path(directory) if directory else None
+        self._dir = os.fspath(directory) if directory else None
         self.corrupt = 0
         if self._dir:
-            self._dir.mkdir(parents=True, exist_ok=True)
+            os.makedirs(self._dir, exist_ok=True)
 
     @staticmethod
     def _filename(key):
         blob = json.dumps([SCHEMA, key], sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest() + ".json"
 
-    def get(self, key):
-        if key in self._mem:
-            return self._mem[key]
-        if self._dir:
-            path = self._dir / self._filename(key)
-            try:
-                value = json.loads(path.read_text())
-            except FileNotFoundError:
-                return None
-            except ValueError:  # truncated or otherwise unreadable
-                self.corrupt += 1
-                return None
-            self._mem[key] = value
+    def get(self, key, check=None):
+        """The value under key, or None on a miss.
+
+        A value this process put, or read and accepted before, comes from
+        memory and is not checked again.  A directory entry is read in one
+        call, the file's bytes handed to json.loads; a missing file is a
+        miss.  An entry that does not decode or parse, or that the predicate
+        check rejects, is counted in corrupt and is a miss, so the caller
+        recomputes it and its put overwrites the file.
+        """
+        value = self._mem.get(key)
+        if value is not None or not self._dir:
             return value
-        return None
+        try:
+            with open(os.path.join(self._dir, self._filename(key)), "rb") as fh:
+                value = json.loads(fh.read())
+        except FileNotFoundError:
+            return None
+        except ValueError:  # truncated, undecodable or otherwise unreadable
+            self.corrupt += 1
+            return None
+        if check is not None and not check(value):
+            self.corrupt += 1
+            return None
+        self._mem[key] = value
+        return value
+
+    def may_hit(self):
+        """Whether a get can hit: the cache has a directory or holds an entry."""
+        return bool(self._dir or self._mem)
 
     def put(self, key, value):
         self._mem[key] = value
@@ -57,7 +71,7 @@ class DecisionCache:
             try:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(json.dumps(value, sort_keys=True))
-                os.replace(tmp, self._dir / self._filename(key))
+                os.replace(tmp, os.path.join(self._dir, self._filename(key)))
             except BaseException:
                 os.unlink(tmp)
                 raise

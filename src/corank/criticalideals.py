@@ -27,7 +27,7 @@ from itertools import combinations, islice, product
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
 from .graphs import canonical_form
-from .linalg import rank_scan
+from .linalg import exact_rank, rank_scan
 from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, IdealBasis, Polynomial,
                        buchberger, check_domain, is_trivial_over_Z)
 from .zeroforcing import certificate_minor, zero_forcing_number
@@ -444,30 +444,55 @@ class GammaResult:
                 "status": self.status}
 
 
+def _box_scan_key(form, lower, config):
+    return ("gamma-box-scan", form.hex(), lower, config.box_radius, config.gamma_box_budget)
+
+
+def _cached_box_scan(g, lower, config, cache):
+    """The box scan's cached (rank, point), mapped back to g's labeling, or
+    None.  An empty in-memory cache is not asked, so g needs no canonical
+    form then.
+
+    An entry read from a directory is trusted only when it is [rank, point]
+    with n integer coordinates and L(g, point) has exactly that rank, one
+    elimination; any other entry is a counted corrupt miss.  Rank does not
+    depend on the labeling, so the point is checked mapped back.
+    """
+    if not cache.may_hit():
+        return None
+    form = canonical_form(g)
+    inv = _inverse(form.perm)
+
+    def holds(entry):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            return False
+        rank, pt = entry
+        return (type(rank) is int and isinstance(pt, list) and len(pt) == g.n
+                and all(type(x) is int for x in pt)
+                and exact_rank(_laplacian_rows(g.out_adj, _relabel_point(pt, inv))).rank
+                == rank)
+
+    hit = cache.get(_box_scan_key(form, lower, config), holds)
+    return None if hit is None else (hit[0], _relabel_point(hit[1], inv))
+
+
 def _budgeted_box_scan(g, lower, upper, upper_point, domain, config, cache):
     """Improve the evaluation upper bound by a budgeted scan of the field
     over F_p, or of the integer box over Z and Q.
 
     Over Z and Q the scan evaluates integer points at rational rank, so its
-    outcome is domain-independent and cached once per (graph, target).
+    outcome is domain-independent and put in the cache once per (graph,
+    target), in the canonical labeling; gamma looks it up before its probe.
+    The probe always leaves a point: L(g, out-degrees) has zero row sums.
     """
-    if domain.p:
-        return min_rank_scan(g, field_blocks(g.n, domain.p), domain, lower, upper,
-                             upper_point, config.gamma_box_budget)[:2]
-    form = canonical_form(g)
-    key = ("gamma-box-scan", form.hex(), lower, config.box_radius,
-           config.gamma_box_budget)
-    hit = cache.get(key)
-    if hit is not None:
-        rank, pt = hit
-        if rank is not None and rank < upper:
-            return rank, _relabel_point(pt, _inverse(form.perm))
-        return upper, upper_point
-    upper, upper_point, _, _ = min_rank_scan(g, box_blocks(g.n, config.box_radius),
-                                             domain, lower, upper, upper_point,
+    blocks = (field_blocks(g.n, domain.p) if domain.p
+              else box_blocks(g.n, config.box_radius))
+    upper, upper_point, _, _ = min_rank_scan(g, blocks, domain, lower, upper, upper_point,
                                              config.gamma_box_budget)
-    cache.put(key, [upper, list(_relabel_point(upper_point, form.perm))
-                    if upper_point else None])
+    if not domain.p:
+        form = canonical_form(g)
+        cache.put(_box_scan_key(form, lower, config),
+                  [upper, list(_relabel_point(upper_point, form.perm))])
     return upper, upper_point
 
 
@@ -481,22 +506,26 @@ def _probe_points(g):
     return [(tuple(zip(p)), None) for p in dict.fromkeys(pts)]
 
 
-def _sandwich_prefix(g, zf, domain):
-    """(certificate minor, (upper, point) of the probe scan): facts of the
-    graph and the scan's prime alone, kept in g's _sandwich slot.  The
-    certificate comes from the zero forcing record, exact or greedy (any
-    zero forcing set's record certifies its own complement size), and is
-    validated once; Z and Q share the probe entry of domain.p None, because
+def _sandwich_prefix(g, zf):
+    """(certificate minor, probe bounds by scan prime): facts of the graph
+    alone, kept in g's _sandwich slot.  The certificate comes from the zero
+    forcing record, exact or greedy (any zero forcing set's record
+    certifies its own complement size), and is validated once; the probe
+    bounds fill in as _probe asks for them."""
+    if g._sandwich is None:
+        g._sandwich = (certificate_minor(g, zf.witness), {})
+    return g._sandwich
+
+
+def _probe(g, lower, domain, probes):
+    """(upper, point) of the probe-point scan over the domain, kept in the
+    graph's probe bounds: Z and Q share the entry of domain.p None, because
     ranks over Z are taken over Q."""
-    kept = g._sandwich
-    if kept is None:
-        kept = g._sandwich = (certificate_minor(g, zf.witness), {})
-    cert, probes = kept
     probe = probes.get(domain.p)
     if probe is None:
-        probe = probes[domain.p] = min_rank_scan(g, _probe_points(g), domain, g.n - zf.z,
+        probe = probes[domain.p] = min_rank_scan(g, _probe_points(g), domain, lower,
                                                  g.n, None)[:2]
-    return cert, probe
+    return probe
 
 
 def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
@@ -507,22 +536,34 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     runs unless a gap survives.  The certificate and the probe-point bound
     are kept on the graph; box scans and per-index decisions go through
     the cache.
+
+    Over Z and Q the box scan's cache entry is looked up before the probe
+    scan, and a hit is the upper bound with no probe.  That is the bound a
+    miss gives: an entry is put only after the probe left a gap, the scan
+    keeps its probe point unless a box point has strictly lower rank, and
+    the probe points, their order and their ranks follow any relabeling,
+    so the filler's probe point maps back to the caller's own.
     """
     cache = cache if cache is not None else DecisionCache()
     name = check_domain(domain).name
     n = g.n
     zf = zero_forcing_number(g)
     lower = n - zf.z
-    cert, (upper, upper_point) = _sandwich_prefix(g, zf, domain)
+    cert, probes = _sandwich_prefix(g, zf)
     lower_witness = {"force_record": zf.witness.to_json(),
                      "certificate_rows": list(cert.rows),
                      "certificate_cols": list(cert.cols),
                      "determinant": cert.determinant}
     provenance = dict.fromkeys(range(1, lower + 1), "zero-forcing-certificate")
 
-    if upper > lower:
-        upper, upper_point = _budgeted_box_scan(g, lower, upper, upper_point, domain,
-                                                config, cache)
+    hit = None if domain.p else _cached_box_scan(g, lower, config, cache)
+    if hit is not None:
+        upper, upper_point = hit
+    else:
+        upper, upper_point = _probe(g, lower, domain, probes)
+        if upper > lower:
+            upper, upper_point = _budgeted_box_scan(g, lower, upper, upper_point, domain,
+                                                    config, cache)
     upper_witness = {"point": list(upper_point) if upper_point else None, "rank": upper}
     if upper_point is not None and upper < n:
         provenance[upper + 1] = "evaluation-rank"

@@ -31,27 +31,20 @@ class ForceRecord:
                 "forces": [list(f) for f in self.forces]}
 
 
-def closure(g, blue) -> ColorState:
-    """Fixed point of the color change rule starting from the given set.
+def _close(adj, in_adj, mask, forces=None):
+    """The final blue mask of the color change rule from the blue mask, on
+    the out- and in-neighbour bitmasks; each (forcer, forced) pair is
+    appended to forces when a list is given.
 
-    The lexicographically smallest legal (forcer, forced) pair is applied
-    first; the final blue set is order-independent.
-
-    The run keeps a set of blue vertices still to test and tests them
-    lowest first, instead of rescanning from the lowest blue vertex after
-    every force.  A vertex that could not force when tested can become
-    legal only once one of its out-neighbours turns blue, so after a force
-    v -> w only w and the blue in-neighbours of w go back into the set; a
-    forcer has no white neighbour left.  So every legal vertex is in the
-    set, and the first one tested is the smallest.
+    The lexicographically smallest legal pair is applied first.  The run
+    keeps a mask of blue vertices still to test and tests them lowest first,
+    instead of rescanning from the lowest blue vertex after every force.  A
+    vertex that could not force when tested can become legal only once one
+    of its out-neighbours turns blue, so after a force v -> w only w and the
+    blue in-neighbours of w go back into the mask; a forcer has no white
+    neighbour left.  So every legal vertex is in the mask, and the first one
+    tested is the smallest.
     """
-    adj, in_adj = g.out_adj, g.in_adj
-    mask = 0
-    for v in blue:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        mask |= 1 << v
-    forces = []
     scan = mask
     while scan:
         low = scan & -scan
@@ -60,15 +53,34 @@ def closure(g, blue) -> ColorState:
         white = adj[v] & ~mask
         if white and white & (white - 1) == 0:
             w = white.bit_length() - 1
-            forces.append((v, w))
+            if forces is not None:
+                forces.append((v, w))
             mask |= white
             scan |= white | in_adj[w] & mask
-    blue_out = frozenset(i for i in range(g.n) if mask >> i & 1)
-    return ColorState(blue_out, tuple(forces))
+    return mask
+
+
+def _mask(g, blue):
+    """The bitmask of a vertex set of g, each vertex checked in range."""
+    mask = 0
+    for v in blue:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+        mask |= 1 << v
+    return mask
+
+
+def closure(g, blue) -> ColorState:
+    """Fixed point of the color change rule starting from the given set,
+    with its chronological list of forces (see _close); the final blue set
+    is order-independent."""
+    forces = []
+    mask = _close(g.out_adj, g.in_adj, _mask(g, blue), forces)
+    return ColorState(frozenset(i for i in range(g.n) if mask >> i & 1), tuple(forces))
 
 
 def is_zero_forcing_set(g, blue) -> bool:
-    return len(closure(g, blue).blue) == g.n
+    return _close(g.out_adj, g.in_adj, _mask(g, blue)) == (1 << g.n) - 1
 
 
 @dataclass(frozen=True)
@@ -94,14 +106,18 @@ def zero_forcing_number(g) -> ZeroForcingResult:
 
 def _exact_search(g):
     """The first zero forcing set among all vertex subsets, by ascending
-    size and then lexicographically; V itself always forces."""
+    size and then lexicographically; V itself always forces.
+
+    Each subset comes with its bitmask and is closed on masks alone; only
+    the winner is closed again by closure, for its force list."""
     n = g.n
+    adj, in_adj, full = g.out_adj, g.in_adj, (1 << n) - 1
+    bits = [1 << v for v in range(n)]
     for k in range(n + 1):
-        for combo in combinations(range(n), k):
-            state = closure(g, combo)
-            if len(state.blue) == n:
-                return ZeroForcingResult(k, ForceRecord(frozenset(combo), state.forces),
-                                         True)
+        for combo, mask in zip(combinations(range(n), k), map(sum, combinations(bits, k))):
+            if _close(adj, in_adj, mask) == full:
+                return ZeroForcingResult(k, ForceRecord(frozenset(combo),
+                                                        closure(g, combo).forces), True)
 
 
 def _greedy_upper_bound(g):

@@ -4,8 +4,8 @@ must leave byte-identical.
     PYTHONPATH=src python tests/gate_outputs.py
 
 Runs each command line through ``corank.cli.main`` in this one process and
-prints the sha256 of (exit code, stdout, stderr) per run, then one sha256
-over all runs.  Run it on two source trees and compare the last line; the
+prints the sha256 of (exit code, stdout, stderr) per run, then of each
+cache directory the runs filled, then one sha256 over all of them.  Run it on two source trees and compare the last line; the
 per-run lines show which run differs.  pytest does not collect this file.
 
 The set: ``reproduce-appendix``; ``params`` at ``--jobs 1`` and ``--jobs 2``,
@@ -18,13 +18,20 @@ on the 25 trees with n <= 7; ``classify`` on the three disconnected
 digraphs where the five-way agreement fails; ``gb --index 3|4`` over z, q
 and fp:3 in lex, grlex and degrevlex on four graphs; the nine sweeps;
 ``zf`` on E_12, K_{6,6} and G(12, 1/2) drawn with seed 5, at the top of
-the exact zero forcing tier.
+the exact zero forcing tier.  Then the runs over ``--cache`` directories,
+each in a fresh temporary directory: ``reproduce-appendix`` twice over one
+directory (cold, then warm); ``gamma`` over the catalog, then over the
+eight relabeled lines, through a second; ``params --jobs 1`` over the
+catalog, then over the relabeled lines, through a third.  A directory's
+digest is the sha256 over its sorted (file name, sha256 of the bytes).
 """
 
 import contextlib
 import hashlib
 import io
+import os
 import random
+import tempfile
 from itertools import combinations
 
 from corank.cli import main
@@ -81,6 +88,17 @@ def runs():
         yield ["zf", write_graph6(g)]
 
 
+def cache_runs(root):
+    """The runs over cache directories under root, and the directories."""
+    appendix, catalog, params = (os.path.join(root, d) for d in ("appendix", "gamma", "params"))
+    yield ["reproduce-appendix", "--cache", appendix]
+    yield ["reproduce-appendix", "--cache", appendix]
+    yield ["gamma", "--cache", catalog, CATALOG]
+    yield ["gamma", "--cache", catalog, RELABELED]
+    yield ["params", "--jobs", "1", "--cache", params, CATALOG]
+    yield ["params", "--jobs", "1", "--cache", params, RELABELED]
+
+
 def run_digest(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -89,16 +107,35 @@ def run_digest(argv):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _label(argv):
-    return " ".join(a if "\n" not in a else f"<{a.count(chr(10))} lines>" for a in argv)
+def directory_digest(path):
+    total = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            total.update(f"{name} {hashlib.sha256(fh.read()).hexdigest()}\n".encode())
+    return total.hexdigest()
+
+
+def _label(argv, root=None):
+    return " ".join(a.replace(root, "TMP") if root and a.startswith(root)
+                    else a if "\n" not in a else f"<{a.count(chr(10))} lines>"
+                    for a in argv)
 
 
 if __name__ == "__main__":
     total = hashlib.sha256()
     count = 0
-    for argv in runs():
-        digest = run_digest(argv)
+
+    def emit(digest, label):
+        global count
         total.update(digest.encode())
         count += 1
-        print(digest, _label(argv))
-    print(f"{total.hexdigest()} over {count} runs")
+        print(digest, label)
+
+    for argv in runs():
+        emit(run_digest(argv), _label(argv))
+    with tempfile.TemporaryDirectory() as root:
+        for argv in cache_runs(root):
+            emit(run_digest(argv), _label(argv, root))
+        for name in sorted(os.listdir(root)):
+            emit(directory_digest(os.path.join(root, name)), f"directory TMP/{name}")
+    print(f"{total.hexdigest()} over {count} runs and directories")

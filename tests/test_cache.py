@@ -1,16 +1,22 @@
-"""The decision cache: certificates across labelings, corrupt entries, atomic writes."""
+"""The decision cache: certificates across labelings, corrupt entries, atomic writes,
+and the box-scan entry that gamma reads before its probe scan."""
 
+import hashlib
 import json
 import os
 import random
 
 import pytest
 
+from corank import criticalideals
 from corank.cache import DecisionCache
+from corank.cli import main
+from corank.config import DEFAULT_CONFIG
 from corank.criticalideals import gamma, generalized_laplacian, ideal_trivial
-from corank.enumeration import enumerate_connected_graphs
+from corank.enumeration import all_trees, enumerate_connected_graphs, enumerate_digraphs
+from corank.formats import write_graph6
 from corank.generators import octahedron
-from corank.graphs import relabel
+from corank.graphs import canonical_form, relabel
 from corank.linalg import exact_rank, rank_mod_p
 from corank.polyring import QQ, ZZ
 
@@ -116,3 +122,129 @@ def test_put_is_atomic(tmp_path, monkeypatch):
     cache.put(("k",), {"v": 2})
     assert DecisionCache(tmp_path).get(("k",)) == {"v": 2}
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def _labeling(graphs, seed):
+    """Each graph under one random relabeling drawn from the seed."""
+    rng = random.Random(seed)
+    out = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(relabel(g, perm))
+    return out
+
+
+def _box_entry(g, tmp_path):
+    """The file of g's gamma-box-scan entry in the directory."""
+    mz = g.n - criticalideals.zero_forcing_number(g).z
+    key = criticalideals._box_scan_key(canonical_form(g), mz, DEFAULT_CONFIG)
+    return tmp_path / DecisionCache._filename(key)
+
+
+def test_the_probe_follows_every_relabeling():
+    """The probe's (rank, point) in a relabeling is the relabeled probe
+    result, so the filler's probe point of a box-scan entry maps back to
+    the reader's own."""
+    graphs = (enumerate_connected_graphs(6) + enumerate_digraphs(4)
+              + [t for n in range(1, 8) for t in all_trees(n)])
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            lower = g.n - criticalideals.zero_forcing_number(g).z
+            rank, point = criticalideals._probe(g, lower, QQ, {})
+            h = relabel(g, perm)
+            assert criticalideals._probe(h, lower, QQ, {}) == \
+                (rank, criticalideals._relabel_point(point, perm)), (g, perm)
+
+
+# sha256 of the reads below, taken when gamma still ran its probe scan
+# before looking the box scan up
+WARM_ACROSS_LABELINGS = "2b6338d404e8c2fc4b40aa2059da03be366a22c0d2efc7fb8595fb4c574f739c"
+
+
+def test_warm_reads_in_other_labelings_are_pinned(tmp_path):
+    graphs = enumerate_connected_graphs(6)
+    for g in _labeling(graphs, 1):
+        cache = DecisionCache(tmp_path)
+        gamma(g, ZZ, cache=cache)
+        gamma(g, QQ, cache=cache)
+    out = []
+    for seed in (2, 3):
+        for g in _labeling(graphs, seed):
+            cache = DecisionCache(tmp_path)
+            out += [gamma(g, dom, cache=cache).to_json() for dom in (ZZ, QQ)]
+            assert cache.corrupt == 0
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == WARM_ACROSS_LABELINGS
+
+
+def test_a_directory_hit_runs_no_probe_and_one_check(tmp_path, monkeypatch):
+    g = octahedron()  # its probe leaves a gap, so the box scan has an entry
+    for dom in (ZZ, QQ):
+        gamma(g, dom, cache=DecisionCache(tmp_path))
+    perm = [5, 3, 0, 1, 4, 2]
+    want = [gamma(relabel(g, perm), dom).to_json() for dom in (ZZ, QQ)]
+    runs = {"probe": 0, "check": 0}
+    scan, rank = criticalideals.min_rank_scan, criticalideals.exact_rank
+
+    def counted_scan(g, blocks, domain, lower, upper, upper_point, budget=None):
+        runs["probe"] += budget is None  # the probe scan is gamma's only unbudgeted scan
+        return scan(g, blocks, domain, lower, upper, upper_point, budget)
+
+    def counted_rank(rows):
+        runs["check"] += 1
+        return rank(rows)
+
+    monkeypatch.setattr(criticalideals, "min_rank_scan", counted_scan)
+    monkeypatch.setattr(criticalideals, "exact_rank", counted_rank)
+    h = relabel(g, perm)  # a fresh object, with no probe bound kept
+    cache = DecisionCache(tmp_path)
+    # the Q call reads the entry the Z call accepted from memory, unchecked
+    assert [gamma(h, dom, cache=cache).to_json() for dom in (ZZ, QQ)] == want
+    assert runs == {"probe": 0, "check": 1} and cache.corrupt == 0
+
+
+TAMPERED = [[2, [0, 0, 0, 0, 0, 0]], [3], {"v": 1}, "x", [2, None], [True, [0] * 6],
+            [2, [0, 0, 0]], [2, [0, 0, 0, 0, 0, "0"]]]
+
+
+@pytest.mark.parametrize("entry", TAMPERED, ids=[json.dumps(e) for e in TAMPERED])
+def test_a_tampered_box_scan_entry_is_a_counted_miss(tmp_path, capsys, entry):
+    """An entry that parses but is no [rank, point] of that rank is recomputed
+    and overwritten, never served (the octahedron's mz is 2, its gamma_Q 3)."""
+    g6 = write_graph6(octahedron())
+    assert main(["gamma", "--domain", "q", g6]) == 0
+    cold = capsys.readouterr().out
+    assert main(["gamma", "--domain", "q", "--cache", str(tmp_path), g6]) == 0
+    capsys.readouterr()
+    path = _box_entry(octahedron(), tmp_path)
+    good = path.read_bytes()
+    path.write_text(json.dumps(entry))
+    assert main(["gamma", "--domain", "q", "--cache", str(tmp_path), g6]) == 0
+    assert capsys.readouterr().out == cold
+    assert path.read_bytes() == good
+    path.write_text(json.dumps(entry))
+    cache = DecisionCache(tmp_path)
+    assert gamma(octahedron(), QQ, cache=cache).value == 3 and cache.corrupt == 1
+
+
+def test_a_box_scan_entry_at_a_point_of_another_rank_is_a_counted_miss(tmp_path):
+    """[mz, origin] in place of each box-scan entry of the 143 graphs: where
+    L(G, 0) has another rank the entry is recomputed, and every value is
+    the cold one."""
+    for g in enumerate_connected_graphs(6):
+        cold = gamma(g, QQ, cache=DecisionCache()).to_json()
+        gamma(g, QQ, cache=DecisionCache(tmp_path))
+        path = _box_entry(g, tmp_path)
+        if not path.exists():
+            continue
+        mz = g.n - criticalideals.zero_forcing_number(g).z
+        path.write_text(json.dumps([mz, [0] * g.n]))
+        cache = DecisionCache(tmp_path)
+        warm = gamma(g, QQ, cache=cache).to_json()
+        if exact_rank(generalized_laplacian(g).evaluate([0] * g.n)).rank != mz:
+            assert warm == cold and cache.corrupt == 1, g
+        assert warm["value"] == cold["value"], g

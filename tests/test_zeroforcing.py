@@ -76,6 +76,17 @@ def test_exact_search_matches_the_pruned_search():
         assert zeroforcing._exact_search(g) == zero_forcing_by_pruned_search(g), g
 
 
+def test_the_exact_search_closes_only_its_winner_with_a_force_list(monkeypatch):
+    """Every other subset is closed on bitmasks alone."""
+    real, closed = zeroforcing.closure, []
+    monkeypatch.setattr(zeroforcing, "closure",
+                        lambda g, blue: closed.append(sorted(blue)) or real(g, blue))
+    for g in (petersen(), complete_multipartite([3, 3]), cycle(7)):
+        closed.clear()
+        r = zeroforcing._exact_search(g)
+        assert closed == [sorted(r.witness.initial_set)]
+
+
 def test_digraph_rule_uses_out_neighbors():
     # 0 -> 1 <- 2: vertex 1 has no out-neighbors and cannot force
     d = Digraph(3, [(0, 1), (2, 1)])
