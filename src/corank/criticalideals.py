@@ -18,6 +18,19 @@ trivial over every ring, so the basis over any field is {1} and the Z
 decision is that of the full list.  One route, _groebner, turns a minor list
 into a basis and a decision for both ideal_trivial and
 groebner_basis_of_critical_ideal.
+
+After a full scan with no +-1 minor, _groebner hands Buchberger only the
+generators that the alien-cofactor identity (Bruns and Vetter,
+Determinantal Rings, LNM 1327, 1988) does not write through others.  For
+rows R with |R| = i + 1, columns C with |C| = i and c in C, expanding
+[L[R, C] | L[R, c]] along its repeated column gives sum over r in R of
++-L[r, c] M(R - r, C) = 0; with an arc r0 -> c, L[r0, c] = -1 is a unit,
+so M(R - r0, C) lies in the ideal of the other terms, and the same holds
+on the transpose.  The nonzero minors are ordered by term count, then scan
+position, and a minor is dropped when one such relation writes it through
+minors that all come strictly earlier; by induction on the order every
+dropped minor lies in the ideal of the kept ones, over Z as over Q and
+F_p, so the ideal, its reduced bases and every decision are unchanged.
 """
 
 from dataclasses import dataclass
@@ -42,6 +55,7 @@ class SymbolicMatrix:
     def __init__(self, g):
         self.n = g.n
         self.out_adj = g.out_adj
+        self.in_adj = g.in_adj
         self.symmetric = g.out_adj == g.in_adj
         self._minor_memo = {(0, 0): {0: 1}}    # (row bitmask, column bitmask) -> minor
         self._monos = {}    # variable bitmask -> exponent tuple
@@ -126,9 +140,33 @@ class MinorGenerators:
     generators: list           # deduplicated up to sign, zero minors dropped
     unit_minor: tuple | None   # (rows, cols, value) with value in {1,-1}
     constant_minors: list      # (rows, cols, value), nonzero constants
+    matrix: SymbolicMatrix     # holds every scanned minor in its memo
+    size: int
+    classes: dict              # _sign_key of a minor -> index in generators
 
     def to_domain(self, domain):
         return [g.to_domain(domain) for g in self.generators]
+
+    def kept(self):
+        """The generators that Groebner needs: after a full scan, those with
+        a minor that _alien_cofactor_drops keeps, in scan order; the list as
+        it is when the scan stopped at a +-1 minor."""
+        if self.unit_minor is not None:
+            return self.generators
+        memo = self.matrix._minor_memo
+        order, drops = _alien_cofactor_drops(self)
+        keep = {self.classes[_sign_key(memo[rc])]
+                for k, rc in enumerate(order) if k not in drops}
+        return [g for k, g in enumerate(self.generators) if k in keep]
+
+
+def _sign_key(d):
+    """A minor's bitmask dict up to sign: its sorted items, the first
+    coefficient made positive."""
+    items = sorted(d.items())
+    if items[0][1] < 0:
+        items = [(mask, -c) for mask, c in items]
+    return tuple(items)
 
 
 def minor_generators(matrix: SymbolicMatrix, size: int) -> MinorGenerators:
@@ -150,11 +188,10 @@ def minor_generators(matrix: SymbolicMatrix, size: int) -> MinorGenerators:
     if not 0 <= size <= n:
         raise ValueError(f"minor size {size} out of range for n={n}")
     gens = []
-    seen = set()
+    seen = {}
     unit = None
     constants = []
-    subsets = list(zip(combinations(range(n), size),
-                       map(sum, combinations([1 << v for v in range(n)], size))))
+    subsets = list(zip(combinations(range(n), size), _subset_masks(n, size)))
     for k, (rows, rmask) in enumerate(subsets):
         for cols, cmask in subsets[k:] if matrix.symmetric else subsets:
             d = matrix._expand(rmask, cmask)
@@ -165,17 +202,84 @@ def minor_generators(matrix: SymbolicMatrix, size: int) -> MinorGenerators:
                 constants.append((rows, cols, c))
                 if unit is None and c in (1, -1):
                     unit = (rows, cols, c)
-            items = sorted(d.items())
-            if items[0][1] < 0:
-                items = [(mask, -c) for mask, c in items]
-            key = tuple(items)
+            key = _sign_key(d)
             if key in seen:
                 continue
-            seen.add(key)
+            seen[key] = len(gens)
             gens.append(matrix.minor(rmask, cmask))
             if unit is not None:
-                return MinorGenerators(gens, unit, constants)
-    return MinorGenerators(gens, unit, constants)
+                return MinorGenerators(gens, unit, constants, matrix, size, seen)
+    return MinorGenerators(gens, unit, constants, matrix, size, seen)
+
+
+def _subset_masks(n, size):
+    """The bitmasks of the size-subsets of range(n), in combinations order."""
+    return list(map(sum, combinations([1 << v for v in range(n)], size)))
+
+
+def _alien_cofactor_drops(gens):
+    """(order, drops): the nonzero minors of a full scan as (row bitmask,
+    column bitmask), by term count and then scan position; and for the
+    position in order of each minor that an alien-cofactor relation writes
+    through earlier minors, that relation (R, C, r0, c, transposed).
+
+    The relation: for rows R (one more than the minor size), columns C and
+    c in C, sum over r in R of +-L[r, c] * M(R - r, C) = 0, the expansion of
+    [L[R, C] | L[R, c]] along its repeated column.  L[r, c] is x_c at r = c,
+    -1 at an arc r -> c and 0 otherwise, so with an arc r0 -> c the minor
+    M(R - r0, C) is a Z[x]-combination of the M(R - r, C) with r = c or
+    r -> c; it is dropped when each of those is zero or earlier in the
+    order.  transposed means the same relation on the transpose, with R
+    and C exchanged: M(C, R - r0) through the M(C, R - r) with r = c or
+    c -> r.  A symmetric matrix's minor is its transpose's, so a position
+    there covers both orientations.
+    """
+    matrix, memo = gens.matrix, gens.matrix._minor_memo
+    masks = _subset_masks(matrix.n, gens.size)
+    order = sorted(((r, c) for k, r in enumerate(masks)
+                    for c in (masks[k:] if matrix.symmetric else masks) if memo[r, c]),
+                   key=lambda rc: len(memo[rc]))
+    pos = {rc: k for k, rc in enumerate(order)}
+    if matrix.symmetric:
+        pos.update({(c, r): k for (r, c), k in list(pos.items())})
+    forms = ((False, matrix.in_adj), (True, matrix.out_adj))
+    drops = {}
+    for k, (rmask, cmask) in enumerate(order):
+        for transposed, into in forms:
+            # rows S and columns C of the relation's matrix, L or its transpose
+            S, C = (cmask, rmask) if transposed else (rmask, cmask)
+            rel = _relation(S, C, into, k, pos, transposed)
+            if rel is not None:
+                drops[k] = rel
+                break
+    return order, drops
+
+
+def _relation(S, C, into, k, pos, transposed):
+    """A relation (R, C, r0, c, transposed) writing the minor on rows S and
+    columns C, at position k, through earlier minors, or None; into[c] is
+    the bitmask of rows r with an arc r -> c in the relation's matrix."""
+    cs = C
+    while cs:
+        cb = cs & -cs
+        cs ^= cb
+        c = cb.bit_length() - 1
+        others = S & (into[c] | cb)   # the rows r of S with L[r, c] != 0
+        r0s = into[c] & ~S
+        while r0s:
+            r0b = r0s & -r0s
+            r0s ^= r0b
+            R = S | r0b
+            rest = others
+            while rest:
+                rb = rest & -rest
+                rest ^= rb
+                key = (C, R ^ rb) if transposed else (R ^ rb, C)
+                if pos.get(key, -1) > k:
+                    break
+            else:
+                return R, C, r0b.bit_length() - 1, c, transposed
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +449,8 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> Triviality
 
     Order of attack: unit constant minor (trivial, every domain), point
     certificate (non-trivial, over Q and Z), Groebner fallback.  Decisions
-    are cached by (canonical form, i, domain, budget hash).
+    are cached by (canonical form, i, domain, budget hash); an entry read
+    from a directory is served only when _decision_shape_holds.
     """
     cache = cache if cache is not None else DecisionCache()
     if i > g.n:
@@ -353,7 +458,7 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> Triviality
     form = canonical_form(g)
     key = ("ideal_trivial", form.hex(), i, check_domain(domain).name,
            config.budget_hash())
-    hit = cache.get(key)
+    hit = cache.get(key, lambda entry: _decision_shape_holds(entry, g.n, i, domain, config))
     if hit is not None:
         detail = _relabel_detail(hit["method"], hit.get("detail"), domain,
                                  _inverse(form.perm))
@@ -366,6 +471,48 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> Triviality
                                                     domain, form.perm))
         cache.put(key, stored.to_json())
     return decision
+
+
+def _decision_shape_holds(entry, n, i, domain, config):
+    """Whether a cached entry has the shape of an index-i decision over the
+    domain: a dict with a bool trivial and a known method whose verdict it
+    states, and that method's detail.  A unit or constant minor is (rows,
+    cols, value), i increasing vertices each and a value that is a unit of
+    the domain (+-1 for a unit minor), with the verdict trivial; a point
+    certificate, never over F_p, is n integers over Q and (p, n integers)
+    with p in config.primes over Z, with the verdict non-trivial; a Groebner
+    verdict carries its description string over Z and nothing otherwise.
+    The shape only: the witness itself is not re-verified."""
+    if not (isinstance(entry, dict) and type(entry.get("trivial")) is bool):
+        return False
+    trivial, method, detail = entry["trivial"], entry.get("method"), entry.get("detail")
+    if method in ("unit-minor", "constant-minor"):
+        if not (trivial and isinstance(detail, list) and len(detail) == 3):
+            return False
+        rows, cols, value = detail
+        return (_is_vertex_subset(rows, i, n) and _is_vertex_subset(cols, i, n)
+                and type(value) is int and domain.is_unit(value)
+                and (method == "constant-minor" or value in (1, -1)))
+    if method == "point-certificate":
+        if trivial or domain.p:
+            return False
+        if domain is ZZ:
+            if not (isinstance(detail, list) and len(detail) == 2):
+                return False
+            p, detail = detail
+            if not (type(p) is int and p in config.primes):
+                return False
+        return isinstance(detail, list) and len(detail) == n and all(type(x) is int
+                                                                    for x in detail)
+    if method == "groebner":
+        return isinstance(detail, str) if domain is ZZ else detail is None
+    return False
+
+
+def _is_vertex_subset(xs, size, n):
+    """Whether xs is a list of size increasing vertices of range(n)."""
+    return (isinstance(xs, list) and len(xs) == size
+            and all(type(x) is int and 0 <= x < n for x in xs) and xs == sorted(set(xs)))
 
 
 def _decide_trivial(g, i, domain, config):
@@ -395,7 +542,8 @@ def _decide_trivial(g, i, domain, config):
 
 
 def _groebner(gens, domain, order, config):
-    """(basis, decision) of the ideal of the minor generators over the domain.
+    """(basis, decision) of the ideal of the minor generators over the domain,
+    from the generators that MinorGenerators.kept leaves: the same ideal.
 
     Over a field: its reduced basis, and whether that basis is {1}.  Over Z:
     the reduced basis over Q and the exact Z-triviality decision, which
@@ -403,10 +551,12 @@ def _groebner(gens, domain, order, config):
     proper over Q, and otherwise it is {1}.  The decision's cofactors are
     not kept.  A budget stop raises BudgetExceeded.
     """
+    kept = gens.kept()
     if domain is not ZZ:
-        basis = buchberger(gens.to_domain(domain), order, config.spair_cap, config.degree_cap)
+        basis = buchberger([g.to_domain(domain) for g in kept], order, config.spair_cap,
+                           config.degree_cap)
         return basis, TrivialityDecision(basis.is_trivial(), "groebner", None)
-    ok, cert = is_trivial_over_Z(gens.generators, order, config.spair_cap, config.degree_cap)
+    ok, cert = is_trivial_over_Z(kept, order, config.spair_cap, config.degree_cap)
     q_gens = (cert[1].generators if cert[0] == "rational-basis"
               else [Polynomial.constant(gens.generators[0].nvars, QQ, 1)])
     return (IdealBasis(q_gens, QQ, order, is_groebner=True),

@@ -16,7 +16,8 @@ in two labelings each; ``params`` with budgets, as csv and md, with
 ``--strict`` and on a digraph; ``gamma --strict`` at one S-pair; ``trees``
 on the 25 trees with n <= 7; ``classify`` on the three disconnected
 digraphs where the five-way agreement fails; ``gb --index 3|4`` over z, q
-and fp:3 in lex, grlex and degrevlex on four graphs; the nine sweeps;
+and fp:3 in lex, grlex and degrevlex on four graphs; ``gb --digraph
+--index 2|3`` over z, q and fp:3 on two digraphs with n = 4; the nine sweeps;
 ``zf`` on E_12, K_{6,6} and G(12, 1/2) drawn with seed 5, at the top of
 the exact zero forcing tier.  Then the runs over ``--cache`` directories,
 each in a fresh temporary directory: ``reproduce-appendix`` twice over one
@@ -51,6 +52,11 @@ _RNG = random.Random(5)
 EXACT_TOP = [Graph(12), complete_multipartite([6, 6]),
              Graph(12, [e for e in combinations(range(12), 2) if _RNG.random() < 0.5])]
 GB_GRAPHS = ("D{O", "E`]o", write_graph6(graph_a()), write_graph6(NAMED_GRAPHS["bull"]()))
+# two digraphs with n = 4 whose 2- and 3-minor ideals have no unit minor: an
+# acyclic one and one with nine arcs, where minors drop by both the row and
+# the column form of the repeated-column relation
+GB_DIGRAPHS = ("4 5\n2 1\n3 1\n3 2\n2 0\n3 0\n",
+               "4 9\n1 2\n2 1\n3 1\n2 0\n3 0\n2 3\n1 0\n3 2\n1 3\n")
 
 
 def _graph_runs(text):
@@ -82,6 +88,10 @@ def runs():
             for domain in ("z", "q", "fp:3"):
                 for order in ("lex", "grlex", "degrevlex"):
                     yield ["gb", "--index", index, "--domain", domain, "--order", order, g6]
+    for arcs in GB_DIGRAPHS:
+        for index in ("2", "3"):
+            for domain in ("z", "q", "fp:3"):
+                yield ["gb", "--digraph", "--index", index, "--domain", domain, arcs]
     for name in SWEEPS:
         yield ["sweep", name]
     for g in EXACT_TOP:

@@ -220,3 +220,43 @@ def canonical_form_by_tie_search(g):
         perm[old] = new
     key = _pack_key(n, best, directed) if n else (b"D0" if directed else b"G0")
     return key, tuple(perm)
+
+
+def smith_diagonal(rows):
+    """The nonzero invariant factors of an integer matrix, each dividing the
+    next: its Smith normal form's diagonal, by integer row and column
+    operations alone (no rank kernel, no Groebner run)."""
+    a = [list(r) for r in rows]
+    m, n = len(a), len(a[0]) if a else 0
+    diagonal = []
+    for t in range(min(m, n)):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n) if a[i][j]]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        while True:
+            a[t], a[i] = a[i], a[t]
+            for r in a:
+                r[t], r[j] = r[j], r[t]
+            p = a[t][t]
+            for i in range(t + 1, m):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):
+                q = a[t][j] // p
+                for r in a:
+                    r[j] -= q * r[t]
+            rest = [(abs(a[i][t]), i, t) for i in range(t + 1, m) if a[i][t]]
+            rest += [(abs(a[t][j]), t, j) for j in range(t + 1, n) if a[t][j]]
+            if rest:  # a smaller remainder becomes the pivot
+                _, i, j = min(rest)
+                continue
+            bad = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
+                        if a[i][j] % p), None)
+            if bad is None:
+                break
+            # p must divide the rest: add the offending row, then reduce again
+            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
+            i, j = t, t
+        diagonal.append(abs(a[t][t]))
+    return diagonal

@@ -248,3 +248,81 @@ def test_a_box_scan_entry_at_a_point_of_another_rank_is_a_counted_miss(tmp_path)
         if exact_rank(generalized_laplacian(g).evaluate([0] * g.n)).rank != mz:
             assert warm == cold and cache.corrupt == 1, g
         assert warm["value"] == cold["value"], g
+
+
+def _ideal_entry(g, i, domain, tmp_path):
+    """The file of g's ideal_trivial entry at index i over the domain."""
+    key = ("ideal_trivial", canonical_form(g).hex(), i, domain.name,
+           DEFAULT_CONFIG.budget_hash())
+    return tmp_path / DecisionCache._filename(key)
+
+
+def _flipped(entry):
+    """The entry with its verdict negated, or, for a Groebner verdict (whose
+    flip only a re-derivation could catch), with a detail of no known shape."""
+    if entry["method"] == "groebner":
+        return dict(entry, detail=5)
+    return dict(entry, trivial=not entry["trivial"])
+
+
+OCTAHEDRON_Z3 = {"detail": [2, [0, 0, 0, 0, 0, 0]], "method": "point-certificate",
+                 "trivial": False}
+MALFORMED = [[3], "x", None, {"trivial": 1, "method": "point-certificate"},
+             dict(OCTAHEDRON_Z3, trivial=True), dict(OCTAHEDRON_Z3, method="groebner"),
+             dict(OCTAHEDRON_Z3, method="zero-ideal"), dict(OCTAHEDRON_Z3, detail=[0] * 6),
+             dict(OCTAHEDRON_Z3, detail=[4, [0] * 6]), dict(OCTAHEDRON_Z3, detail=[2, [0] * 5]),
+             dict(OCTAHEDRON_Z3, detail=[2, [0, 0, 0, 0, 0, True]]),
+             {"trivial": True, "method": "unit-minor", "detail": [[0, 1, 2], [0, 1, 2], 2]},
+             {"trivial": True, "method": "unit-minor", "detail": [[0, 1, 1], [0, 1, 2], 1]},
+             {"trivial": True, "method": "constant-minor", "detail": [[0, 1], [0, 1], 1]}]
+
+
+@pytest.mark.parametrize("entry", MALFORMED, ids=[json.dumps(e) for e in MALFORMED])
+def test_a_malformed_ideal_entry_is_a_counted_miss(tmp_path, capsys, entry):
+    """The octahedron's gamma_Z is 2, its index 3 closed by a point mod 2.
+    An entry there that is no decision of that shape, or whose verdict its
+    method does not give (the flip to trivial once made a warm gamma_Z 3),
+    is recomputed and overwritten, never served, and the CLI ends in the
+    cold report rather than a traceback."""
+    g = octahedron()
+    g6 = write_graph6(g)
+    assert main(["gamma", "--domain", "z", g6]) == 0
+    cold = capsys.readouterr().out
+    assert main(["gamma", "--domain", "z", "--cache", str(tmp_path), g6]) == 0
+    capsys.readouterr()
+    path = _ideal_entry(g, 3, ZZ, tmp_path)
+    assert json.loads(path.read_bytes()) == OCTAHEDRON_Z3
+    good = path.read_bytes()
+    path.write_text(json.dumps(entry))
+    assert main(["gamma", "--domain", "z", "--cache", str(tmp_path), g6]) == 0
+    assert capsys.readouterr().out == cold
+    assert path.read_bytes() == good
+    path.write_text(json.dumps(entry))
+    cache = DecisionCache(tmp_path)
+    assert gamma(g, ZZ, cache=cache).value == 2 and cache.corrupt == 1
+
+
+def test_every_tampered_ideal_entry_of_the_143_graphs_is_a_counted_miss(tmp_path):
+    """Each ideal_trivial entry that gamma over Z and Q writes for the 143
+    graphs, flipped (see _flipped) or replaced by [3]: the warm gamma is the
+    cold one, with one corrupt entry counted."""
+    tampered = 0
+    for k, g in enumerate(enumerate_connected_graphs(6)):
+        cold = [gamma(g, dom, cache=DecisionCache()).to_json() for dom in (ZZ, QQ)]
+        directory = tmp_path / str(k)
+        for dom in (ZZ, QQ):
+            gamma(g, dom, cache=DecisionCache(directory))
+        for dom in (ZZ, QQ):
+            for i in range(1, g.n + 1):
+                path = _ideal_entry(g, i, dom, directory)
+                if not path.exists():
+                    continue
+                good = path.read_bytes()
+                for entry in (_flipped(json.loads(good)), [3]):
+                    path.write_text(json.dumps(entry))
+                    cache = DecisionCache(directory)
+                    warm = [gamma(g, d, cache=cache).to_json() for d in (ZZ, QQ)]
+                    assert (warm, cache.corrupt) == (cold, 1), (g, i, dom, entry)
+                    assert path.read_bytes() == good
+                    tampered += 1
+    assert tampered > 0

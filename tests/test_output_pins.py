@@ -73,10 +73,11 @@ def _digest(text):
 CODED_PINS = [
     (["trees", TREES], 0,
      "4b6979591e930a5cdcef4dcf14ae850f78641b5d9f83eb43558fb400e4b74518"),
-    # budget-undecided over Q at the S-pair cap of one
+    # budget-undecided over Q at the S-pair cap of one; the size of the
+    # partial basis it prints follows the kept minor list
     (["gamma", "--domain", "q", "--budget-spairs", "1", "--strict",
       write_graph6(graph_a())], 3,
-     "cc72946907a03c2b3637e56cf9506f0990ee9b3d7ff78d87fff99ec6494cf50b"),
+     "8ba961a5cd2d9afd6610f68418013be161025c0d1f688f618e5cbe980595b090"),
     (["classify", DISAGREEING], 1,
      "bb5936efd5d4dfe4d1c40e9f23606955ac7beaf24f7a5b0e8a7b04705ae78265"),
 ]
