@@ -223,16 +223,12 @@ def _alien_cofactor_drops(gens):
     position in order of each minor that an alien-cofactor relation writes
     through earlier minors, that relation (R, C, r0, c, transposed).
 
-    The relation: for rows R (one more than the minor size), columns C and
-    c in C, sum over r in R of +-L[r, c] * M(R - r, C) = 0, the expansion of
-    [L[R, C] | L[R, c]] along its repeated column.  L[r, c] is x_c at r = c,
-    -1 at an arc r -> c and 0 otherwise, so with an arc r0 -> c the minor
-    M(R - r0, C) is a Z[x]-combination of the M(R - r, C) with r = c or
-    r -> c; it is dropped when each of those is zero or earlier in the
-    order.  transposed means the same relation on the transpose, with R
-    and C exchanged: M(C, R - r0) through the M(C, R - r) with r = c or
-    c -> r.  A symmetric matrix's minor is its transpose's, so a position
-    there covers both orientations.
+    The relation is the module docstring's: M(R - r0, C), through the
+    M(R - r, C) with r = c or an arc r -> c, dropped when each of those is
+    zero or earlier in the order.  transposed means the same relation on
+    the transpose: M(C, R - r0) through the M(C, R - r) with r = c or an
+    arc c -> r.  A symmetric matrix's minor is its transpose's, so a
+    position there covers both orientations.
     """
     matrix, memo = gens.matrix, gens.matrix._minor_memo
     masks = _subset_masks(matrix.n, gens.size)
