@@ -12,7 +12,6 @@ S-pair or degree cap, or a canonical labeling over its work cap).
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -75,6 +74,13 @@ def _graph_rows(rows, cache_dir, config, g):
     return list(rows(g, config, DecisionCache(cache_dir)))
 
 
+def _process_pool(workers):
+    """A pool of worker processes; concurrent.futures is loaded only here,
+    since only --jobs N > 1 over two or more graphs makes one."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _each_graph(args, rows):
     """Run rows(g, config, cache) -> [row] over every input graph, each with
     its own DecisionCache(args.cache), so that no row reads what another
@@ -88,7 +94,7 @@ def _each_graph(args, rows):
                         _config_from_args(args))
     workers = min(jobs, len(graphs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             per_line = list(pool.map(per_graph, graphs))
     else:
         per_line = map(per_graph, graphs)

@@ -144,9 +144,6 @@ class MinorGenerators:
     size: int
     classes: dict              # _sign_key of a minor -> index in generators
 
-    def to_domain(self, domain):
-        return [g.to_domain(domain) for g in self.generators]
-
     def kept(self):
         """The generators that Groebner needs: after a full scan, those with
         a minor that _alien_cofactor_drops keeps, in scan order; the list as

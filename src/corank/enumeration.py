@@ -1,12 +1,21 @@
 """Exhaustive isomorphism-free enumeration of small graphs, digraphs, trees.
 
 Graphs (n <= 7) and digraphs (n <= 4) are generated by one-vertex
-extension: every class on n - 1 vertices is joined to a new vertex in every
-way, and the first graph of each canonical key is kept, canonically
-relabeled (McKay, "Isomorph-free exhaustive generation", J. Algorithms
-1998).  The representative therefore depends on its class alone.  Free
-trees (n <= 12, past the reach of canonical labeling) are grown by leaf
-augmentation and deduplicated with a centroid-rooted AHU code.
+extension: every class on n - 1 vertices is joined to a new vertex by an
+in-set and an out-set of old vertices (a graph's two are one), and the
+first graph of each canonical key is kept, canonically relabeled (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998).  The
+representative therefore depends on its class alone.  A join is built and
+labeled only if no old vertex has a strictly larger (out-degree,
+in-degree), compared as a tuple, than the new vertex.  No class is lost:
+- every class has a vertex of largest (out-degree, in-degree), and that
+  pair is an isomorphism invariant;
+- deleting that vertex gives a graph in some class on n - 1 vertices, and
+  one join of that class's representative rebuilds the class with the new
+  vertex in the deleted vertex's role, so that join passes the filter;
+- so the output is the same tuple of representatives in the same order.
+Free trees (n <= 12, past the reach of canonical labeling) are grown by
+leaf augmentation and deduplicated with a centroid-rooted AHU code.
 """
 
 from functools import lru_cache
@@ -27,24 +36,33 @@ def _classes(kind, n):
     (kind Digraph) on exactly n vertices, sorted by canonical key.
 
     Each class on n - 1 vertices is joined to the new vertex n - 1 by every
-    set of edges to earlier vertices, or of out-arcs and in-arcs.
+    in-set s and out-set t of earlier vertices, as bitmasks (a graph's t is
+    s); a join that fails the module docstring's degree filter is skipped
+    before any graph is built.
     """
     if n == 0:
         return (kind(0),)
     new = n - 1
-    pairs = [(v, new) for v in range(new)]
-    if kind is Digraph:
-        pairs += [(new, v) for v in range(new)]
-    joins = [[pair for k, pair in enumerate(pairs) if sub >> k & 1]
-             for sub in range(1 << len(pairs))]
+    directed = kind is Digraph
+    subsets = range(1 << new)
     seen = {}
     for parent in _classes(kind, new):
         base = list(parent.pairs)
-        for join in joins:
-            g = kind(n, base + join)
-            cf = canonical_form(g)
-            if cf.key not in seen:
-                seen[cf.key] = relabel(g, cf.perm)
+        degrees = list(zip((a.bit_count() for a in parent.out_adj),
+                           (a.bit_count() for a in parent.in_adj)))
+        for s in subsets:
+            for t in (subsets if directed else (s,)):
+                top = (t.bit_count(), s.bit_count())
+                if any((out + (s >> v & 1), into + (t >> v & 1)) > top
+                       for v, (out, into) in enumerate(degrees)):
+                    continue
+                join = [(v, new) for v in range(new) if s >> v & 1]
+                if directed:
+                    join += [(new, v) for v in range(new) if t >> v & 1]
+                g = kind(n, base + join)
+                cf = canonical_form(g)
+                if cf.key not in seen:
+                    seen[cf.key] = relabel(g, cf.perm)
     return tuple(seen[key] for key in sorted(seen))
 
 

@@ -5,11 +5,12 @@ engine against it.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from corank.config import DEFAULT_CONFIG
 from corank.criticalideals import gamma
-from corank.graphs import Digraph, _pack_key
+from corank.graphs import Digraph, _pack_key, canonical_form, relabel
 from corank.polyring import DEGREVLEX, QQ, ZZ, Polynomial, normal_form
 from corank.zeroforcing import (ColorState, ForceRecord, ZeroForcingResult, closure,
                                 zero_forcing_number)
@@ -220,6 +221,27 @@ def canonical_form_by_tie_search(g):
         perm[old] = new
     key = _pack_key(n, best, directed) if n else (b"D0" if directed else b"G0")
     return key, tuple(perm)
+
+
+@lru_cache(maxsize=None)
+def classes_by_every_join(kind, n):
+    """``enumeration._classes(kind, n)`` by one-vertex extension without its
+    degree filter: every class on n - 1 vertices joined to the new vertex by
+    every set of edges, or of in-arcs and out-arcs, and each join labeled."""
+    if n == 0:
+        return (kind(0),)
+    new = n - 1
+    pairs = [(v, new) for v in range(new)]
+    if kind is Digraph:
+        pairs += [(new, v) for v in range(new)]
+    seen = {}
+    for parent in classes_by_every_join(kind, new):
+        for sub in range(1 << len(pairs)):
+            g = kind(n, list(parent.pairs) + [pair for k, pair in enumerate(pairs)
+                                              if sub >> k & 1])
+            cf = canonical_form(g)
+            seen.setdefault(cf.key, relabel(g, cf.perm))
+    return tuple(seen[key] for key in sorted(seen))
 
 
 def smith_diagonal(rows):

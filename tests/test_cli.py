@@ -129,7 +129,7 @@ def test_jobs_forks_no_more_workers_than_inputs(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_process_pool", SerialPool)
     code1, out1 = run(capsys, "params", "--jobs", "64", "Bw\nBg")
     code2, out2 = run(capsys, "params", "--jobs", "1", "Bw\nBg")
     assert widths == [2]
@@ -139,6 +139,16 @@ def test_jobs_forks_no_more_workers_than_inputs(capsys, monkeypatch):
     code4, out4 = run(capsys, "params", "--jobs", "1", "# nothing")
     assert widths == [2]
     assert code3 == code4 == 0 and out3 == out4 == "[]\n"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a fresh interpreter, since this one's test modules may have loaded it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", "import sys, corank, corank.cli; "
+                           "print('concurrent.futures' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0 and done.stdout == "False\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,15 +1,19 @@
 """Counts and determinism of the exhaustive enumerations."""
 
+from functools import lru_cache
 from hashlib import sha256
 from itertools import combinations, permutations
 
 import pytest
 
+from corank import enumeration, graphs
 from corank.enumeration import (EnumerationRangeError, all_trees,
                                 enumerate_connected_graphs, enumerate_digraphs,
                                 enumerate_graphs, tree_code)
 from corank.formats import write_digraph6, write_graph6
-from corank.graphs import Graph, canonical_form, is_connected, is_tree
+from corank.graphs import Digraph, Graph, canonical_form, is_connected, is_tree
+
+from oracles import classes_by_every_join
 
 KNOWN_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 KNOWN_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47,
@@ -69,6 +73,39 @@ def test_enumerations_are_pinned_byte_for_byte():
         "70d37c49b9414fe3c70e57b039fd2efd3fbdf3e7aa1f53417ec2911b38354b07"
     assert sha256(digraphs.encode()).hexdigest() == \
         "a664af09356161ef31106b4c202e22c894889a63634273381d7e5487f63aa539"
+
+
+@pytest.mark.parametrize("kind, max_n", [(Graph, 6), (Digraph, 4)])
+def test_the_degree_filter_keeps_every_class_and_representative(kind, max_n):
+    for n in range(max_n + 1):
+        got = enumeration._classes(kind, n)
+        want = classes_by_every_join(kind, n)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == b, (n, a, b)
+
+
+# canonical labelings per tier: only joins whose new vertex has the largest
+# (out-degree, in-degree) are labeled (every join: 1, 2, 8, 32, 176, 1088 and
+# 9984 graphs, 1, 4, 48, 1024 digraphs)
+LABELINGS = {Graph: [0, 1, 2, 5, 16, 70, 348, 2690], Digraph: [0, 1, 3, 21, 321]}
+
+
+@pytest.mark.parametrize("kind", LABELINGS)
+def test_the_extension_labels_only_the_filtered_joins(kind, monkeypatch):
+    # a fresh cache for this test; undo restores the shared one
+    monkeypatch.setattr(enumeration, "_classes",
+                        lru_cache(maxsize=None)(enumeration._classes.__wrapped__))
+    calls = []
+    real = graphs._canonical_order
+    monkeypatch.setattr(graphs, "_canonical_order",
+                        lambda *args: calls.append(1) or real(*args))
+    labelings = []
+    for n in range(len(LABELINGS[kind])):
+        before = len(calls)
+        enumeration._classes(kind, n)
+        labelings.append(len(calls) - before)
+    assert labelings == LABELINGS[kind]
 
 
 def test_digraph_counts():

@@ -101,7 +101,8 @@ SPAIR_COUNTS = [
                          SPAIR_COUNTS, ids=[f"{row[0]}-{row[1]}" for row in SPAIR_COUNTS])
 def test_the_spair_cap_stops_the_run_at_its_exact_count(g6, index, k, partial_len,
                                                         partial_digest, basis_digest):
-    gens = minor_generators(generalized_laplacian(parse_graph6(g6)), index).to_domain(QQ)
+    gens = [p.to_domain(QQ) for p in
+            minor_generators(generalized_laplacian(parse_graph6(g6)), index).generators]
     assert _digest(_formatted(buchberger(gens, spair_cap=k))) == basis_digest
     with pytest.raises(BudgetExceeded) as exc:
         buchberger(gens, spair_cap=k - 1)
