@@ -31,11 +31,26 @@ position, and a minor is dropped when one such relation writes it through
 minors that all come strictly earlier; by induction on the order every
 dropped minor lies in the ideal of the kept ones, over Z as over Q and
 F_p, so the ideal, its reduced bases and every decision are unchanged.
+
+What gamma learns about a graph alone, whatever the domain, is kept on it
+(_facts): per index i the minor scan's (unit minor, constant minors) and
+the first point of F_2^n where L has rank <= i - 1, and the least rank of
+a box scan its budget did not cut.  Z, Q and F_p share one minor scan per
+index.  Two rules read these facts and change no answer:
+- the floor: a box scan past shell 1 stops at the first point of rank
+  lower + 1 when L has a +-1 (lower + 1)-minor, since that minor is
+  nonzero at every point over every field, so no point ranks lower;
+- F_2 first over Z: an F_2 point of rank <= i - 1 is Z's certificate
+  (2, point) before any minor scan, since a +-1 minor stays +-1 mod 2, so
+  no unit minor exists and the scan-first order returns that same point.
+Over Q the box point search is skipped when the kept box minimum is >= i:
+it scans the same box, where no point ranks that low.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
+from math import comb
 
 from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
@@ -352,9 +367,10 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
     inconclusive).
 
     Over Q the point is an integer box point; over Z it is a pair
-    (p, point) with all i-minors vanishing mod p.  Over F_p gamma asks for
-    I_i only at i <= the least rank its scan of the same points found under
-    an equal budget, so a search there would find nothing: ValueError.
+    (p, point) with all i-minors vanishing mod p, the F_2 search read from
+    g's facts (_f2_point).  Over F_p gamma asks for I_i only at i <= the
+    least rank its scan of the same points found under an equal budget, so
+    a search there would find nothing: ValueError.
     """
     if domain is not QQ and domain is not ZZ:
         raise ValueError(f"nontriviality_certificate searches over Q or Z, not {domain!r}")
@@ -364,8 +380,9 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
     if domain is QQ:
         return variety_box_search(g, i - 1, QQ, config).point
     for p in config.primes:
-        _, point, _, _ = min_rank_scan(g, field_blocks(n, p), GF(p), i - 1, i, None,
-                                       config.modp_point_budget)
+        point = (_f2_point(g, i, config) if p == 2 else
+                 min_rank_scan(g, field_blocks(n, p), GF(p), i - 1, i, None,
+                               config.modp_point_budget)[1])
         if point is not None:
             return p, point
     return None
@@ -440,10 +457,15 @@ _MINOR_SCAN_CAP = 250_000  # skip the unit-minor scan when C(n,i)^2 exceeds this
 def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> TrivialityDecision:
     """Decide 1 in I_i(g) over the domain, with certificates preferred.
 
-    Order of attack: unit constant minor (trivial, every domain), point
-    certificate (non-trivial, over Q and Z), Groebner fallback.  Decisions
-    are cached by (canonical form, i, domain, budget hash); an entry read
-    from a directory is served only when _decision_shape_holds.
+    Order of attack: over Z, the first F_2 point of rank <= i - 1
+    (non-trivial; a +-1 minor stays +-1 mod 2, so there is no unit minor
+    and the later steps would return this point); a unit constant minor
+    (trivial, every domain); a point certificate (non-trivial, over Q and
+    Z; skipped over Q when g's kept box minimum is >= i, since no point of
+    that box ranks lower); Groebner fallback.  The minor scan's summary is
+    kept on g for every domain.  Decisions are cached by (canonical form, i,
+    domain, budget hash); an entry read from a directory is served only
+    when _decision_shape_holds.
     """
     cache = cache if cache is not None else DecisionCache()
     if i > g.n:
@@ -509,25 +531,31 @@ def _is_vertex_subset(xs, size, n):
 
 
 def _decide_trivial(g, i, domain, config):
-    from math import comb
-    n = g.n
-    gens = None
-    if comb(n, i) ** 2 <= _MINOR_SCAN_CAP:
-        gens = minor_generators(generalized_laplacian(g), i)
-        if gens.unit_minor is not None:
-            return TrivialityDecision(True, "unit-minor", gens.unit_minor)
-        for minor in gens.constant_minors:
+    """The decision of ideal_trivial, from g's facts where it has them."""
+    if domain is ZZ and config.primes[0] == 2:
+        point = _f2_point(g, i, config)
+        if point is not None:
+            return TrivialityDecision(False, "point-certificate", (2, point))
+    summary, gens = _scan_minors(g, i)
+    if summary is not None:
+        unit, constants = summary
+        if unit is not None:
+            return TrivialityDecision(True, "unit-minor", unit)
+        for minor in constants:
             if domain.is_unit(minor[2]):
                 return TrivialityDecision(True, "constant-minor", minor)
 
-    if not domain.p:
+    # over Q a kept box minimum >= i leaves the box search nothing to find
+    if domain is ZZ or domain is QQ and _facts(g).get(("box-min", config.box_radius), 0) < i:
         cert = nontriviality_certificate(g, i, domain, config)
         if cert is not None:
             return TrivialityDecision(False, "point-certificate", cert)
 
-    if gens is None:
+    if summary is None:
         return TrivialityDecision(None, "budget", "minor scan too large")
     try:
+        if gens is None:
+            gens = minor_generators(generalized_laplacian(g), i)
         return _groebner(gens, domain, DEGREVLEX, config)[1]
     except BudgetExceeded as exc:
         return TrivialityDecision(None, "budget", f"{exc.reason}, partial basis of "
@@ -623,16 +651,36 @@ def _budgeted_box_scan(g, lower, upper, upper_point, domain, config, cache):
     """Improve the evaluation upper bound by a budgeted scan of the field
     over F_p, or of the integer box over Z and Q.
 
+    Shells 0 and 1 are scanned first.  If a shell follows and the bound is
+    still above lower, a +-1 (lower + 1)-minor (_has_unit_minor) raises the
+    stop bound to lower + 1: that minor is nonzero at every point over
+    every field, so no point ranks below it, and the first point of least
+    rank over the budgeted prefix is the one the whole scan would give.
+    The other shells stay lazy under the budget left.
+
     Over Z and Q the scan evaluates integer points at rational rank, so its
     outcome is domain-independent and put in the cache once per (graph,
     target), in the canonical labeling; gamma looks it up before its probe.
-    The probe always leaves a point: L(g, out-degrees) has zero row sums.
+    When the scan was not cut by its budget, its bound is the least rank
+    over the probe and the box (the zero forcing minor and the floor prove
+    that an early stop is at the least rank), kept in g's facts as
+    ("box-min", radius).  The probe always leaves a point: L(g, out-degrees)
+    has zero row sums.
     """
     blocks = (field_blocks(g.n, domain.p) if domain.p
               else box_blocks(g.n, config.box_radius))
-    upper, upper_point, _, _ = min_rank_scan(g, blocks, domain, lower, upper, upper_point,
-                                             config.gamma_box_budget)
+    upper, upper_point, exhaustive, scanned = min_rank_scan(
+        g, list(islice(blocks, 2)), domain, lower, upper, upper_point, config.gamma_box_budget)
+    shell = next(blocks, None)
+    if shell is not None and exhaustive and upper > lower:
+        stop = lower + 1 if _has_unit_minor(g, lower + 1, config) else lower
+        if upper > stop:
+            upper, upper_point, exhaustive, _ = min_rank_scan(
+                g, chain([shell], blocks), domain, stop, upper, upper_point,
+                config.gamma_box_budget - scanned)
     if not domain.p:
+        if exhaustive:
+            _facts(g)["box-min", config.box_radius] = upper
         form = canonical_form(g)
         cache.put(_box_scan_key(form, lower, config),
                   [upper, list(_relabel_point(upper_point, form.perm))])
@@ -649,26 +697,88 @@ def _probe_points(g):
     return [(tuple(zip(p)), None) for p in dict.fromkeys(pts)]
 
 
-def _sandwich_prefix(g, zf):
-    """(certificate minor, probe bounds by scan prime): facts of the graph
-    alone, kept in g's _sandwich slot.  The certificate comes from the zero
-    forcing record, exact or greedy (any zero forcing set's record
-    certifies its own complement size), and is validated once; the probe
-    bounds fill in as _probe asks for them."""
+# ---------------------------------------------------------------------------
+# facts of the graph alone
+#
+# A graph is immutable, so what gamma learns about it alone, whatever the
+# domain, the cache or the caller, is kept in its _sandwich slot: a dict by
+# name.  Only small summaries are kept, never a SymbolicMatrix or its minor
+# memo.
+
+def _facts(g):
+    """g's dict of kept facts:
+    - "certificate": the zero forcing certificate minor;
+    - ("probe", p): (upper, point) of the probe scan over the scan prime p,
+      None for Z and Q, which share it because ranks over Z are taken over Q;
+    - ("minors", i): (unit minor, constant minors) of the i-minor scan
+      (_scan_minors);
+    - ("f2-point", i, budget): the first point of F_2^n where L has rank
+      <= i - 1 within the budget, or None;
+    - ("box-min", radius): the least rank over the probe points and the
+      box of that radius, from a box scan its budget did not cut."""
     if g._sandwich is None:
-        g._sandwich = (certificate_minor(g, zf.witness), {})
+        g._sandwich = {}
     return g._sandwich
 
 
-def _probe(g, lower, domain, probes):
+def _certificate(g, zf):
+    """The certificate minor of the zero forcing record, exact or greedy
+    (any zero forcing set's record certifies its own complement size),
+    validated once."""
+    facts = _facts(g)
+    if "certificate" not in facts:
+        facts["certificate"] = certificate_minor(g, zf.witness)
+    return facts["certificate"]
+
+
+def _probe(g, lower, domain, facts):
     """(upper, point) of the probe-point scan over the domain, kept in the
-    graph's probe bounds: Z and Q share the entry of domain.p None, because
-    ranks over Z are taken over Q."""
-    probe = probes.get(domain.p)
-    if probe is None:
-        probe = probes[domain.p] = min_rank_scan(g, _probe_points(g), domain, lower,
-                                                 g.n, None)[:2]
-    return probe
+    dict facts (gamma passes g's)."""
+    key = ("probe", domain.p)
+    if key not in facts:
+        facts[key] = min_rank_scan(g, _probe_points(g), domain, lower, g.n, None)[:2]
+    return facts[key]
+
+
+def _f2_point(g, i, config):
+    """The first point of F_2^n where L(g, X) has rank <= i - 1, or None:
+    the p = 2 search of nontriviality_certificate, under its budget."""
+    facts = _facts(g)
+    key = ("f2-point", i, config.modp_point_budget)
+    if key not in facts:
+        facts[key] = min_rank_scan(g, field_blocks(g.n, 2), GF(2), i - 1, i, None,
+                                   config.modp_point_budget)[1]
+    return facts[key]
+
+
+def _scan_minors(g, i):
+    """(summary, gens): the (unit minor, constant minors) of the i-minor
+    scan, kept in g's facts, or None past _MINOR_SCAN_CAP; and the scan's
+    MinorGenerators when this call ran it, else None.  Only the first
+    constant minor of each value is kept: whether a constant is a unit of
+    a domain depends on its value alone, so the first unit is among them."""
+    facts = _facts(g)
+    key = ("minors", i)
+    if key in facts:
+        return facts[key], None
+    if comb(g.n, i) ** 2 > _MINOR_SCAN_CAP:
+        return None, None
+    gens = minor_generators(generalized_laplacian(g), i)
+    firsts = {}
+    for minor in gens.constant_minors:
+        firsts.setdefault(minor[2], minor)
+    facts[key] = (gens.unit_minor, tuple(firsts.values()))
+    return facts[key], gens
+
+
+def _has_unit_minor(g, i, config):
+    """Whether L(g, X) has a +-1 i-minor.  The F_2 point is read first: a
+    +-1 minor is +-1 mod 2, so an F_2 point of rank <= i - 1 rules it out
+    with no minor scan."""
+    if _f2_point(g, i, config) is not None:
+        return False
+    summary = _scan_minors(g, i)[0]
+    return summary is not None and summary[0] is not None
 
 
 def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
@@ -676,9 +786,9 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
 
     Sandwich first: the zero-forcing certificate minor gives the lower
     bound, evaluation ranks give the upper bound; no Groebner machinery
-    runs unless a gap survives.  The certificate and the probe-point bound
-    are kept on the graph; box scans and per-index decisions go through
-    the cache.
+    runs unless a gap survives.  The certificate, the probe-point bound
+    and the other facts of the graph alone are kept on it (_facts); box
+    scans and per-index decisions go through the cache.
 
     Over Z and Q the box scan's cache entry is looked up before the probe
     scan, and a hit is the upper bound with no probe.  That is the bound a
@@ -692,7 +802,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     n = g.n
     zf = zero_forcing_number(g)
     lower = n - zf.z
-    cert, probes = _sandwich_prefix(g, zf)
+    cert = _certificate(g, zf)
     lower_witness = {"force_record": zf.witness.to_json(),
                      "certificate_rows": list(cert.rows),
                      "certificate_cols": list(cert.cols),
@@ -703,7 +813,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     if hit is not None:
         upper, upper_point = hit
     else:
-        upper, upper_point = _probe(g, lower, domain, probes)
+        upper, upper_point = _probe(g, lower, domain, _facts(g))
         if upper > lower:
             upper, upper_point = _budgeted_box_scan(g, lower, upper, upper_point, domain,
                                                     config, cache)

@@ -20,7 +20,7 @@ leaf augmentation and deduplicated with a centroid-rooted AHU code.
 
 from functools import lru_cache
 
-from .graphs import Graph, Digraph, canonical_form, is_connected, relabel, rooted_tree
+from .graphs import Graph, Digraph, canonical_form, is_connected, rooted_tree
 
 
 class EnumerationRangeError(ValueError):
@@ -38,7 +38,9 @@ def _classes(kind, n):
     Each class on n - 1 vertices is joined to the new vertex n - 1 by every
     in-set s and out-set t of earlier vertices, as bitmasks (a graph's t is
     s); a join that fails the module docstring's degree filter is skipped
-    before any graph is built.
+    before any graph is built.  A join that passes, and the representative
+    relabeled from it, are built unchecked (_trusted): their pairs come
+    from a valid parent, in-range bitmasks and a permutation.
     """
     if n == 0:
         return (kind(0),)
@@ -47,7 +49,7 @@ def _classes(kind, n):
     subsets = range(1 << new)
     seen = {}
     for parent in _classes(kind, new):
-        base = list(parent.pairs)
+        base = parent.pairs
         degrees = list(zip((a.bit_count() for a in parent.out_adj),
                            (a.bit_count() for a in parent.in_adj)))
         for s in subsets:
@@ -59,10 +61,13 @@ def _classes(kind, n):
                 join = [(v, new) for v in range(new) if s >> v & 1]
                 if directed:
                     join += [(new, v) for v in range(new) if t >> v & 1]
-                g = kind(n, base + join)
+                g = kind._trusted(n, base.union(join))
                 cf = canonical_form(g)
                 if cf.key not in seen:
-                    seen[cf.key] = relabel(g, cf.perm)
+                    p = cf.perm
+                    seen[cf.key] = kind._trusted(n, frozenset(
+                        (p[u], p[v]) if directed or p[u] < p[v] else (p[v], p[u])
+                        for u, v in g.pairs))
     return tuple(seen[key] for key in sorted(seen))
 
 

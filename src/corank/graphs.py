@@ -8,8 +8,9 @@ the search-heavy routines (closures, canonical labeling, induced-pattern
 embedding), which read `out_adj`/`in_adj` whatever the kind.  Instances are
 immutable after construction, so the facts that depend on the graph alone
 are computed once and kept on it: the bitmasks, the canonical form, the
-zero forcing result and the prefix of gamma's sandwich (the certificate
-minor and the probe-point bound).  The kind matters only where the
+zero forcing result and gamma's facts (the certificate minor, the
+probe-point bound, minor-scan summaries, F_2 points and the box minimum;
+criticalideals._facts).  The kind matters only where the
 mathematics differs: the canonical segments, graph6 against digraph6, and
 the classifications.
 """
@@ -43,6 +44,16 @@ class _PairGraph:
         self.n = n
         self.pairs = frozenset(ps)
         self._out_adj = self._in_adj = self._canonical = self._zf = self._sandwich = None
+
+    @classmethod
+    def _trusted(cls, n, pairs):
+        """The graph on a frozenset of pairs already in range, loop-free and,
+        for a graph, each edge as (min, max): the constructor without its
+        checks, for pairs made from a valid graph."""
+        g = cls.__new__(cls)
+        _PairGraph.__init__(g, n)
+        g.pairs = pairs
+        return g
 
     def _build(self):
         # bitmask rows cost O(n^2/64) to build; huge sparse graphs (the

@@ -24,20 +24,17 @@ outright, and otherwise the corner does: O(1) per value.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, prod
+from math import lcm, prod
 from operator import mul
 
 
 def _to_integer_rows(rows):
-    """(integer rows, scales): each row times the lcm of its denominators."""
+    """(integer rows, scales): each row times the lcm of its denominators
+    (an int's is 1), so a row of ints is one int pass."""
     out, scales = [], []
     for row in rows:
-        scale = 1
-        for c in row:
-            if isinstance(c, Fraction):
-                scale = scale * c.denominator // gcd(scale, c.denominator)
-        out.append([int(c * scale) if isinstance(c, Fraction) else int(c) * scale
-                    for c in row])
+        scale = lcm(*[c.denominator for c in row])
+        out.append([int(c) for c in row] if scale == 1 else [int(c * scale) for c in row])
         scales.append(scale)
     return out, scales
 

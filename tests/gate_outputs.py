@@ -13,7 +13,8 @@ The set: ``reproduce-appendix``; ``params`` at ``--jobs 1`` and ``--jobs 2``,
 ``--box 1``, ``zf`` and ``classify``, each over the named catalog plus the
 31 connected graphs with n <= 5 and over eight lines that hold four graphs
 in two labelings each; ``params`` with budgets, as csv and md, with
-``--strict`` and on a digraph; ``gamma --strict`` at one S-pair; ``trees``
+``--strict`` and on a digraph; ``gamma --strict`` at one S-pair; ``gamma
+--box 0|1`` over z and q and ``gamma --domain fp:2`` over the catalog; ``trees``
 on the 25 trees with n <= 7; ``classify`` on the three disconnected
 digraphs where the five-way agreement fails; ``gb --index 3|4`` over z, q
 and fp:3 in lex, grlex and degrevlex on four graphs; ``gb --digraph
@@ -81,6 +82,10 @@ def runs():
     yield ["params", "--digraph", "4 4\n0 1\n1 2\n2 3\n3 0\n"]
     yield ["gamma", "--domain", "q", "--budget-spairs", "1", "--strict",
            write_graph6(graph_a())]
+    # gamma's box scan when no shell or one block follows shell 1
+    for box in ("0", "1"):
+        yield ["gamma", "--box", box, "--domain", "z", "--domain", "q", CATALOG]
+    yield ["gamma", "--domain", "fp:2", CATALOG]
     yield ["trees", TREES]
     yield ["classify", DISAGREEING]
     for g6 in GB_GRAPHS:

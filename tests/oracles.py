@@ -7,11 +7,15 @@ engine against it.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from corank.config import DEFAULT_CONFIG
-from corank.criticalideals import gamma
+from corank import criticalideals
+from corank.criticalideals import (TrivialityDecision, box_blocks, field_blocks, gamma,
+                                   generalized_laplacian, min_rank_scan, minor_generators)
 from corank.graphs import Digraph, _pack_key, canonical_form, relabel
-from corank.polyring import DEGREVLEX, QQ, ZZ, Polynomial, normal_form
+from corank.polyring import (DEGREVLEX, GF, QQ, ZZ, BudgetExceeded, Polynomial,
+                             normal_form)
 from corank.zeroforcing import (ColorState, ForceRecord, ZeroForcingResult, closure,
                                 zero_forcing_number)
 
@@ -282,3 +286,38 @@ def smith_diagonal(rows):
             i, j = t, t
         diagonal.append(abs(a[t][t]))
     return diagonal
+
+
+def decision_in_scan_order(g, i, domain, config=DEFAULT_CONFIG):
+    """``ideal_trivial``'s decision by the order of attack that reads no
+    kept fact, on a fresh copy of g: the i-minor scan (a +-1 minor, then a
+    constant that is a unit of the domain), then a point search over Q (the
+    integer box) and Z (each prime's field in ``config.primes`` order),
+    then Groebner on the generators of that scan."""
+    g = type(g)(g.n, g.pairs)
+    gens = None
+    if comb(g.n, i) ** 2 <= criticalideals._MINOR_SCAN_CAP:
+        gens = minor_generators(generalized_laplacian(g), i)
+        if gens.unit_minor is not None:
+            return TrivialityDecision(True, "unit-minor", gens.unit_minor)
+        for minor in gens.constant_minors:
+            if domain.is_unit(minor[2]):
+                return TrivialityDecision(True, "constant-minor", minor)
+    if domain is QQ:
+        point = min_rank_scan(g, box_blocks(g.n, config.box_radius), QQ, i - 1, i, None,
+                              config.box_point_budget)[1]
+        if point is not None:
+            return TrivialityDecision(False, "point-certificate", point)
+    if domain is ZZ:
+        for p in config.primes:
+            point = min_rank_scan(g, field_blocks(g.n, p), GF(p), i - 1, i, None,
+                                  config.modp_point_budget)[1]
+            if point is not None:
+                return TrivialityDecision(False, "point-certificate", (p, point))
+    if gens is None:
+        return TrivialityDecision(None, "budget", "minor scan too large")
+    try:
+        return criticalideals._groebner(gens, domain, DEGREVLEX, config)[1]
+    except BudgetExceeded as exc:
+        return TrivialityDecision(None, "budget", f"{exc.reason}, partial basis of "
+                                                  f"{len(exc.partial)} polynomials")

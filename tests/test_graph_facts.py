@@ -1,7 +1,8 @@
 """Facts kept on the graph object: the canonical form, the zero forcing
-result and gamma's certificate minor and probe-point bound are computed
-once per graph, and are never served across labelings.  The probe bound is
-kept per scan prime, one entry shared by Z and Q."""
+result and gamma's facts (its certificate minor, probe-point bound, minor
+summaries, F_2 points and box minimum) are computed once per graph, and
+are never served across labelings.  The probe bound is kept per scan
+prime, one entry shared by Z and Q."""
 
 from collections import Counter
 
@@ -9,6 +10,7 @@ import pytest
 
 from corank import criticalideals, graphs, minrank, zeroforcing
 from corank.cache import DecisionCache
+from corank.config import RunConfig
 from corank.criticalideals import gamma
 from corank.enumeration import all_trees, enumerate_connected_graphs
 from corank.generators import cycle, octahedron, petersen
@@ -102,8 +104,11 @@ def test_the_sandwich_prefix_is_kept_once_per_graph_and_scan_prime(monkeypatch):
     cache = DecisionCache()
     kept = [gamma(g, dom, cache=cache).to_json() for dom in domains]
     assert runs == {"certificate": 1, ("probe", None): 1, ("probe", 3): 1}
-    # only the certificate and the probe bounds: no box scan, no decision
-    assert set(g._sandwich[1]) == {None, 3}
+    # the box scan's F_2 point at lower + 1 = 3 rules out a floor there and
+    # is gamma_Z's certificate at 3; the one 3-minor scan serves Q and F_3
+    assert set(g._sandwich) == {"certificate", ("probe", None), ("probe", 3),
+                                ("f2-point", 3, RunConfig.modp_point_budget),
+                                ("box-min", 2), ("minors", 3)}
     monkeypatch.undo()
     assert [gamma(fresh(g), dom).to_json() for dom in domains] == kept
 

@@ -1,0 +1,110 @@
+"""gamma's facts of the graph alone change no answer.
+
+A graph keeps, whatever the domain, its i-minor scan summaries, its first
+F_2 point of rank <= i - 1 and the least rank of an uncut box scan.  The
+box scan stops at a +-1-minor floor, Z tries the F_2 point before the
+minor scan, Q skips a box point search the box minimum rules out, and Z,
+Q and F_p share one minor scan per index.  Each is held here against the
+plain route: the whole box scan, and the decision in scan order
+(``oracles.decision_in_scan_order``) on a fresh copy.
+"""
+
+import random
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from corank import criticalideals
+from corank.cache import DecisionCache
+from corank.config import DEFAULT_CONFIG
+from corank.criticalideals import (_budgeted_box_scan, _decide_trivial, _facts, _probe,
+                                   box_blocks, field_blocks, gamma_row, min_rank_scan)
+from corank.enumeration import all_trees, enumerate_connected_graphs, enumerate_digraphs
+from corank.graphs import relabel
+from corank.polyring import GF, QQ, ZZ
+from corank.zeroforcing import zero_forcing_number
+from oracles import decision_in_scan_order
+
+FAMILIES = {"graphs n<=6": lambda: enumerate_connected_graphs(6),
+            "digraphs n<=4": lambda: enumerate_digraphs(4),
+            "trees n<=9": lambda: [t for n in range(1, 10) for t in all_trees(n)]}
+
+
+def relabeled(graphs, seed):
+    """Each graph under a seeded random relabeling: a fresh object."""
+    rng = random.Random(seed)
+    out = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(relabel(g, perm))
+    return out
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_floor_keeps_the_box_scan_result(family):
+    """_budgeted_box_scan gives the (upper, point) of one min_rank_scan over
+    all of its blocks, from gamma's lower bound and probe, over Q at radius
+    0, 1 and 2 and over F_3 and F_5; no box point ranks below a box
+    minimum above lower that an uncut scan keeps."""
+    for seed in (1, 2):
+        for g in relabeled(FAMILIES[family](), seed):
+            lower = g.n - zero_forcing_number(g).z
+            for domain, radius in ((QQ, 0), (QQ, 1), (QQ, 2), (GF(3), 2), (GF(5), 2)):
+                config = replace(DEFAULT_CONFIG, box_radius=radius)
+                upper, point = _probe(g, lower, domain, {})
+                if upper <= lower:
+                    continue
+                blocks = (field_blocks(g.n, domain.p) if domain.p
+                          else box_blocks(g.n, radius))
+                want = min_rank_scan(g, blocks, domain, lower, upper, point,
+                                     config.gamma_box_budget)[:2]
+                got = _budgeted_box_scan(g, lower, upper, point, domain, config,
+                                         DecisionCache())
+                assert got == want, (g, domain, radius)
+                least = _facts(g).get(("box-min", radius))
+                # past lower, which the zero forcing minor certifies
+                if domain is QQ and least is not None and least > lower:
+                    assert least <= got[0] and min_rank_scan(
+                        g, box_blocks(g.n, radius), QQ, least - 1, least, None)[1] is None
+
+
+DOMAINS = (ZZ, QQ, GF(2), GF(3))
+
+
+@pytest.mark.parametrize("family", ["graphs n<=6", "digraphs n<=4"])
+def test_decisions_from_kept_facts_are_those_in_scan_order(family):
+    """At every index over Z, Q, F_2 and F_3, _decide_trivial on a graph
+    whose facts gamma_row filled equals the decision in scan order."""
+    for g in relabeled(FAMILIES[family](), 3):
+        gamma_row(g)
+        for i in range(1, g.n + 1):
+            for domain in DOMAINS:
+                assert _decide_trivial(g, i, domain, DEFAULT_CONFIG) == \
+                    decision_in_scan_order(g, i, domain), (g, i, domain)
+
+
+def test_one_minor_scan_per_graph_and_index_besides_groebner_input(monkeypatch):
+    """Over gamma_Z and gamma_Q of the 143 gap-table graphs, each (graph,
+    index) has one minor scan, and a second only where Groebner needs the
+    generators that the other run's scan did not keep: 24 pairs, 26 scans,
+    3 Groebner runs (ELrw and ELv_ at index 4, where gamma_Z closes by a
+    mod 5 point after its scan, and EL~o, whose mod 2 point needs none)."""
+    scans, groebner = Counter(), Counter()
+    scan, run = criticalideals.minor_generators, criticalideals._groebner
+
+    def counted_scan(matrix, size):
+        scans[matrix.out_adj, size] += 1
+        return scan(matrix, size)
+
+    def counted_groebner(gens, *rest):
+        groebner[gens.matrix.out_adj, gens.size] += 1
+        return run(gens, *rest)
+
+    monkeypatch.setattr(criticalideals, "minor_generators", counted_scan)
+    monkeypatch.setattr(criticalideals, "_groebner", counted_groebner)
+    for g in relabeled(enumerate_connected_graphs(6), 0):
+        gamma_row(g)
+    assert all(scans[key] <= 1 + groebner[key] for key in scans)
+    assert (len(scans), sum(scans.values()), sum(groebner.values())) == (24, 26, 3)
