@@ -1,5 +1,7 @@
 """Run configuration: the three budgets a command sets are its fields, and
-the five fixed ones class attributes.  Reports and cache keys name all eight."""
+the five fixed ones class attributes.  Reports and cache keys name all eight.
+Work caps that no measured input reaches are plain module constants, so
+that reports and cache keys stay as they are."""
 
 import hashlib
 import json
@@ -38,3 +40,6 @@ class RunConfig:
 
 
 DEFAULT_CONFIG = RunConfig()
+
+# trial divisions polyring._factor_desk_scale makes before it stops
+FACTOR_DIVISION_CAP = 1_000_000

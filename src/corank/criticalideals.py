@@ -11,13 +11,27 @@ blocks; a SymbolicMatrix is made where minors are expanded.
 
 Every x_u sits on the diagonal only, so every minor is multiaffine.  A minor
 is expanded along its lowest row as a {variable bitmask: int} dict, memoized
-on its (row bitmask, column bitmask); only the kept generators become
-Polynomials, through a per-matrix table from variable bitmask to exponent
-tuple.  Minor generation stops at the first +-1 minor: it makes the ideal
-trivial over every ring, so the basis over any field is {1} and the Z
-decision is that of the full list.  One route, _groebner, turns a minor list
-into a basis and a decision for both ideal_trivial and
-groebner_basis_of_critical_ideal.
+on its (row bitmask, column bitmask); a scan keeps each distinct minor as
+that pair, and only the generators Buchberger gets become Polynomials,
+through a per-matrix table from variable bitmask to exponent tuple.  Minor
+generation stops at the first +-1 minor: it makes the ideal trivial over
+every ring, so the basis over any field is {1} and the Z decision is that
+of the full list.  One route, _groebner, turns a minor list into a basis
+and a decision for both ideal_trivial and groebner_basis_of_critical_ideal.
+
+groebner_basis_of_critical_ideal reads the zero forcing certificate first
+(the certificate rule): for 1 <= i <= n - Z it returns, with no minor scan,
+what the scan's +-1 minor gives.  Take the certificate's forcers a_1..a_k
+as rows and forced vertices b_1..b_k as columns, in force order.  a_t's only
+white neighbour when it forces is b_t, so L[a_t, b_s] = 0 for s > t and
+L[a_t, b_t] = -1: the matrix is lower triangular with -1 on the diagonal,
+and each leading i x i block is a constant +-1 i-minor, for every
+i <= k = n - Z (a greedy record certifies its own size the same way).  Over
+Z the route returns at that unit before any Buchberger run, so the rule
+always applies.  Over a field Buchberger is seeded with the generators up
+to the unit, and a seed of degree > degree_cap raises BudgetExceeded before
+the constant is reached; every i-minor has degree <= i, so the rule applies
+there only when i <= degree_cap.
 
 After a full scan with no +-1 minor, _groebner hands Buchberger only the
 generators that the alien-cofactor identity (Bruns and Vetter,
@@ -152,24 +166,30 @@ def generalized_laplacian(g) -> SymbolicMatrix:
 
 @dataclass
 class MinorGenerators:
-    generators: list           # deduplicated up to sign, zero minors dropped
+    masks: list                # (row bitmask, column bitmask) of each generator
     unit_minor: tuple | None   # (rows, cols, value) with value in {1,-1}
     constant_minors: list      # (rows, cols, value), nonzero constants
     matrix: SymbolicMatrix     # holds every scanned minor in its memo
     size: int
-    classes: dict              # _sign_key of a minor -> index in generators
+    classes: dict              # _sign_key of a minor -> index in masks
+
+    @cached_property
+    def generators(self):
+        """Every generator as a Polynomial: the minors deduplicated up to
+        sign, zero minors dropped, in scan order."""
+        return [self.matrix.minor(*rc) for rc in self.masks]
 
     def kept(self):
-        """The generators that Groebner needs: after a full scan, those with
-        a minor that _alien_cofactor_drops keeps, in scan order; the list as
-        it is when the scan stopped at a +-1 minor."""
+        """The generators that Groebner needs, as Polynomials: after a full
+        scan, those with a minor that _alien_cofactor_drops keeps, in scan
+        order; the list as it is when the scan stopped at a +-1 minor."""
         if self.unit_minor is not None:
             return self.generators
         memo = self.matrix._minor_memo
         order, drops = _alien_cofactor_drops(self)
         keep = {self.classes[_sign_key(memo[rc])]
                 for k, rc in enumerate(order) if k not in drops}
-        return [g for k, g in enumerate(self.generators) if k in keep]
+        return [self.matrix.minor(*self.masks[k]) for k in sorted(keep)]
 
 
 def _sign_key(d):
@@ -186,10 +206,11 @@ def minor_generators(matrix: SymbolicMatrix, size: int) -> MinorGenerators:
     first +-1 minor.
 
     Minors come as the matrix's multiaffine bitmask dicts; a minor is kept,
-    with the sign it was found with, when neither it nor its negative was
-    kept before.  Generation stops as soon as a +-1 constant minor is kept:
-    it makes the ideal trivial over every ring, so the minors after it
-    change no basis and no decision.
+    as its (row bitmask, column bitmask) and with the sign it was found
+    with, when neither it nor its negative was kept before.  Generation
+    stops as soon as a +-1 constant minor is kept: it makes the ideal
+    trivial over every ring, so the minors after it change no basis and no
+    decision.
 
     A symmetric matrix has minor(rows, cols) = minor(cols, rows), and of the
     two the one with the smaller row set comes first, so only cols >= rows
@@ -199,7 +220,7 @@ def minor_generators(matrix: SymbolicMatrix, size: int) -> MinorGenerators:
     n = matrix.n
     if not 0 <= size <= n:
         raise ValueError(f"minor size {size} out of range for n={n}")
-    gens = []
+    masks = []
     seen = {}
     unit = None
     constants = []
@@ -217,11 +238,11 @@ def minor_generators(matrix: SymbolicMatrix, size: int) -> MinorGenerators:
             key = _sign_key(d)
             if key in seen:
                 continue
-            seen[key] = len(gens)
-            gens.append(matrix.minor(rmask, cmask))
+            seen[key] = len(masks)
+            masks.append((rmask, cmask))
             if unit is not None:
-                return MinorGenerators(gens, unit, constants, matrix, size, seen)
-    return MinorGenerators(gens, unit, constants, matrix, size, seen)
+                return MinorGenerators(masks, unit, constants, matrix, size, seen)
+    return MinorGenerators(masks, unit, constants, matrix, size, seen)
 
 
 def _subset_masks(n, size):
@@ -579,7 +600,7 @@ def _groebner(gens, domain, order, config):
         return basis, TrivialityDecision(basis.is_trivial(), "groebner", None)
     ok, cert = is_trivial_over_Z(kept, order, config.spair_cap, config.degree_cap)
     q_gens = (cert[1].generators if cert[0] == "rational-basis"
-              else [Polynomial.constant(gens.generators[0].nvars, QQ, 1)])
+              else [Polynomial.constant(gens.matrix.n, QQ, 1)])
     return (IdealBasis(q_gens, QQ, order, is_groebner=True),
             TrivialityDecision(ok, "groebner", _describe_z_cert(cert)))
 
@@ -854,8 +875,19 @@ def groebner_basis_of_critical_ideal(g, i, domain=QQ, order=DEGREVLEX,
     Over a field: its reduced basis, and None.  Over Z: the basis over Q and
     the exact Z-triviality decision (see _groebner).  True basis computation
     over Z is out of scope by design.
+
+    For 1 <= i <= n - Z, over Z, and over a field when i <= degree_cap, the
+    zero forcing certificate has a +-1 i-minor (the module docstring's
+    certificate rule), so the answer is the one that minor gives on the
+    scan route: the basis {1} (over Q for Z) and, over Z, the decision
+    "denominator-cleared constant 1", with no minor scan.
     """
     over_z = check_domain(domain) is ZZ
-    basis, decision = _groebner(minor_generators(generalized_laplacian(g), i), domain,
-                                order, config)
+    if 1 <= i <= g.n - zero_forcing_number(g).z and (over_z or i <= config.degree_cap):
+        one = Polynomial.constant(g.n, QQ if over_z else domain, 1)
+        basis = IdealBasis([one], one.domain, order, is_groebner=True)
+        decision = TrivialityDecision(True, "groebner", _describe_z_cert(("denominator", 1)))
+    else:
+        basis, decision = _groebner(minor_generators(generalized_laplacian(g), i), domain,
+                                    order, config)
     return basis, decision if over_z else None

@@ -23,7 +23,7 @@ import operator
 from fractions import Fraction
 from math import gcd
 
-from .config import RunConfig
+from .config import FACTOR_DIVISION_CAP, RunConfig
 
 
 class DomainMismatch(ValueError):
@@ -31,7 +31,8 @@ class DomainMismatch(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A Buchberger run went over its S-pair or degree cap.
+    """A Buchberger run went over its S-pair or degree cap, or a Z decision
+    over its factoring cap.
 
     Carries the partial basis so callers can report an explicit
     "undecided" status instead of a silent wrong answer.
@@ -732,8 +733,12 @@ def _buchberger(gens, dom, order, pk, spair_cap, degree_cap, track_cofactors):
 
     def monic(p, pcof):
         """p and its cofactor vector scaled to leading coefficient one,
-        as the run hands them out."""
-        inv = inv_of(next(iter(p.values())))
+        as the run hands them out.  Over Q a p led by 1 takes Fraction(c),
+        the value and type of c * Fraction(1), with no multiplication."""
+        lead = next(iter(p.values()))
+        if dom is QQ and lead == 1:
+            return {m: Fraction(c) for m, c in p.items()}, scaled(pcof, Fraction(1))
+        inv = inv_of(lead)
         return {m: mul(c, inv) for m, c in p.items()}, scaled(pcof, inv)
 
     def normalized(p, pcof):
@@ -902,12 +907,18 @@ def is_trivial_over_field(generators, order=DEGREVLEX, spair_cap=RunConfig.spair
     return False, basis
 
 
-def _factor_desk_scale(d):
-    """Trial-division factorization; fine for denominator-cleared constants."""
+def _factor_desk_scale(d, partial):
+    """The prime factors of d by trial division; fine for denominator-cleared
+    constants.  Past FACTOR_DIVISION_CAP trial divisors, BudgetExceeded with
+    the partial basis."""
     d = abs(d)
     primes = []
     q = 2
+    divisions = 0
     while q * q <= d:
+        divisions += 1
+        if divisions > FACTOR_DIVISION_CAP:
+            raise BudgetExceeded("factoring cap exceeded", partial)
         if d % q == 0:
             primes.append(q)
             while d % q == 0:
@@ -927,7 +938,9 @@ def is_trivial_over_Z(generators, order=DEGREVLEX, spair_cap=RunConfig.spair_cap
     tracking, which repeats the same S-pairs; clearing the cofactors'
     denominators gives an integer D in the integer ideal, and 1 lies in the
     ideal iff the reduction mod p is trivial for every prime p dividing D
-    (all other primes are settled by the combination itself).
+    (all other primes are settled by the combination itself).  Factoring D
+    past FACTOR_DIVISION_CAP trial divisors raises BudgetExceeded with the
+    basis {1} over Q.
 
     Returns (decision, certificate) where certificate is
       ("rational-basis", basis)           non-trivial already over Q
@@ -954,7 +967,9 @@ def is_trivial_over_Z(generators, order=DEGREVLEX, spair_cap=RunConfig.spair_cap
     d = math.lcm(*(c.denominator for h in payload for c in h.terms.values()))
     if d == 1:
         return True, ("denominator", 1)
-    for p in _factor_desk_scale(d):
+    q_basis = IdealBasis([Polynomial.constant(gens[0].nvars, QQ, 1)], QQ, order,
+                         is_groebner=True)
+    for p in _factor_desk_scale(d, q_basis):
         pgens = [g.to_domain(GF(p)) for g in gens]
         okp, basis_p = is_trivial_over_field(pgens, order, spair_cap, degree_cap)
         if not okp:

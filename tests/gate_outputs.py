@@ -17,8 +17,11 @@ in two labelings each; ``params`` with budgets, as csv and md, with
 --box 0|1`` over z and q and ``gamma --domain fp:2`` over the catalog; ``trees``
 on the 25 trees with n <= 7; ``classify`` on the three disconnected
 digraphs where the five-way agreement fails; ``gb --index 3|4`` over z, q
-and fp:3 in lex, grlex and degrevlex on four graphs; ``gb --digraph
---index 2|3`` over z, q and fp:3 on two digraphs with n = 4; the nine sweeps;
+and fp:3 in lex, grlex and degrevlex on four graphs, and on the same graphs
+over z, q and fp:3 ``gb --index 1|2``, ``gb --index 2 --budget-degree 1``,
+``gb --index 3 --budget-degree 2`` and ``gb --index n`` for each graph's
+own n; ``gb --digraph --index 1|2|3``
+over z, q and fp:3 on two digraphs with n = 4; the nine sweeps;
 ``zf`` on E_12, K_{6,6} and G(12, 1/2) drawn with seed 5, at the top of
 the exact zero forcing tier.  Then the runs over ``--cache`` directories,
 each in a fresh temporary directory: ``reproduce-appendix`` twice over one
@@ -38,7 +41,7 @@ from itertools import combinations
 
 from corank.cli import main
 from corank.enumeration import all_trees, enumerate_connected_graphs
-from corank.formats import write_digraph6, write_graph6
+from corank.formats import parse_graph6, write_digraph6, write_graph6
 from corank.generators import NAMED_GRAPHS, complete_multipartite, graph_a
 from corank.graphs import Graph
 from corank.sweeps import SWEEPS, _disconnected_exceptions
@@ -52,7 +55,10 @@ RELABELED = "E`]o\nEygW\nE`]w\nEywW\nEJnW\nE^bg\nEJnw\nE|{o\n"
 _RNG = random.Random(5)
 EXACT_TOP = [Graph(12), complete_multipartite([6, 6]),
              Graph(12, [e for e in combinations(range(12), 2) if _RNG.random() < 0.5])]
-GB_GRAPHS = ("D{O", "E`]o", write_graph6(graph_a()), write_graph6(NAMED_GRAPHS["bull"]()))
+# the bull, one of the relabeled lines, graph-a, and ELrw, whose index 4
+# reaches Buchberger over Q; each has n - Z = 3, so gb at index 3 and below
+# takes the zero forcing certificate's rule
+GB_GRAPHS = ("D{O", "E`]o", write_graph6(graph_a()), "ELrw")
 # two digraphs with n = 4 whose 2- and 3-minor ideals have no unit minor: an
 # acyclic one and one with nine arcs, where minors drop by both the row and
 # the column form of the repeated-column relation
@@ -93,8 +99,17 @@ def runs():
             for domain in ("z", "q", "fp:3"):
                 for order in ("lex", "grlex", "degrevlex"):
                     yield ["gb", "--index", index, "--domain", domain, "--order", order, g6]
+    # the certificate rule's range and edges: a field past its degree cap
+    # keeps the scan path, which at index 3 and degree cap 2 stops at the
+    # cap on the bull over q and on graph-a over q and fp:3
+    for g6 in GB_GRAPHS:
+        for domain in ("z", "q", "fp:3"):
+            for index in ("1", "2", str(parse_graph6(g6).n)):
+                yield ["gb", "--index", index, "--domain", domain, g6]
+            for index, cap in (("2", "1"), ("3", "2")):
+                yield ["gb", "--index", index, "--budget-degree", cap, "--domain", domain, g6]
     for arcs in GB_DIGRAPHS:
-        for index in ("2", "3"):
+        for index in ("1", "2", "3"):
             for domain in ("z", "q", "fp:3"):
                 yield ["gb", "--digraph", "--index", index, "--domain", domain, arcs]
     for name in SWEEPS:

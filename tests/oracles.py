@@ -4,6 +4,7 @@ Each reaches its answer by a route of its own, so that a test can hold the
 engine against it.
 """
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -321,3 +322,27 @@ def decision_in_scan_order(g, i, domain, config=DEFAULT_CONFIG):
     except BudgetExceeded as exc:
         return TrivialityDecision(None, "budget", f"{exc.reason}, partial basis of "
                                                   f"{len(exc.partial)} polynomials")
+
+
+def groebner_basis_by_minor_scan(g, i, domain, order=DEGREVLEX, config=DEFAULT_CONFIG):
+    """``groebner_basis_of_critical_ideal`` by the route that reads no zero
+    forcing certificate: the i-minor scan, then ``_groebner`` on it, at
+    every index.  The last scan is reused for the same graph and index."""
+    basis, decision = criticalideals._groebner(_minor_scan(g, i), domain, order, config)
+    return basis, decision if domain is ZZ else None
+
+
+@lru_cache(maxsize=1)
+def _minor_scan(g, i):
+    return minor_generators(generalized_laplacian(g), i)
+
+
+def relabeled(graphs, seed):
+    """Each graph under its own permutation, all drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    out = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(relabel(g, perm))
+    return out

@@ -1,0 +1,63 @@
+"""``groebner_basis_of_critical_ideal`` gives what the route that always
+scans minors gives (``oracles.groebner_basis_by_minor_scan``), at every
+index, where the zero forcing certificate's rule answers and where it does
+not: the formatted basis, its coefficient types, domain and Groebner flag
+and, over Z, the decision; or the same budget stop with a partial basis of
+the same length.
+
+On the 143 connected graphs with n <= 6 in a seeded relabeling and on the
+digraphs with n <= 4, over Z, Q, F_2 and F_3, at the default caps and at
+degree_cap = 1 (where a field's seeds of degree > 1 stop before the +-1
+minor), in degrevlex, and in lex and grlex at every fifth index.
+"""
+
+
+import pytest
+
+from corank.config import DEFAULT_CONFIG, RunConfig
+from corank.criticalideals import groebner_basis_of_critical_ideal
+from corank.enumeration import enumerate_connected_graphs, enumerate_digraphs
+from corank.polyring import DEGREVLEX, GF, GRLEX, LEX, QQ, ZZ, BudgetExceeded, format_polynomial
+from corank.zeroforcing import zero_forcing_number
+from oracles import groebner_basis_by_minor_scan, relabeled
+
+
+SETS = {"graphs n<=6 relabeled": lambda: relabeled(enumerate_connected_graphs(6), 29),
+        "digraphs n<=4": lambda: enumerate_digraphs(4)}
+DOMAINS = (ZZ, QQ, GF(2), GF(3))
+CONFIGS = (DEFAULT_CONFIG, RunConfig(degree_cap=1))
+
+
+def _outcome(route, g, i, domain, order, config):
+    try:
+        basis, decision = route(g, i, domain, order, config)
+    except BudgetExceeded as exc:
+        return "budget", exc.reason, len(exc.partial)
+    return ([format_polynomial(p, order) for p in basis.generators],
+            [type(c) for p in basis.generators for c in p.terms.values()],
+            basis.domain, basis.is_groebner, decision)
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_gb_equals_the_minor_scan_route_at_every_index(name):
+    ruled = scanned = 0
+    stride = 0
+    for g in SETS[name]():
+        below = g.n - zero_forcing_number(g).z
+        for i in range(1, g.n + 1):
+            stride += 1
+            orders = (DEGREVLEX, LEX, GRLEX) if stride % 5 == 0 else (DEGREVLEX,)
+            for domain in DOMAINS:
+                for config in CONFIGS:
+                    for order in orders:
+                        got = _outcome(groebner_basis_of_critical_ideal, g, i, domain,
+                                       order, config)
+                        want = _outcome(groebner_basis_by_minor_scan, g, i, domain, order,
+                                        config)
+                        assert got == want, (g, i, domain, config, order)
+                        if i <= below and (domain is ZZ or i <= config.degree_cap):
+                            ruled += 1
+                        elif i <= below:
+                            scanned += 1
+    # the certificate rule answered, and a field past degree_cap kept the scan
+    assert ruled > 0 and scanned > 0

@@ -8,7 +8,6 @@ enumeration labeling, and every third one in a seeded relabeling) and on the
 digraphs with n <= 4.
 """
 
-import random
 from functools import cache
 from itertools import combinations
 
@@ -19,24 +18,13 @@ from corank.criticalideals import (TrivialityDecision, _alien_cofactor_drops,
                                    _describe_z_cert, _groebner, generalized_laplacian,
                                    minor_generators)
 from corank.enumeration import enumerate_connected_graphs, enumerate_digraphs
-from corank.graphs import relabel
 from corank.polyring import DEGREVLEX, GF, QQ, ZZ, buchberger, is_trivial_over_Z
-from oracles import entry
-
-
-def _relabeled(graphs, seed):
-    rng = random.Random(seed)
-    out = []
-    for g in graphs:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        out.append(relabel(g, perm))
-    return out
+from oracles import entry, relabeled
 
 
 GRAPHS = enumerate_connected_graphs(6)
 # the relabeled copy takes every third graph, to keep the file near 5 s
-SETS = {"graphs n<=6": GRAPHS, "graphs n<=6 relabeled": _relabeled(GRAPHS, 7)[::3],
+SETS = {"graphs n<=6": GRAPHS, "graphs n<=6 relabeled": relabeled(GRAPHS, 7)[::3],
         "digraphs n<=4": enumerate_digraphs(4)}
 
 

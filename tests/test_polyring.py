@@ -273,6 +273,30 @@ def test_trivial_over_Z_certificate_of_a_rationally_trivial_ideal(texts, head):
         assert d == head[1]
 
 
+def test_a_large_prime_denominator_stops_at_the_factoring_cap():
+    """<2^61 - 1> is trivial over Q with the prime 2^61 - 1 as its cofactor
+    denominator, about 7.6e8 trial divisions to factor: the factoring cap
+    stops it with the basis {1} over Q, within the second a timer allows."""
+    import signal
+
+    def expire(signum, frame):
+        raise TimeoutError("still factoring after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(BudgetExceeded) as info:
+            is_trivial_over_Z([Polynomial.constant(1, ZZ, 2**61 - 1)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert info.value.reason == "factoring cap exceeded"
+    assert info.value.partial.generators == [Polynomial.constant(1, QQ, 1)]
+    # a denominator under the cap is still factored: 1000003 is prime
+    assert is_trivial_over_Z([Polynomial.constant(1, ZZ, 1000003)])[1][:2] == ("prime",
+                                                                               1000003)
+
+
 _KATSURA = ["x0^2 + x1^2 + x2^2 - 1", "x0*x1 + x1*x2", "x0 + 2*x1 + x2"]
 _TRIVIAL_OVER_Q = ["x0*x1 - 1", "x0^2 - x1", "x1^2 - 2*x0"]
 

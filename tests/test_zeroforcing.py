@@ -6,7 +6,8 @@ import pytest
 
 import corank.zeroforcing as zeroforcing
 from corank.criticalideals import generalized_laplacian
-from corank.enumeration import all_trees, enumerate_digraphs, enumerate_graphs
+from corank.enumeration import (all_trees, enumerate_connected_graphs, enumerate_digraphs,
+                                enumerate_graphs)
 from corank.generators import (NAMED_GRAPHS, bull, complete, complete_multipartite, cycle,
                                forbidden_family_named, octahedron, path, petersen, star)
 from corank.graphs import Digraph, Graph, induced_subgraph
@@ -213,6 +214,43 @@ def _symbolic_det(entries, nvars):
         term = entries[0][j] * sub
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+# every leading block of the certificate is a +-1 minor: the lemma of the
+# certificate rule of groebner_basis_of_critical_ideal
+LEADING_BLOCK_SETS = {
+    "graphs n<=7, every 7th": lambda: enumerate_connected_graphs(7)[::7],
+    "digraphs n<=4": lambda: enumerate_digraphs(4),
+    "trees n<=10": lambda: [t for n in range(1, 11) for t in all_trees(n)],
+    "greedy tier P_13 and C_13": lambda: [path(13), cycle(13)],
+}
+
+
+def _sign(seq):
+    """The sign of the permutation that sorts seq."""
+    return (-1) ** sum(a > b for k, a in enumerate(seq) for b in seq[k + 1:])
+
+
+@pytest.mark.parametrize("name", LEADING_BLOCK_SETS)
+def test_every_leading_block_of_the_certificate_is_a_unit_minor(name):
+    """In force order the k x k leading block is lower triangular with -1 on
+    the diagonal, so its determinant is (-1)^k; SymbolicMatrix.minor reads
+    rows and columns in increasing order, which signs it by both sorts."""
+    blocks = 0
+    for g in LEADING_BLOCK_SETS[name]():
+        zf = zero_forcing_number(g)
+        cert = certificate_minor(g, zf.witness)
+        assert len(cert.rows) == g.n - zf.z
+        L = generalized_laplacian(g)
+        for k in range(len(cert.rows) + 1):
+            rows, cols = cert.rows[:k], cert.cols[:k]
+            value = (-1) ** k * _sign(rows) * _sign(cols)
+            got = L.minor(sum(1 << r for r in rows), sum(1 << c for c in cols))
+            assert got == Polynomial.constant(g.n, ZZ, value), (g, k)
+            blocks += 1
+        if name.startswith("greedy"):
+            assert not zf.exact
+    assert blocks > 0
 
 
 def test_certificate_rejects_invalid_record():
