@@ -48,17 +48,20 @@ F_p, so the ideal, its reduced bases and every decision are unchanged.
 
 What gamma learns about a graph alone, whatever the domain, is kept on it
 (_facts): per index i the minor scan's (unit minor, constant minors) and
-the first point of F_2^n where L has rank <= i - 1, and the least rank of
-a box scan its budget did not cut.  Z, Q and F_p share one minor scan per
-index.  Two rules read these facts and change no answer:
+the first point of F_2^n where L has rank <= i - 1, and the box scan's own
+outcome over Z and Q, never one a cache served.  Z, Q and F_p share one
+minor scan per index, and gamma_Q reads gamma_Z's box scan from the graph,
+so gamma needs no cache: without one it makes no cache key and no
+canonical form.  Two rules read these facts and change no answer:
 - the floor: a box scan past shell 1 stops at the first point of rank
   lower + 1 when L has a +-1 (lower + 1)-minor, since that minor is
   nonzero at every point over every field, so no point ranks lower;
 - F_2 first over Z: an F_2 point of rank <= i - 1 is Z's certificate
   (2, point) before any minor scan, since a +-1 minor stays +-1 mod 2, so
   no unit minor exists and the scan-first order returns that same point.
-Over Q the box point search is skipped when the kept box minimum is >= i:
-it scans the same box, where no point ranks that low.
+Over Q the box point search is skipped when a kept box scan that its budget
+did not cut ranks >= i: the search scans the same box, where no point ranks
+that low.
 """
 
 from dataclasses import dataclass
@@ -66,7 +69,6 @@ from functools import cached_property
 from itertools import chain, combinations, islice, product
 from math import comb
 
-from .cache import DecisionCache
 from .config import DEFAULT_CONFIG
 from .graphs import canonical_form
 from .linalg import exact_rank, rank_scan
@@ -482,15 +484,17 @@ def ideal_trivial(g, i, domain, config=DEFAULT_CONFIG, cache=None) -> Triviality
     (non-trivial; a +-1 minor stays +-1 mod 2, so there is no unit minor
     and the later steps would return this point); a unit constant minor
     (trivial, every domain); a point certificate (non-trivial, over Q and
-    Z; skipped over Q when g's kept box minimum is >= i, since no point of
-    that box ranks lower); Groebner fallback.  The minor scan's summary is
-    kept on g for every domain.  Decisions are cached by (canonical form, i,
-    domain, budget hash); an entry read from a directory is served only
-    when _decision_shape_holds.
+    Z; skipped over Q when g's kept uncut box scan ranks >= i, since no
+    point of that box ranks lower); Groebner fallback.  The minor scan's
+    summary is kept on g for every domain.  With a cache, decisions are
+    cached by (canonical form, i, domain, budget hash), and an entry read
+    from a directory is served only when _decision_shape_holds; without
+    one, there is no key and no canonical form.
     """
-    cache = cache if cache is not None else DecisionCache()
     if i > g.n:
         raise ValueError(f"minor size {i} exceeds n={g.n}")
+    if cache is None:
+        return _decide_trivial(g, i, check_domain(domain), config)
     form = canonical_form(g)
     key = ("ideal_trivial", form.hex(), i, check_domain(domain).name,
            config.budget_hash())
@@ -566,8 +570,9 @@ def _decide_trivial(g, i, domain, config):
             if domain.is_unit(minor[2]):
                 return TrivialityDecision(True, "constant-minor", minor)
 
-    # over Q a kept box minimum >= i leaves the box search nothing to find
-    if domain is ZZ or domain is QQ and _facts(g).get(("box-min", config.box_radius), 0) < i:
+    # over Q an uncut box scan ranking >= i leaves the box search nothing to find
+    scan = _facts(g).get(_box_scan_fact(config))
+    if domain is ZZ or domain is QQ and not (scan and scan[2] and scan[0] >= i):
         cert = nontriviality_certificate(g, i, domain, config)
         if cert is not None:
             return TrivialityDecision(False, "point-certificate", cert)
@@ -592,15 +597,22 @@ def _groebner(gens, domain, order, config):
     computes that basis first: its certificate carries it when the ideal is
     proper over Q, and otherwise it is {1}.  The decision's cofactors are
     not kept.  A budget stop raises BudgetExceeded.
+
+    After a scan stopped at a +-1 minor, Z gets that minor alone:
+    is_trivial_over_Z returns at a unit constant before reading any other
+    generator.  A field gets the whole list, whose Buchberger run may stop
+    at a budget before it reaches the constant.
     """
-    kept = gens.kept()
     if domain is not ZZ:
-        basis = buchberger([g.to_domain(domain) for g in kept], order, config.spair_cap,
-                           config.degree_cap)
+        basis = buchberger([g.to_domain(domain) for g in gens.kept()], order,
+                           config.spair_cap, config.degree_cap)
         return basis, TrivialityDecision(basis.is_trivial(), "groebner", None)
+    n = gens.matrix.n
+    kept = (gens.kept() if gens.unit_minor is None
+            else [Polynomial.constant(n, ZZ, gens.unit_minor[2])])
     ok, cert = is_trivial_over_Z(kept, order, config.spair_cap, config.degree_cap)
     q_gens = (cert[1].generators if cert[0] == "rational-basis"
-              else [Polynomial.constant(gens.matrix.n, QQ, 1)])
+              else [Polynomial.constant(n, QQ, 1)])
     return (IdealBasis(q_gens, QQ, order, is_groebner=True),
             TrivialityDecision(ok, "groebner", _describe_z_cert(cert)))
 
@@ -638,6 +650,10 @@ class GammaResult:
 
 def _box_scan_key(form, lower, config):
     return ("gamma-box-scan", form.hex(), lower, config.box_radius, config.gamma_box_budget)
+
+
+def _box_scan_fact(config):
+    return ("box-scan", config.box_radius, config.gamma_box_budget)
 
 
 def _cached_box_scan(g, lower, config, cache):
@@ -680,28 +696,36 @@ def _budgeted_box_scan(g, lower, upper, upper_point, domain, config, cache):
     The other shells stay lazy under the budget left.
 
     Over Z and Q the scan evaluates integer points at rational rank, so its
-    outcome is domain-independent and put in the cache once per (graph,
-    target), in the canonical labeling; gamma looks it up before its probe.
-    When the scan was not cut by its budget, its bound is the least rank
-    over the probe and the box (the zero forcing minor and the floor prove
-    that an early stop is at the least rank), kept in g's facts as
-    ("box-min", radius).  The probe always leaves a point: L(g, out-degrees)
-    has zero row sums.
+    outcome is domain-independent.  gamma starts it from its lower bound
+    and probe bound, both facts of g, so the outcome (upper, point,
+    exhaustive) is one more, kept in g's facts and read there instead of
+    scanning again.  Given a cache, the outcome is put in it once per
+    (graph, target), in the canonical labeling, whether scanned or read
+    from g: gamma asks the cache first, so a directory gets the same
+    entries whatever g's facts hold.  When exhaustive, upper is the least
+    rank over the probe and the box (the zero forcing minor and the floor
+    prove that an early stop is at the least rank).  The probe always
+    leaves a point: L(g, out-degrees) has zero row sums.
     """
-    blocks = (field_blocks(g.n, domain.p) if domain.p
-              else box_blocks(g.n, config.box_radius))
-    upper, upper_point, exhaustive, scanned = min_rank_scan(
-        g, list(islice(blocks, 2)), domain, lower, upper, upper_point, config.gamma_box_budget)
-    shell = next(blocks, None)
-    if shell is not None and exhaustive and upper > lower:
-        stop = lower + 1 if _has_unit_minor(g, lower + 1, config) else lower
-        if upper > stop:
-            upper, upper_point, exhaustive, _ = min_rank_scan(
-                g, chain([shell], blocks), domain, stop, upper, upper_point,
-                config.gamma_box_budget - scanned)
-    if not domain.p:
-        if exhaustive:
-            _facts(g)["box-min", config.box_radius] = upper
+    facts, key = _facts(g), _box_scan_fact(config)
+    if domain.p or key not in facts:
+        blocks = (field_blocks(g.n, domain.p) if domain.p
+                  else box_blocks(g.n, config.box_radius))
+        upper, upper_point, exhaustive, scanned = min_rank_scan(
+            g, list(islice(blocks, 2)), domain, lower, upper, upper_point,
+            config.gamma_box_budget)
+        shell = next(blocks, None)
+        if shell is not None and exhaustive and upper > lower:
+            stop = lower + 1 if _has_unit_minor(g, lower + 1, config) else lower
+            if upper > stop:
+                upper, upper_point, exhaustive, _ = min_rank_scan(
+                    g, chain([shell], blocks), domain, stop, upper, upper_point,
+                    config.gamma_box_budget - scanned)
+        if domain.p:
+            return upper, upper_point
+        facts[key] = upper, upper_point, exhaustive
+    upper, upper_point, _ = facts[key]
+    if cache is not None:
         form = canonical_form(g)
         cache.put(_box_scan_key(form, lower, config),
                   [upper, list(_relabel_point(upper_point, form.perm))])
@@ -735,8 +759,9 @@ def _facts(g):
       (_scan_minors);
     - ("f2-point", i, budget): the first point of F_2^n where L has rank
       <= i - 1 within the budget, or None;
-    - ("box-min", radius): the least rank over the probe points and the
-      box of that radius, from a box scan its budget did not cut."""
+    - ("box-scan", radius, budget): (upper, point, exhaustive) of the box
+      scan over Z and Q from gamma's lower and probe bounds, its own
+      outcome and never a cache's (_budgeted_box_scan)."""
     if g._sandwich is None:
         g._sandwich = {}
     return g._sandwich
@@ -807,9 +832,11 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
 
     Sandwich first: the zero-forcing certificate minor gives the lower
     bound, evaluation ranks give the upper bound; no Groebner machinery
-    runs unless a gap survives.  The certificate, the probe-point bound
-    and the other facts of the graph alone are kept on it (_facts); box
-    scans and per-index decisions go through the cache.
+    runs unless a gap survives.  The certificate, the probe-point bound,
+    the box scan and the other facts of the graph alone are kept on it
+    (_facts).  With a cache, box scans and per-index decisions also go
+    through it; without one (the default) gamma makes no cache key and no
+    canonical form.
 
     Over Z and Q the box scan's cache entry is looked up before the probe
     scan, and a hit is the upper bound with no probe.  That is the bound a
@@ -818,7 +845,6 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     the probe points, their order and their ranks follow any relabeling,
     so the filler's probe point maps back to the caller's own.
     """
-    cache = cache if cache is not None else DecisionCache()
     name = check_domain(domain).name
     n = g.n
     zf = zero_forcing_number(g)
@@ -830,7 +856,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
                      "determinant": cert.determinant}
     provenance = dict.fromkeys(range(1, lower + 1), "zero-forcing-certificate")
 
-    hit = None if domain.p else _cached_box_scan(g, lower, config, cache)
+    hit = None if domain.p or cache is None else _cached_box_scan(g, lower, config, cache)
     if hit is not None:
         upper, upper_point = hit
     else:
@@ -860,9 +886,9 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
 
 def gamma_row(g, config=DEFAULT_CONFIG, cache=None):
     """A graph's row of the paper's comparison: Z, mz = n - Z, and the
-    GammaResults over Z and Q, both through one cache (a fresh one by
-    default), so gamma_Q reads gamma_Z's box scan."""
-    cache = cache if cache is not None else DecisionCache()
+    GammaResults over Z and Q, both through the cache if one is given (none
+    by default), so gamma_Q reads gamma_Z's box scan: from the cache when
+    there is one, else from g's facts."""
     z = zero_forcing_number(g).z
     return {"graph": g, "z": z, "mz": g.n - z,
             "gamma_z": gamma(g, ZZ, config, cache), "gamma_q": gamma(g, QQ, config, cache)}

@@ -48,7 +48,7 @@ def mr_small(g: Graph, config=DEFAULT_CONFIG, cache=None,
     Larger orders get the interval [n - Z, best diagonal-evaluation rank],
     explicitly flagged non-exact: the upper end is q_bounds, the caller's
     mrcr_bounds over Q, or else a box scan after deciding gamma over Q
-    through the cache (a fresh one by default).
+    through the cache, if one is given.
     """
     zf = zero_forcing_number(g)
     lo = g.n - zf.z
@@ -403,8 +403,8 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
     mz = gamma_Z = gamma_Q = mr = n - P = n - Delta = nu2, plus a diagonal
     d in {-1,0}^n with rank L(t,d) = mz.  Any failed equality raises
     TreeTheoremViolation: the theorems hold, so only a bug can trip it.
-    mz, gamma_Z and gamma_Q come from gamma_row, through the cache (a fresh
-    one by default).
+    mz, gamma_Z and gamma_Q come from gamma_row, through the cache if one
+    is given; without one no canonical form is made.
     """
     adj, order, children = rooted_tree(t)
     n = t.n

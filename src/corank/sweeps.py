@@ -48,7 +48,7 @@ class SweepResult:
 def compute_gamma_table(graphs, config=DEFAULT_CONFIG, cache=None):
     """The gamma_row of every graph, keyed canonically; the first labeling
     of a graph is kept, so no two rows share a cache entry, and without a
-    cache each row gets a fresh one."""
+    cache each row runs with none."""
     table = {}
     for g in graphs:
         key = canonical_graph6(g)

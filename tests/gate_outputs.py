@@ -27,8 +27,9 @@ the exact zero forcing tier.  Then the runs over ``--cache`` directories,
 each in a fresh temporary directory: ``reproduce-appendix`` twice over one
 directory (cold, then warm); ``gamma`` over the catalog, then over the
 eight relabeled lines, through a second; ``params --jobs 1`` over the
-catalog, then over the relabeled lines, through a third.  A directory's
-digest is the sha256 over its sorted (file name, sha256 of the bytes).
+catalog, then over the relabeled lines, through a third; ``trees`` on the
+25 trees with n <= 7 through a fourth.  A directory's digest is the sha256
+over its sorted (file name, sha256 of the bytes).
 """
 
 import contextlib
@@ -120,13 +121,15 @@ def runs():
 
 def cache_runs(root):
     """The runs over cache directories under root, and the directories."""
-    appendix, catalog, params = (os.path.join(root, d) for d in ("appendix", "gamma", "params"))
+    appendix, catalog, params, trees = (os.path.join(root, d)
+                                        for d in ("appendix", "gamma", "params", "trees"))
     yield ["reproduce-appendix", "--cache", appendix]
     yield ["reproduce-appendix", "--cache", appendix]
     yield ["gamma", "--cache", catalog, CATALOG]
     yield ["gamma", "--cache", catalog, RELABELED]
     yield ["params", "--jobs", "1", "--cache", params, CATALOG]
     yield ["params", "--jobs", "1", "--cache", params, RELABELED]
+    yield ["trees", "--cache", trees, TREES]
 
 
 def run_digest(argv):

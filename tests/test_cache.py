@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from corank import criticalideals
 from corank.cache import DecisionCache
 from corank.cli import main
 from corank.config import DEFAULT_CONFIG
-from corank.criticalideals import gamma, generalized_laplacian, ideal_trivial
+from corank.criticalideals import gamma, gamma_row, generalized_laplacian, ideal_trivial
 from corank.enumeration import all_trees, enumerate_connected_graphs, enumerate_digraphs
 from corank.formats import write_graph6
 from corank.generators import octahedron
@@ -205,6 +206,51 @@ def test_a_directory_hit_runs_no_probe_and_one_check(tmp_path, monkeypatch):
     # the Q call reads the entry the Z call accepted from memory, unchecked
     assert [gamma(h, dom, cache=cache).to_json() for dom in (ZZ, QQ)] == want
     assert runs == {"probe": 0, "check": 1} and cache.corrupt == 0
+
+
+class CountingCache(DecisionCache):
+    """A DecisionCache that counts its gets, the hits among them and its puts."""
+
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.counts = Counter()
+
+    def get(self, key, check=None):
+        value = super().get(key, check)
+        self.counts["gets"] += 1
+        self.counts["hits"] += value is not None
+        return value
+
+    def put(self, key, value):
+        self.counts["puts"] += 1
+        super().put(key, value)
+
+
+def _directory_bytes(path):
+    return sorted((p.name, p.read_bytes()) for p in path.iterdir())
+
+
+def test_kept_box_scans_leave_the_directory_as_a_fresh_graph_does(tmp_path):
+    """A graph whose facts a cacheless gamma_row filled writes through a
+    cache directory the bytes that a fresh object of the same graph writes,
+    and a second reader of that directory only hits: gamma asks the cache
+    before reading g's kept box scan, and puts what it read from g."""
+    def gapped(g):
+        lower = g.n - criticalideals.zero_forcing_number(g).z
+        return criticalideals._probe(g, lower, QQ, {})[0] > lower
+
+    graphs = [octahedron()] + [g for g in enumerate_connected_graphs(6) if gapped(g)]
+    for k, g in enumerate(graphs):
+        g = relabel(g, range(g.n))
+        gamma_row(g)
+        a, b = tmp_path / f"{k}a", tmp_path / f"{k}b"
+        gamma_row(g, cache=DecisionCache(a))
+        gamma_row(relabel(g, range(g.n)), cache=DecisionCache(b))
+        assert _directory_bytes(a) == _directory_bytes(b), g
+        reader = CountingCache(a)
+        gamma_row(g, cache=reader)
+        assert reader.counts["gets"] == reader.counts["hits"] > 0, g
+        assert reader.counts["puts"] == 0, g
 
 
 TAMPERED = [[2, [0, 0, 0, 0, 0, 0]], [3], {"v": 1}, "x", [2, None], [True, [0] * 6],

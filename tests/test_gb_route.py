@@ -14,8 +14,10 @@ minor), in degrevlex, and in lex and grlex at every fifth index.
 
 import pytest
 
+from corank import criticalideals
 from corank.config import DEFAULT_CONFIG, RunConfig
-from corank.criticalideals import groebner_basis_of_critical_ideal
+from corank.criticalideals import (TrivialityDecision, generalized_laplacian,
+                                   groebner_basis_of_critical_ideal, minor_generators)
 from corank.enumeration import enumerate_connected_graphs, enumerate_digraphs
 from corank.polyring import DEGREVLEX, GF, GRLEX, LEX, QQ, ZZ, BudgetExceeded, format_polynomial
 from corank.zeroforcing import zero_forcing_number
@@ -61,3 +63,28 @@ def test_gb_equals_the_minor_scan_route_at_every_index(name):
                             scanned += 1
     # the certificate rule answered, and a field past degree_cap kept the scan
     assert ruled > 0 and scanned > 0
+
+
+def test_z_decides_a_unit_stopped_scan_from_the_unit_alone(monkeypatch):
+    """Over Z, after a minor scan stopped at a +-1 minor, _groebner hands
+    is_trivial_over_Z that minor alone, and the decision and the basis over
+    Q are those of the full list; on the 143 graphs at every index past
+    n - Z whose scan stops at a unit."""
+    handed = []
+    decide = criticalideals.is_trivial_over_Z
+    monkeypatch.setattr(criticalideals, "is_trivial_over_Z",
+                        lambda gens, *rest: handed.append(gens) or decide(gens, *rest))
+    stopped = 0
+    for g in enumerate_connected_graphs(6):
+        for i in range(g.n - zero_forcing_number(g).z + 1, g.n + 1):
+            gens = minor_generators(generalized_laplacian(g), i)
+            if gens.unit_minor is None:
+                continue
+            stopped += 1
+            basis, decision = criticalideals._groebner(gens, ZZ, DEGREVLEX, DEFAULT_CONFIG)
+            assert [p.terms for p in handed[-1]] == [{(0,) * g.n: gens.unit_minor[2]}]
+            full = decide(gens.generators)
+            assert decision == TrivialityDecision(full[0], "groebner",
+                                                  criticalideals._describe_z_cert(full[1]))
+            assert [p.terms for p in basis.generators] == [{(0,) * g.n: 1}]
+    assert stopped > 0

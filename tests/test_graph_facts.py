@@ -1,6 +1,6 @@
 """Facts kept on the graph object: the canonical form, the zero forcing
 result and gamma's facts (its certificate minor, probe-point bound, minor
-summaries, F_2 points and box minimum) are computed once per graph, and
+summaries, F_2 points and box scan) are computed once per graph, and
 are never served across labelings.  The probe bound is kept per scan
 prime, one entry shared by Z and Q."""
 
@@ -11,8 +11,8 @@ import pytest
 from corank import criticalideals, graphs, minrank, zeroforcing
 from corank.cache import DecisionCache
 from corank.config import RunConfig
-from corank.criticalideals import gamma
-from corank.enumeration import all_trees, enumerate_connected_graphs
+from corank.criticalideals import gamma, gamma_row, ideal_trivial
+from corank.enumeration import all_trees, enumerate_connected_graphs, enumerate_digraphs
 from corank.generators import cycle, octahedron, petersen
 from corank.graphs import Graph, canonical_form, relabel
 from corank.minrank import tree_suite
@@ -108,7 +108,7 @@ def test_the_sandwich_prefix_is_kept_once_per_graph_and_scan_prime(monkeypatch):
     # is gamma_Z's certificate at 3; the one 3-minor scan serves Q and F_3
     assert set(g._sandwich) == {"certificate", ("probe", None), ("probe", 3),
                                 ("f2-point", 3, RunConfig.modp_point_budget),
-                                ("box-min", 2), ("minors", 3)}
+                                ("box-scan", 2, RunConfig.gamma_box_budget), ("minors", 3)}
     monkeypatch.undo()
     assert [gamma(fresh(g), dom).to_json() for dom in domains] == kept
 
@@ -127,9 +127,25 @@ def test_one_search_and_at_most_one_labeling_per_bench_item(runs_per_graph):
     assert runs_per_graph(bench_item, items) == {(0, 1), (1, 1)}
 
 
-def test_one_search_and_at_most_one_labeling_per_tree_suite(runs_per_graph):
+def test_one_search_and_no_labeling_per_tree_suite(runs_per_graph):
+    # without a cache gamma_Q reads gamma_Z's box scan from the tree's facts
     trees = [fresh(t) for n in range(1, 9) for t in all_trees(n)]
-    assert runs_per_graph(tree_suite, trees) == {(0, 1), (1, 1)}
+    assert runs_per_graph(tree_suite, trees) == {(0, 1)}
+
+
+def cacheless_item(g):
+    for domain in (ZZ, QQ, GF(3)):
+        gamma(g, domain)
+    gamma_row(g)
+    for i in range(1, g.n + 1):
+        for domain in (ZZ, QQ, GF(3)):
+            ideal_trivial(g, i, domain)
+
+
+def test_no_labeling_without_a_cache(runs_per_graph):
+    graphs = [relabel(g, range(g.n)) for g in enumerate_connected_graphs(6)
+              + enumerate_digraphs(4)]
+    assert {labelings for labelings, _ in runs_per_graph(cacheless_item, graphs)} == {0}
 
 
 @pytest.mark.parametrize("make", [petersen, octahedron])
