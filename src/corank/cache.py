@@ -1,11 +1,15 @@
 """Decision cache keyed by canonical form, operation, domain and budgets.
 
-Budget fields are part of every key so changed budgets can never serve a
-stale decision.  The optional directory back-end stores one JSON file per
-entry.  Every process, including each ``--jobs`` worker, writes directly;
-writes are atomic (a temporary file, then a rename), so concurrent writers
-of the same entry are safe, and an entry that cannot be parsed, or that a
-caller's check rejects, is counted in ``corrupt`` and treated as a miss.
+The cache is a directory, ``--cache DIR``, holding one JSON file per entry;
+without one, corank runs with ``cache=None`` and gamma reads back only the
+facts kept on the graph.  Budget fields are part of every key so changed
+budgets can never serve a stale decision.  Every process, including each
+``--jobs`` worker, writes directly; writes are atomic (a temporary file,
+then a rename), so concurrent writers of the same entry are safe, and an
+entry that cannot be parsed, or that a caller's check rejects, is counted
+in ``corrupt`` and treated as a miss.  Entries put, or read and accepted,
+are also kept in memory, so gamma_Q reads gamma_Z's box-scan entry without
+reading its file again.
 """
 
 import hashlib
@@ -36,9 +40,9 @@ class DecisionCache:
     def get(self, key, check=None):
         """The value under key, or None on a miss.
 
-        A value this process put, or read and accepted before, comes from
-        memory and is not checked again.  A directory entry is read in one
-        call, the file's bytes handed to json.loads; a missing file is a
+        A value this cache put, or read and accepted before, comes from
+        memory and is not checked again.  Otherwise the entry's file is read
+        in one call, its bytes handed to json.loads; a missing file is a
         miss.  An entry that does not decode or parse, or that the predicate
         check rejects, is counted in corrupt and is a miss, so the caller
         recomputes it and its put overwrites the file.
@@ -60,10 +64,6 @@ class DecisionCache:
         self._mem[key] = value
         return value
 
-    def may_hit(self):
-        """Whether a get can hit: the cache has a directory or holds an entry."""
-        return bool(self._dir or self._mem)
-
     def put(self, key, value):
         self._mem[key] = value
         if self._dir:
@@ -75,6 +75,3 @@ class DecisionCache:
             except BaseException:
                 os.unlink(tmp)
                 raise
-
-    def __len__(self):
-        return len(self._mem)

@@ -70,8 +70,13 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _cache(directory):
+    """The --cache directory's DecisionCache, or None without one."""
+    return DecisionCache(directory) if directory else None
+
+
 def _graph_rows(rows, cache_dir, config, g):
-    return list(rows(g, config, DecisionCache(cache_dir)))
+    return list(rows(g, config, _cache(cache_dir)))
 
 
 def _process_pool(workers):
@@ -82,10 +87,11 @@ def _process_pool(workers):
 
 
 def _each_graph(args, rows):
-    """Run rows(g, config, cache) -> [row] over every input graph, each with
-    its own DecisionCache(args.cache), so that no row reads what another
-    input line left in memory; with --jobs N > 1 the graphs go to a process
-    pool.  Emit all rows in input order and return them."""
+    """Run rows(g, config, cache) -> [row] over every input graph; with
+    --cache DIR each graph gets its own DecisionCache(DIR), so that no row
+    reads what another input line left in memory, and without it the cache
+    is None.  With --jobs N > 1 the graphs go to a process pool.  Emit all
+    rows in input order and return them."""
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
@@ -201,17 +207,14 @@ def cmd_gb(args):
 
 
 def cmd_sweep(args):
-    config = _config_from_args(args)
-    cache = DecisionCache(args.cache)
-    result = SWEEPS[args.theorem](config=config, cache=cache)
+    result = SWEEPS[args.theorem](config=_config_from_args(args), cache=_cache(args.cache))
     _emit(args, render_json([result.to_json()]))
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
 def cmd_reproduce_appendix(args):
-    config = _config_from_args(args)
-    cache = DecisionCache(args.cache)
-    ok, rows, diffs = reproduce_gap_table(config=config, cache=cache)
+    ok, rows, diffs = reproduce_gap_table(config=_config_from_args(args),
+                                          cache=_cache(args.cache))
     payload = {
         "rows": [{"graph6": g6, "mz": m, "gamma_z": gz, "gamma_r": gq}
                  for g6, m, gz, gq in rows],

@@ -658,16 +658,13 @@ def _box_scan_fact(config):
 
 def _cached_box_scan(g, lower, config, cache):
     """The box scan's cached (rank, point), mapped back to g's labeling, or
-    None.  An empty in-memory cache is not asked, so g needs no canonical
-    form then.
+    None.
 
     An entry read from a directory is trusted only when it is [rank, point]
     with n integer coordinates and L(g, point) has exactly that rank, one
     elimination; any other entry is a counted corrupt miss.  Rank does not
     depend on the labeling, so the point is checked mapped back.
     """
-    if not cache.may_hit():
-        return None
     form = canonical_form(g)
     inv = _inverse(form.perm)
 
@@ -887,8 +884,8 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
 def gamma_row(g, config=DEFAULT_CONFIG, cache=None):
     """A graph's row of the paper's comparison: Z, mz = n - Z, and the
     GammaResults over Z and Q, both through the cache if one is given (none
-    by default), so gamma_Q reads gamma_Z's box scan: from the cache when
-    there is one, else from g's facts."""
+    by default), so gamma_Q reads gamma_Z's box scan: from the entry gamma_Z
+    put when there is a cache, else from g's facts."""
     z = zero_forcing_number(g).z
     return {"graph": g, "z": z, "mz": g.n - z,
             "gamma_z": gamma(g, ZZ, config, cache), "gamma_q": gamma(g, QQ, config, cache)}

@@ -3,7 +3,6 @@
 import json
 import time
 
-from .cache import DecisionCache
 from .classify import classify_digraph1, is_complete_graph
 from .config import DEFAULT_CONFIG
 from .criticalideals import gamma
@@ -37,7 +36,6 @@ def build_parameter_report(g, config=DEFAULT_CONFIG, cache=None,
     Wall-clock timings are omitted unless requested so that reports stay
     byte-identical across runs and parallelism widths.
     """
-    cache = cache if cache is not None else DecisionCache()
     t0 = time.monotonic()
     directed = isinstance(g, Digraph)
     zf = zero_forcing_number(g)

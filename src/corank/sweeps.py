@@ -9,7 +9,6 @@ import random
 from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations
 
-from .cache import DecisionCache
 from .classify import classify_digraph1, classify_rank1_graph
 from .config import DEFAULT_CONFIG
 from .criticalideals import (box_points, gamma, gamma_row, generalized_laplacian,
@@ -48,7 +47,7 @@ class SweepResult:
 def compute_gamma_table(graphs, config=DEFAULT_CONFIG, cache=None):
     """The gamma_row of every graph, keyed canonically; the first labeling
     of a graph is kept, so no two rows share a cache entry, and without a
-    cache each row runs with none."""
+    cache (a run without --cache) each row runs with none."""
     table = {}
     for g in graphs:
         key = canonical_graph6(g)
@@ -107,7 +106,6 @@ def sweep_thm21(config=DEFAULT_CONFIG, cache=None, table=None):
 
 def sweep_monotone(config=DEFAULT_CONFIG, cache=None):
     """mz and gamma are monotone under induced subgraphs (200 seeded pairs)."""
-    cache = cache if cache is not None else DecisionCache()
     rng = random.Random(20250810)
     failures = []
     pairs = 0
@@ -185,7 +183,6 @@ def _scan_position(point, n, radius):
 
 def sweep_petersen(config=DEFAULT_CONFIG, cache=None):
     """Z = 5, rank L(ones) = 5, and gamma closed by the sandwich alone."""
-    cache = cache if cache is not None else DecisionCache()
     g = petersen()
     failures = []
     zf = zero_forcing_number(g)
@@ -208,7 +205,6 @@ def sweep_linegraphs(config=DEFAULT_CONFIG, cache=None):
     """Line graphs of trees close mz = critical minimum rank over Z within
     box radius <= 3 (larger radii logged, never failed, unless exhaustive
     evidence contradicts the equality)."""
-    cache = cache if cache is not None else DecisionCache()
     failures = []
     notes = []
     for n in range(4, 7):

@@ -5,16 +5,19 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from corank import cli, graphs
+from corank.cache import DecisionCache
 from corank.cli import build_parser, main
 from corank.config import RunConfig
+from corank.enumeration import all_trees, enumerate_connected_graphs
 from corank.formats import write_graph6
-from corank.generators import cycle, graph_a, graph_b, octahedron, path, star
+from corank.generators import NAMED_GRAPHS, cycle, graph_a, graph_b, octahedron, path, star
 
 
 def run(capsys, *argv):
@@ -448,6 +451,50 @@ def test_cache_correctness_sample(tmp_path, capsys):
     code_none, out_none = run(capsys, "gamma", str(src))
     assert code_cold == code_warm == code_none == 0
     assert out_cold == out_warm == out_none
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Counts of the DecisionCaches and canonical labelings a run makes."""
+    counts = Counter()
+    init, order = DecisionCache.__init__, graphs._canonical_order
+
+    def counted_init(self, *args, **kwargs):
+        counts["caches"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_order(*args):
+        counts["labelings"] += 1
+        return order(*args)
+
+    monkeypatch.setattr(DecisionCache, "__init__", counted_init)
+    monkeypatch.setattr(graphs, "_canonical_order", counted_order)
+    return counts
+
+
+TREES = "".join(write_graph6(t) + "\n" for n in range(1, 8) for t in all_trees(n))
+CACHELESS_RUNS = [("trees", TREES), *((command, "\n".join(RELABELED)) for command in
+                                      ("gamma", "mrcr", "classify")),
+                  ("params", "--jobs", "1", "\n".join(RELABELED)),
+                  ("sweep", "thm-trees"), ("reproduce-appendix",)]
+
+
+@pytest.mark.parametrize("cache", [(), ("--cache", "")], ids=["no-cache", "empty-cache"])
+@pytest.mark.parametrize("argv", CACHELESS_RUNS,
+                         ids=lambda argv: " ".join(a for a in argv if "\n" not in a))
+def test_a_run_without_a_cache_directory_makes_no_cache(capsys, made, argv, cache):
+    code, _ = run(capsys, argv[0], *cache, *argv[1:])
+    assert code == 0 and made["caches"] == 0
+    if argv[0] == "trees":  # tree rows carry no graph_id, so nothing labels a tree
+        assert made["labelings"] == 0
+
+
+def test_a_cache_directory_gets_one_cache_per_graph_and_its_entries(capsys, made, tmp_path):
+    catalog = [make() for make in NAMED_GRAPHS.values()] + enumerate_connected_graphs(5)
+    code, _ = run(capsys, "gamma", "--cache", str(tmp_path),
+                  "".join(write_graph6(g) + "\n" for g in catalog))
+    assert code == 0 and made["caches"] == len(catalog)
+    assert list(tmp_path.glob("*.json"))
 
 
 def test_long_inline_input_is_read_as_graph_data(capsys):

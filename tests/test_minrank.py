@@ -36,10 +36,10 @@ def test_mr_small_bounds_only_beyond_seven():
         res.value
 
 
-def test_mr_small_decides_gamma_through_the_given_cache():
-    g, cache = complete_multipartite([3, 3, 3]), DecisionCache()
+def test_mr_small_decides_gamma_through_the_given_cache(tmp_path):
+    g, cache = complete_multipartite([3, 3, 3]), DecisionCache(tmp_path)
     res = mr_small(g, cache=cache)
-    assert len(cache) > 0  # the gamma over Q behind the upper bound
+    assert list(tmp_path.glob("*.json"))  # the gamma over Q behind the upper bound
     assert res == mr_small(g) and (res.lower, res.upper) == (2, 3)
 
 
