@@ -33,6 +33,15 @@ to the unit, and a seed of degree > degree_cap raises BudgetExceeded before
 the constant is reached; every i-minor has degree <= i, so the rule applies
 there only when i <= degree_cap.
 
+At i = n it reads the principal rule: I_n is generated by det L alone, the
+critical polynomial (Corrales and Valencia, On the critical ideals of
+graphs, LAA 2013).  Its term x_0...x_{n-1} has coefficient 1 and every
+other term's monomial divides it, so it leads in every monomial order; the
+reduced basis of a principal ideal is its monic generator, so the basis is
+{det}, and det is not constant, so 1 is not in I_n over any domain.  The
+scan route's Buchberger run raises BudgetExceeded on the seed det of
+degree n > degree_cap, so the rule applies only when n <= degree_cap.
+
 After a full scan with no +-1 minor, _groebner hands Buchberger only the
 generators that the alien-cofactor identity (Bruns and Vetter,
 Determinantal Rings, LNM 1327, 1988) does not write through others.  For
@@ -173,7 +182,7 @@ class MinorGenerators:
     constant_minors: list      # (rows, cols, value), nonzero constants
     matrix: SymbolicMatrix     # holds every scanned minor in its memo
     size: int
-    classes: dict              # _sign_key of a minor -> index in masks
+    classes: dict              # (rows, cols) of each nonzero scanned minor -> index in masks
 
     @cached_property
     def generators(self):
@@ -187,10 +196,8 @@ class MinorGenerators:
         order; the list as it is when the scan stopped at a +-1 minor."""
         if self.unit_minor is not None:
             return self.generators
-        memo = self.matrix._minor_memo
         order, drops = _alien_cofactor_drops(self)
-        keep = {self.classes[_sign_key(memo[rc])]
-                for k, rc in enumerate(order) if k not in drops}
+        keep = {self.classes[rc] for k, rc in enumerate(order) if k not in drops}
         return [self.matrix.minor(*self.masks[k]) for k in sorted(keep)]
 
 
@@ -209,7 +216,9 @@ def minor_generators(matrix: SymbolicMatrix, size: int) -> MinorGenerators:
 
     Minors come as the matrix's multiaffine bitmask dicts; a minor is kept,
     as its (row bitmask, column bitmask) and with the sign it was found
-    with, when neither it nor its negative was kept before.  Generation
+    with, when neither it nor its negative was kept before.  Each nonzero
+    minor is classified once, by _sign_key, and classes maps its pair to
+    the index of its class's kept minor, in scan order.  Generation
     stops as soon as a +-1 constant minor is kept: it makes the ideal
     trivial over every ring, so the minors after it change no basis and no
     decision.
@@ -223,7 +232,8 @@ def minor_generators(matrix: SymbolicMatrix, size: int) -> MinorGenerators:
     if not 0 <= size <= n:
         raise ValueError(f"minor size {size} out of range for n={n}")
     masks = []
-    seen = {}
+    seen = {}       # _sign_key of a kept minor -> its index in masks
+    classes = {}
     unit = None
     constants = []
     subsets = list(zip(combinations(range(n), size), _subset_masks(n, size)))
@@ -237,14 +247,13 @@ def minor_generators(matrix: SymbolicMatrix, size: int) -> MinorGenerators:
                 constants.append((rows, cols, c))
                 if unit is None and c in (1, -1):
                     unit = (rows, cols, c)
-            key = _sign_key(d)
-            if key in seen:
+            cls = classes[rmask, cmask] = seen.setdefault(_sign_key(d), len(masks))
+            if cls < len(masks):
                 continue
-            seen[key] = len(masks)
             masks.append((rmask, cmask))
             if unit is not None:
-                return MinorGenerators(masks, unit, constants, matrix, size, seen)
-    return MinorGenerators(masks, unit, constants, matrix, size, seen)
+                return MinorGenerators(masks, unit, constants, matrix, size, classes)
+    return MinorGenerators(masks, unit, constants, matrix, size, classes)
 
 
 def _subset_masks(n, size):
@@ -254,9 +263,10 @@ def _subset_masks(n, size):
 
 def _alien_cofactor_drops(gens):
     """(order, drops): the nonzero minors of a full scan as (row bitmask,
-    column bitmask), by term count and then scan position; and for the
-    position in order of each minor that an alien-cofactor relation writes
-    through earlier minors, that relation (R, C, r0, c, transposed).
+    column bitmask), the keys of gens.classes, by term count and then scan
+    position; and for the position in order of each minor that an
+    alien-cofactor relation writes through earlier minors, that relation
+    (R, C, r0, c, transposed).
 
     The relation is the module docstring's: M(R - r0, C), through the
     M(R - r, C) with r = c or an arc r -> c, dropped when each of those is
@@ -266,10 +276,7 @@ def _alien_cofactor_drops(gens):
     position there covers both orientations.
     """
     matrix, memo = gens.matrix, gens.matrix._minor_memo
-    masks = _subset_masks(matrix.n, gens.size)
-    order = sorted(((r, c) for k, r in enumerate(masks)
-                    for c in (masks[k:] if matrix.symmetric else masks) if memo[r, c]),
-                   key=lambda rc: len(memo[rc]))
+    order = sorted(gens.classes, key=lambda rc: len(memo[rc]))
     pos = {rc: k for k, rc in enumerate(order)}
     if matrix.symmetric:
         pos.update({(c, r): k for (r, c), k in list(pos.items())})
@@ -899,17 +906,32 @@ def groebner_basis_of_critical_ideal(g, i, domain=QQ, order=DEGREVLEX,
     the exact Z-triviality decision (see _groebner).  True basis computation
     over Z is out of scope by design.
 
-    For 1 <= i <= n - Z, over Z, and over a field when i <= degree_cap, the
-    zero forcing certificate has a +-1 i-minor (the module docstring's
-    certificate rule), so the answer is the one that minor gives on the
-    scan route: the basis {1} (over Q for Z) and, over Z, the decision
-    "denominator-cleared constant 1", with no minor scan.
+    Two rules answer with no minor scan and no Buchberger run, each with
+    what the scan route gives:
+    - for 1 <= i <= n - Z, over Z, and over a field when i <= degree_cap,
+      the zero forcing certificate has a +-1 i-minor (the module
+      docstring's certificate rule): the basis {1} (over Q for Z) and,
+      over Z, the decision "denominator-cleared constant 1";
+    - for i = n <= degree_cap, the principal rule: I_n is generated by det L
+      alone, whose term x_0...x_{n-1} has coefficient 1 and is divisible by
+      every other term's monomial, so it leads in every monomial order and
+      det is monic; the reduced basis of a principal ideal is its monic
+      generator, so the basis is {det} (over Q for Z) and, over Z, det is
+      not constant, so the decision is "non-trivial over Q".  Past
+      degree_cap the scan route raises BudgetExceeded on det's degree n.
     """
     over_z = check_domain(domain) is ZZ
-    if 1 <= i <= g.n - zero_forcing_number(g).z and (over_z or i <= config.degree_cap):
-        one = Polynomial.constant(g.n, QQ if over_z else domain, 1)
+    n = g.n
+    if 1 <= i <= n - zero_forcing_number(g).z and (over_z or i <= config.degree_cap):
+        one = Polynomial.constant(n, QQ if over_z else domain, 1)
         basis = IdealBasis([one], one.domain, order, is_groebner=True)
         decision = TrivialityDecision(True, "groebner", _describe_z_cert(("denominator", 1)))
+    elif 1 <= i == n <= config.degree_cap:
+        full = (1 << n) - 1
+        det = generalized_laplacian(g).minor(full, full).to_domain(QQ if over_z else domain)
+        basis = IdealBasis([det], det.domain, order, is_groebner=True)
+        decision = TrivialityDecision(False, "groebner",
+                                      _describe_z_cert(("rational-basis", basis)))
     else:
         basis, decision = _groebner(minor_generators(generalized_laplacian(g), i), domain,
                                     order, config)

@@ -260,6 +260,8 @@ class _Packing:
     def __init__(self, nvars, order, width):
         self.bits = bits = width - 1
         self.vmax = (1 << bits) - 1
+        self.fold = (1 << width) - 1
+        self._unpacked = {}     # packed monomial -> exponent tuple, for this run
         self.shifts, self.deg_shift, self.weights, self.flip = _fields(nvars, order, width)
         # the seed order sorts terms in degrevlex whatever the run's order:
         # the weights and flip of that sort at this width
@@ -282,20 +284,27 @@ class _Packing:
         return sum(map(operator.mul, mono, self.key_weights)) ^ self.key_flip
 
     def unpack(self, m):
-        vmax = self.vmax
-        return tuple(m >> s & vmax for s in self.shifts)
+        mono = self._unpacked.get(m)
+        if mono is None:
+            vmax = self.vmax
+            mono = self._unpacked[m] = tuple(m >> s & vmax for s in self.shifts)
+        return mono
 
     def degree(self, m):
         return m >> self.deg_shift & self.vmax
 
     def lcm(self, a, b):
+        """The packed lcm of two packed monomials.  Its degree is the sum of
+        its variable fields, read as e mod 2^width - 1, since 2^width is 1
+        there: exact, because it is at most deg a + deg b <= 2 vmax =
+        2^width - 2."""
         guard = self.var_guard
         a &= self.vals
         b &= self.vals
         ge = ((a | guard) - b) & guard      # guard bits of the fields where a >= b
         mask = ge - (ge >> self.bits)       # the value bits of those fields
         e = a & mask | b & ~mask
-        d = sum(self.unpack(e))
+        d = e % self.fold
         if d > self.vmax:
             raise _Overflow
         return e | d << self.deg_shift

@@ -21,7 +21,10 @@ and fp:3 in lex, grlex and degrevlex on four graphs, and on the same graphs
 over z, q and fp:3 ``gb --index 1|2``, ``gb --index 2 --budget-degree 1``,
 ``gb --index 3 --budget-degree 2`` and ``gb --index n`` for each graph's
 own n; ``gb --digraph --index 1|2|3``
-over z, q and fp:3 on two digraphs with n = 4; the nine sweeps;
+over z, q and fp:3 on two digraphs with n = 4; the principal rule at
+i = n: ``gb --digraph --index 4`` over z, q and fp:3 in lex and grlex on
+the second of those digraphs, and ``gb --index 6 --budget-degree 5`` over
+z, q and fp:3 on graph-a, past the rule's degree cap; the nine sweeps;
 ``zf`` on E_12, K_{6,6} and G(12, 1/2) drawn with seed 5, at the top of
 the exact zero forcing tier.  Then the runs over ``--cache`` directories,
 each in a fresh temporary directory: ``reproduce-appendix`` twice over one
@@ -113,6 +116,14 @@ def runs():
         for index in ("1", "2", "3"):
             for domain in ("z", "q", "fp:3"):
                 yield ["gb", "--digraph", "--index", index, "--domain", domain, arcs]
+    # the principal rule at i = n in the orders the loops above leave out, and
+    # the scan route past its degree cap, which stops at det's degree n
+    for domain in ("z", "q", "fp:3"):
+        for order in ("lex", "grlex"):
+            yield ["gb", "--digraph", "--index", "4", "--domain", domain, "--order", order,
+                   GB_DIGRAPHS[1]]
+        yield ["gb", "--index", "6", "--budget-degree", "5", "--domain", domain,
+               write_graph6(graph_a())]
     for name in SWEEPS:
         yield ["sweep", name]
     for g in EXACT_TOP:

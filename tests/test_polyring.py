@@ -482,6 +482,44 @@ def test_packed_arithmetic_agrees_with_exponent_tuples(case):
     assert (pa == pb) == (a == b)
 
 
+@st.composite
+def lcm_cases(draw):
+    """A packing at the narrowest width that holds a drawn degree (the
+    width a run starts at) or at twice it (the width of its restart), and
+    two exponent vectors of degree at most the field maximum."""
+    order = draw(st.sampled_from([LEX, GRLEX, DEGREVLEX]))
+    nvars = draw(st.integers(1, 12))
+    degree = draw(st.integers(1, 60))
+    width = (degree.bit_length() + 1) * draw(st.sampled_from([1, 2]))
+    pk = polyring._Packing(nvars, order, width)
+
+    def monomial():
+        exps = draw(st.lists(st.integers(0, pk.vmax), min_size=nvars, max_size=nvars))
+        while sum(exps) > pk.vmax:
+            exps[exps.index(max(exps))] //= 2
+        return tuple(exps)
+    return pk, monomial(), monomial()
+
+
+@settings(max_examples=400, deadline=None)
+@given(lcm_cases())
+def test_lcm_folds_its_degree_exactly_and_overflows_only_past_the_field(case):
+    """lcm reads the sum of its variable fields e as e mod 2^width - 1.
+    That is exact for every lcm of two packed monomials, overflowing ones
+    included, and lcm raises _Overflow exactly when that sum passes vmax,
+    as summing the unpacked fields did."""
+    pk, a, b = case
+    lcm = mono_lcm(a, b)
+    e = sum(x << s for x, s in zip(lcm, pk.shifts))   # the variable fields alone
+    assert e % pk.fold == sum(pk.unpack(e)) == sum(lcm)
+    if sum(lcm) > pk.vmax:
+        with pytest.raises(polyring._Overflow):
+            pk.lcm(pk.pack(a), pk.pack(b))
+    else:
+        packed = pk.lcm(pk.pack(a), pk.pack(b))
+        assert packed == pk.pack(lcm) and pk.degree(packed) == sum(pk.unpack(packed))
+
+
 @pytest.fixture
 def packing_widths(monkeypatch):
     """The field width of every packed layout made while the test runs."""
