@@ -23,6 +23,11 @@ import tempfile
 # are never read.
 SCHEMA = 3
 
+# Names every file and writes every entry: the bytes of
+# json.dumps(..., sort_keys=True), from one encoder rather than a new one
+# per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 class DecisionCache:
     def __init__(self, directory=None):
@@ -34,8 +39,7 @@ class DecisionCache:
 
     @staticmethod
     def _filename(key):
-        blob = json.dumps([SCHEMA, key], sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest() + ".json"
+        return hashlib.sha256(_encode([SCHEMA, key]).encode()).hexdigest() + ".json"
 
     def get(self, key, check=None):
         """The value under key, or None on a miss.
@@ -70,7 +74,7 @@ class DecisionCache:
             fd, tmp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    fh.write(json.dumps(value, sort_keys=True))
+                    fh.write(_encode(value))
                 os.replace(tmp, os.path.join(self._dir, self._filename(key)))
             except BaseException:
                 os.unlink(tmp)

@@ -80,7 +80,7 @@ from math import comb
 
 from .config import DEFAULT_CONFIG
 from .graphs import canonical_form
-from .linalg import exact_rank, rank_scan
+from .linalg import integer_rank, rank_scan
 from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, IdealBasis, Polynomial,
                        buchberger, check_domain, is_trivial_over_Z)
 from .zeroforcing import certificate_minor, zero_forcing_number
@@ -668,21 +668,29 @@ def _cached_box_scan(g, lower, config, cache):
     None.
 
     An entry read from a directory is trusted only when it is [rank, point]
-    with n integer coordinates and L(g, point) has exactly that rank, one
-    elimination; any other entry is a counted corrupt miss.  Rank does not
-    depend on the labeling, so the point is checked mapped back.
+    with n integer coordinates, the point is one the scan could have
+    returned (a probe point of g, or a point of the box {-r..r}^n, r the
+    key's box radius), and L(g, point) has exactly that rank: one Bareiss
+    elimination of the integer rows built for the check.  Any other entry
+    is a counted corrupt miss, so a point from outside the scan is never
+    served as the upper witness, nor ranked at big-integer cost.  Rank and
+    the probe points follow any relabeling, so the point is checked mapped
+    back.
     """
     form = canonical_form(g)
     inv = _inverse(form.perm)
+    r = config.box_radius
 
     def holds(entry):
         if not (isinstance(entry, list) and len(entry) == 2):
             return False
         rank, pt = entry
-        return (type(rank) is int and isinstance(pt, list) and len(pt) == g.n
-                and all(type(x) is int for x in pt)
-                and exact_rank(_laplacian_rows(g.out_adj, _relabel_point(pt, inv))).rank
-                == rank)
+        if not (type(rank) is int and isinstance(pt, list) and len(pt) == g.n
+                and all(type(x) is int for x in pt)):
+            return False
+        pt = _relabel_point(pt, inv)
+        return ((all(-r <= x <= r for x in pt) or pt in _probe_points(g))
+                and integer_rank(_laplacian_rows(g.out_adj, pt)) == rank)
 
     hit = cache.get(_box_scan_key(form, lower, config), holds)
     return None if hit is None else (hit[0], _relabel_point(hit[1], inv))
@@ -737,13 +745,10 @@ def _budgeted_box_scan(g, lower, upper, upper_point, domain, config, cache):
 
 
 def _probe_points(g):
-    """The distinct probe diagonals, each as a one-point block."""
+    """The distinct probe diagonals, in scan order."""
     n = g.n
-    pts = [(0,) * n, (1,) * n, (-1,) * n]
-    deg = [a.bit_count() for a in g.out_adj]
-    pts.append(tuple(deg))
-    pts.append(tuple(-d for d in deg))
-    return [(tuple(zip(p)), None) for p in dict.fromkeys(pts)]
+    deg = tuple(a.bit_count() for a in g.out_adj)
+    return list(dict.fromkeys([(0,) * n, (1,) * n, (-1,) * n, deg, tuple(-d for d in deg)]))
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +791,8 @@ def _probe(g, lower, domain, facts):
     dict facts (gamma passes g's)."""
     key = ("probe", domain.p)
     if key not in facts:
-        facts[key] = min_rank_scan(g, _probe_points(g), domain, lower, g.n, None)[:2]
+        blocks = [(tuple(zip(p)), None) for p in _probe_points(g)]  # one-point blocks
+        facts[key] = min_rank_scan(g, blocks, domain, lower, g.n, None)[:2]
     return facts[key]
 
 

@@ -3,8 +3,12 @@
 Rational input is scaled row-wise to integers.  Every rank, of one matrix
 or of a scan's points, comes from ``_eliminate``: fraction-free Bareiss
 elimination over Q (Bareiss 1968: bit-exact, with division-free growth
-control), plain elimination over F_p.  ``det_exact`` is a separate
-Bareiss loop, kept as an independent check of that kernel.
+control), plain elimination over F_p.  One matrix enters it through
+``integer_rank``, which takes integer rows as they are: ``exact_rank``
+and ``rank_mod_p`` convert theirs first, and a caller that builds its own
+integer rows (a cache entry's check) hands them over without a copy.
+``det_exact`` is a separate Bareiss loop, kept as an independent check of
+that kernel.
 
 Evaluation scans (the least rank of one integer matrix over many
 diagonals) go through ``rank_scan``: a depth-first walk over lex product
@@ -46,22 +50,26 @@ class RankComputation:
 
 def exact_rank(rows) -> RankComputation:
     """Rank of a rational matrix."""
-    return RankComputation(_rank(_to_integer_rows(rows)[0], None))
+    return RankComputation(integer_rank(_to_integer_rows(rows)[0]))
 
 
 def rank_mod_p(rows, p) -> int:
     """Rank over the prime field F_p of a rational matrix, each entry taken
     as numerator / denominator mod p; an entry whose denominator p divides
     is a ValueError."""
-    return _rank([[c.numerator * pow(c.denominator, -1, p) % p for c in row]
-                  for row in rows], p)
+    return integer_rank([[c.numerator * pow(c.denominator, -1, p) % p for c in row]
+                         for row in rows], p)
 
 
-def _rank(m, p):
-    """Rank of the integer matrix m (entries reduced mod p when p is given):
-    _eliminate on m padded square with zero rows or columns."""
-    k = max(len(m), max(map(len, m), default=0))
-    m = [row + [0] * (k - len(row)) for row in m] + [[0] * k for _ in range(k - len(m))]
+def integer_rank(m, p=None):
+    """Rank of the integer matrix m over Q, or over F_p when p is given (its
+    entries then reduced mod p): _eliminate on m itself, which it
+    overwrites, when m is square, else on a copy padded square with zero
+    rows or columns."""
+    k = len(m)
+    if any(len(row) != k for row in m):
+        k = max(k, *map(len, m))
+        m = [row + [0] * (k - len(row)) for row in m] + [[0] * k for _ in range(k - len(m))]
     return _eliminate(m, 0, 1, p, k)[0]
 
 

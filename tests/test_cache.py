@@ -20,6 +20,7 @@ from corank.generators import octahedron
 from corank.graphs import canonical_form, relabel
 from corank.linalg import exact_rank, rank_mod_p
 from corank.polyring import QQ, ZZ
+from test_scan import _count_eliminations
 
 
 def _check_certificate(h, i, domain, dec):
@@ -143,6 +144,32 @@ def _box_entry(g, tmp_path):
     return tmp_path / DecisionCache._filename(key)
 
 
+# The octahedron's box-scan key and its ideal_trivial key at i = 3 over Z,
+# with the file name and the bytes of one entry under each, as written by
+# the encoder json.dumps(..., sort_keys=True).  An encoder that re-keyed or
+# rewrote an existing directory would fail here.
+PINNED_ENTRIES = [
+    (("gamma-box-scan", "470006000401000004010000040103000401060004010f0004011e", 2, 2, 20000),
+     "906d9110aca6789cef5a966fce5fd065b17cfd8b65b0cd6e6858ca7aa83ff40e.json",
+     [3, [0, 0, 0, 0, 0, 0]], b"[3, [0, 0, 0, 0, 0, 0]]"),
+    (("ideal_trivial", "470006000401000004010000040103000401060004010f0004011e", 3, "Z",
+      "fb546a3e713c0e18"),
+     "e29c29f688752793ea5d342c24ae54496e47a6c4a4ac91cb6580f25239090d04.json",
+     {"trivial": False, "method": "point-certificate", "detail": [2, [0, 0, 0, 0, 0, 0]]},
+     b'{"detail": [2, [0, 0, 0, 0, 0, 0]], "method": "point-certificate", "trivial": false}'),
+]
+
+
+def test_file_names_and_entry_bytes_are_pinned(tmp_path):
+    cache = DecisionCache(tmp_path)
+    for key, name, value, data in PINNED_ENTRIES:
+        assert DecisionCache._filename(key) == name
+        cache.put(key, value)
+        assert (tmp_path / name).read_bytes() == data
+        assert DecisionCache(tmp_path).get(key) == value
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(e[1] for e in PINNED_ENTRIES)
+
+
 def test_the_probe_follows_every_relabeling():
     """The probe's (rank, point) in a relabeling is the relabeled probe
     result, so the filler's probe point of a box-scan entry maps back to
@@ -189,23 +216,42 @@ def test_a_directory_hit_runs_no_probe_and_one_check(tmp_path, monkeypatch):
     perm = [5, 3, 0, 1, 4, 2]
     want = [gamma(relabel(g, perm), dom).to_json() for dom in (ZZ, QQ)]
     runs = {"probe": 0, "check": 0}
-    scan, rank = criticalideals.min_rank_scan, criticalideals.exact_rank
+    scan, rank = criticalideals.min_rank_scan, criticalideals.integer_rank
 
     def counted_scan(g, blocks, domain, lower, upper, upper_point, budget=None):
         runs["probe"] += budget is None  # the probe scan is gamma's only unbudgeted scan
         return scan(g, blocks, domain, lower, upper, upper_point, budget)
 
-    def counted_rank(rows):
+    def counted_rank(m, p=None):
         runs["check"] += 1
-        return rank(rows)
+        return rank(m, p)
 
     monkeypatch.setattr(criticalideals, "min_rank_scan", counted_scan)
-    monkeypatch.setattr(criticalideals, "exact_rank", counted_rank)
+    monkeypatch.setattr(criticalideals, "integer_rank", counted_rank)
     h = relabel(g, perm)  # a fresh object, with no probe bound kept
     cache = DecisionCache(tmp_path)
     # the Q call reads the entry the Z call accepted from memory, unchecked
     assert [gamma(h, dom, cache=cache).to_json() for dom in (ZZ, QQ)] == want
     assert runs == {"probe": 0, "check": 1} and cache.corrupt == 0
+
+
+def test_a_box_scan_entry_read_from_a_directory_costs_one_elimination(tmp_path, monkeypatch):
+    """Over a directory filled by the 143 graphs, gamma_row of a fresh
+    object of each graph whose probe left a gap eliminates exactly once:
+    the check of the box-scan entry that gamma_Z reads, which gamma_Q then
+    reads from memory."""
+    graphs = enumerate_connected_graphs(6)
+    for g in graphs:
+        gamma_row(g, cache=DecisionCache(tmp_path))
+    read = 0
+    for g in graphs:
+        if not _box_entry(g, tmp_path).exists():
+            continue
+        h, cache = relabel(g, range(g.n)), DecisionCache(tmp_path)
+        assert _count_eliminations(monkeypatch, lambda: gamma_row(h, cache=cache)) == 1, g
+        assert cache.corrupt == 0
+        read += 1
+    assert read > 0
 
 
 class CountingCache(DecisionCache):
@@ -275,6 +321,43 @@ def test_a_tampered_box_scan_entry_is_a_counted_miss(tmp_path, capsys, entry):
     path.write_text(json.dumps(entry))
     cache = DecisionCache(tmp_path)
     assert gamma(octahedron(), QQ, cache=cache).value == 3 and cache.corrupt == 1
+
+
+def test_a_box_scan_entry_outside_the_box_and_the_probe_is_a_counted_miss(tmp_path, capsys):
+    """An entry at its point's true rank is still corrupt when no scan could
+    have returned that point: one coordinate past the box radius, and huge.
+    The report stays the cold one and the file is rewritten.  A probe point
+    outside the box (the octahedron is 4-regular, the box radius 2) is one
+    the scan returns, so an entry there is served, at its own rank."""
+    g = octahedron()
+    g6 = write_graph6(g)
+    assert main(["gamma", "--domain", "q", g6]) == 0
+    cold = capsys.readouterr().out
+    assert main(["gamma", "--domain", "q", "--cache", str(tmp_path), g6]) == 0
+    capsys.readouterr()
+    path = _box_entry(g, tmp_path)
+    good = path.read_bytes()
+    inv = criticalideals._inverse(canonical_form(g).perm)
+    far = [10 ** 30] + [0] * 5  # in the canonical labeling, as the entry holds it
+    rank = exact_rank(generalized_laplacian(g).evaluate(
+        criticalideals._relabel_point(far, inv))).rank
+    path.write_text(json.dumps([rank, far]))
+    assert main(["gamma", "--domain", "q", "--cache", str(tmp_path), g6]) == 0
+    assert capsys.readouterr().out == cold
+    assert path.read_bytes() == good
+    path.write_text(json.dumps([rank, far]))
+    cache = DecisionCache(tmp_path)
+    assert gamma(g, QQ, cache=cache).to_json() == gamma(octahedron(), QQ).to_json()
+    assert cache.corrupt == 1
+
+    degrees = [4] * 6
+    assert max(degrees) > DEFAULT_CONFIG.box_radius
+    rank = exact_rank(generalized_laplacian(g).evaluate(degrees)).rank
+    path.write_text(json.dumps([rank, degrees]))
+    cache = DecisionCache(tmp_path)
+    warm = gamma(g, QQ, cache=cache)
+    assert cache.corrupt == 0
+    assert warm.upper_witness == {"point": degrees, "rank": rank} and warm.value == 3
 
 
 def test_a_box_scan_entry_at_a_point_of_another_rank_is_a_counted_miss(tmp_path):

@@ -5,16 +5,21 @@
 kernel.  The checks here do not: they hold every rank against the minor
 definition, with ``det_exact`` (a separate Bareiss loop) as the oracle.
 ``exact_rank`` returns the rank alone; the pivot witness it used to carry,
-and the test of that witness, are gone.
+and the test of that witness, are gone.  ``integer_rank``, the one entry
+from integer rows into that kernel, is property-tested against
+``exact_rank``, ``rank_mod_p`` and ``det_exact``.
 """
 
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corank.linalg import det_exact, exact_rank, rank_mod_p
+from corank import linalg
+from corank.linalg import det_exact, exact_rank, integer_rank, rank_mod_p
 
 
 def _minor_rank(rows, p=None):
@@ -99,3 +104,72 @@ def test_rank_mod_p_takes_fractions_as_inverses():
     assert rank_mod_p([[Fraction(3, 2), 1], [1, Fraction(2, 3)]], 5) == 1
     with pytest.raises(ValueError):
         rank_mod_p([[1, Fraction(1, 3)]], 3)
+
+
+@st.composite
+def integer_matrices(draw, ragged=False):
+    """Integer rows, 0..6 of them: square, or (ragged) with 0..7 entries
+    each.  A row is often an earlier row of its width plus a multiple of
+    another, so many square ones are singular."""
+    n = draw(st.integers(1 if ragged else 0, 6))
+    widths = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)) if ragged else [n] * n
+    rows = []
+    for w in widths:
+        same = [row for row in rows if len(row) == w]
+        if same and draw(st.booleans()):
+            a, b = draw(st.sampled_from(same)), draw(st.sampled_from(same))
+            c = draw(st.integers(-3, 3))
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(st.integers(-9, 9), min_size=w, max_size=w)))
+    return rows
+
+
+def _rank_and_input(m, p=None):
+    """integer_rank(m, p), and the matrices it handed to _eliminate."""
+    seen, eliminate = [], linalg._eliminate
+
+    def spy(matrix, *args):
+        seen.append(matrix)
+        return eliminate(matrix, *args)
+
+    linalg._eliminate = spy
+    try:
+        return integer_rank(m, p), seen
+    finally:
+        linalg._eliminate = eliminate
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices(), st.lists(st.integers(1, 6), min_size=6, max_size=6))
+def test_integer_rank_eliminates_square_rows_in_place(rows, denominators):
+    """On square rows the entry eliminates the rows themselves, with no
+    copy.  Its rank is exact_rank's of the same rows as Fractions (each row
+    also divided by a denominator), rank_mod_p never exceeds it, and it is
+    full exactly when det_exact is nonzero."""
+    fractions = [[Fraction(x, d) for x in row] for row, d in zip(rows, denominators)]
+    before = copy.deepcopy(fractions)
+    rank = exact_rank(fractions).rank
+    assert fractions == before  # exact_rank leaves its caller's rows as they were
+    assert (rank == len(rows)) == (det_exact(fractions) != 0)
+    for p in (2, 3, 5):
+        reduced = [[x % p for x in row] for row in rows]
+        assert integer_rank(reduced, p) == rank_mod_p(rows, p) <= integer_rank(copy.deepcopy(rows))
+    got, seen = _rank_and_input(rows)
+    assert got == rank and len(seen) == 1 and seen[0] is rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices(ragged=True).filter(lambda m: any(len(row) != len(m) for row in m)))
+def test_integer_rank_pads_ragged_rows_on_a_copy(rows):
+    """Ragged rows go through the padding path: _eliminate gets a square
+    copy, zero-padded, and the caller's rows are left as they were."""
+    before = copy.deepcopy(rows)
+    k = max(len(rows), *map(len, rows))
+    padded = [row + [0] * (k - len(row)) for row in rows] + [[0] * k] * (k - len(rows))
+    want = exact_rank([[Fraction(x) for x in row] for row in padded]).rank
+    got, seen = _rank_and_input(rows)
+    assert rows == before and got == want
+    assert len(seen) == 1 and seen[0] is not rows
+    assert len(seen[0]) == k and all(len(row) == k for row in seen[0])
+    assert rank_mod_p(rows, 3) <= got
