@@ -744,6 +744,16 @@ def _budgeted_box_scan(g, lower, upper, upper_point, domain, config, cache):
     return upper, upper_point
 
 
+def own_scan_bound(g, config=DEFAULT_CONFIG):
+    """(rank, point) of gamma's own evaluation scan of g over Z and Q: the
+    box scan's outcome kept on g when there is one, else the probe scan's,
+    else None.  Neither fact ever holds an entry a cache served
+    (_budgeted_box_scan), so the answer is the same with or without one."""
+    facts = _facts(g)
+    box = facts.get(_box_scan_fact(config))
+    return box[:2] if box is not None else facts.get(("probe", None))
+
+
 def _probe_points(g):
     """The distinct probe diagonals, in scan order."""
     n = g.n

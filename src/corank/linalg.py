@@ -7,8 +7,10 @@ control), plain elimination over F_p.  One matrix enters it through
 ``integer_rank``, which takes integer rows as they are: ``exact_rank``
 and ``rank_mod_p`` convert theirs first, and a caller that builds its own
 integer rows (a cache entry's check) hands them over without a copy.
-``det_exact`` is a separate Bareiss loop, kept as an independent check of
-that kernel.
+Over Q a row whose multiplier is 0 is left as it is when the pivot equals
+the previous one: its Bareiss update (a * piv - 0 * b) / prev is a itself,
+so the eliminated rows are those of the full update.  ``det_exact`` is a
+separate Bareiss loop, kept as an independent check of that kernel.
 
 Evaluation scans (the least rank of one integer matrix over many
 diagonals) go through ``rank_scan``: a depth-first walk over lex product
@@ -252,8 +254,9 @@ def _eliminate(m, r, prev, p, end):
         else:
             for row in m[r + 1:]:
                 f = row[r]
-                for j in range(r + 1, size):
-                    row[j] = (row[j] * piv - f * prow[j]) // prev
+                if f or piv != prev:
+                    for j in range(r + 1, size):
+                        row[j] = (row[j] * piv - f * prow[j]) // prev
             prev = piv
         r += 1
     return r, prev

@@ -9,7 +9,7 @@ with each other and with exponential oracles is part of the test gate.
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG
-from .criticalideals import box_blocks, gamma, gamma_row, min_rank_scan
+from .criticalideals import box_blocks, gamma, gamma_row, min_rank_scan, own_scan_bound
 from .graphs import Graph, adjacency_lists, rooted_tree
 from .linalg import RankComputation, exact_rank
 from .polyring import QQ
@@ -405,6 +405,26 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
     TreeTheoremViolation: the theorems hold, so only a bug can trip it.
     mz, gamma_Z and gamma_Q come from gamma_row, through the cache if one
     is given; without one no canonical form is made.
+
+    The diagonal is the first d in {-1,0}^n, in lex order, with rank
+    L(t, d) <= mz; no diagonal ranks below n - Z, so its rank is mz.  When
+    gamma's own scan of t (own_scan_bound) ends at a nonzero point of
+    {-1,0}^n with rank mz, that point is the diagonal and the search is not
+    run.  It is the search's first point of rank <= mz (lower = mz in both
+    scans):
+    - a probe point stops the probe scan at the first rank <= lower, and
+      the only nonzero probe point of a tree in {-1,0}^n is (-1,...,-1),
+      the search's first point;
+    - a box scan runs only when the probe left upper > lower, so shell 0,
+      the zero point, which the probe ranks first, ranks above mz; the
+      box point b of rank mz lies in {-1,0}^n, so in shell 1;
+    - the scan stops at the first point of rank <= lower, and shell 1 is
+      the lex product of (-1, 0, 1) kept where a coordinate is +-1, which
+      on {-1,0}^n minus the zero point is the search's own order, so every
+      search point before b ranks above mz;
+    - the zero point comes last in the search, so never before b.
+    Those facts hold gamma's own scans only, never a cache's entry, so the
+    diagonal is the same with or without a cache.
     """
     adj, order, children = rooted_tree(t)
     n = t.n
@@ -419,9 +439,12 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
     row = gamma_row(t, config, cache)
     m_z, gz, gq = row["mz"], row["gamma_z"], row["gamma_q"]
 
-    # no diagonal has rank below n - Z, so the first of rank <= mz has rank mz
-    diag_rank, diag, _, _ = min_rank_scan(t, [(((-1, 0),) * n, None)], QQ, m_z,
-                                          m_z + 1, None)
+    own = own_scan_bound(t, config)
+    if own is not None and own[0] == m_z and any(own[1]) and set(own[1]) <= {-1, 0}:
+        diag_rank, diag = own
+    else:
+        diag_rank, diag, _, _ = min_rank_scan(t, [(((-1, 0),) * n, None)], QQ, m_z,
+                                              m_z + 1, None)
 
     checks = {
         "nu2 == n - P": nu2 == n - p_cover,

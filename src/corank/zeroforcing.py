@@ -108,12 +108,17 @@ def _exact_search(g):
     """The first zero forcing set among all vertex subsets, by ascending
     size and then lexicographically; V itself always forces.
 
+    The sizes start at the least out-degree d: in a set S with |S| < d
+    each blue vertex has at most |S| - 1 blue out-neighbours, so at least
+    d - (|S| - 1) >= 2 white ones, nothing is forced and S (not V, as
+    |S| < d <= n - 1) does not force.  So the first forcing set in (size,
+    lex) order, and its force list, are those of the search from size 0.
     Each subset comes with its bitmask and is closed on masks alone; only
     the winner is closed again by closure, for its force list."""
     n = g.n
     adj, in_adj, full = g.out_adj, g.in_adj, (1 << n) - 1
     bits = [1 << v for v in range(n)]
-    for k in range(n + 1):
+    for k in range(min(map(int.bit_count, adj), default=0), n + 1):
         for combo, mask in zip(combinations(range(n), k), map(sum, combinations(bits, k))):
             if _close(adj, in_adj, mask) == full:
                 return ZeroForcingResult(k, ForceRecord(frozenset(combo),

@@ -15,7 +15,9 @@ The set: ``reproduce-appendix``; ``params`` at ``--jobs 1`` and ``--jobs 2``,
 in two labelings each; ``params`` with budgets, as csv and md, with
 ``--strict`` and on a digraph; ``gamma --strict`` at one S-pair; ``gamma
 --box 0|1`` over z and q and ``gamma --domain fp:2`` over the catalog; ``trees``
-on the 25 trees with n <= 7; ``classify`` on the three disconnected
+on the 25 trees with n <= 7, and on the 23 trees with n = 8 in their own
+labeling and in one drawn with seed 8, which pin the {-1,0}^n diagonal
+where gamma's own box scan gives it; ``classify`` on the three disconnected
 digraphs where the five-way agreement fails; ``gb --index 3|4`` over z, q
 and fp:3 in lex, grlex and degrevlex on four graphs, and on the same graphs
 over z, q and fp:3 ``gb --index 1|2``, ``gb --index 2 --budget-degree 1``,
@@ -47,12 +49,16 @@ from corank.cli import main
 from corank.enumeration import all_trees, enumerate_connected_graphs
 from corank.formats import parse_graph6, write_digraph6, write_graph6
 from corank.generators import NAMED_GRAPHS, complete_multipartite, graph_a
-from corank.graphs import Graph
+from corank.graphs import Graph, relabel
 from corank.sweeps import SWEEPS, _disconnected_exceptions
 
 CATALOG = "".join(write_graph6(g) + "\n" for g in
                   [make() for make in NAMED_GRAPHS.values()] + enumerate_connected_graphs(5))
 TREES = "".join(write_graph6(t) + "\n" for n in range(1, 8) for t in all_trees(n))
+TREES_8 = "".join(write_graph6(t) + "\n" for t in all_trees(8))
+_PERMS = random.Random(8)
+TREES_8_RELABELED = "".join(write_graph6(relabel(t, _PERMS.sample(range(8), 8))) + "\n"
+                            for t in all_trees(8))
 DISAGREEING = "".join(write_digraph6(d) + "\n" for d in _disconnected_exceptions())
 # four graphs, each in two labelings, one after the other
 RELABELED = "E`]o\nEygW\nE`]w\nEywW\nEJnW\nE^bg\nEJnw\nE|{o\n"
@@ -97,6 +103,8 @@ def runs():
         yield ["gamma", "--box", box, "--domain", "z", "--domain", "q", CATALOG]
     yield ["gamma", "--domain", "fp:2", CATALOG]
     yield ["trees", TREES]
+    yield ["trees", TREES_8]
+    yield ["trees", TREES_8_RELABELED]
     yield ["classify", DISAGREEING]
     for g6 in GB_GRAPHS:
         for index in ("3", "4"):

@@ -121,6 +121,18 @@ def closure_by_rescan(g, blue):
             return frozenset(v for v in range(g.n) if mask >> v & 1), tuple(forces)
 
 
+def zero_forcing_by_plain_search(g):
+    """The exact zero forcing result by the ascending-cardinality subset
+    search from size 0, each subset closed by closure: the first forcing set
+    in (size, lex) order and its force list."""
+    for k in range(g.n + 1):
+        for combo in combinations(range(g.n), k):
+            state = closure(g, combo)
+            if len(state.blue) == g.n:
+                return ZeroForcingResult(k, ForceRecord(frozenset(combo), state.forces),
+                                         True)
+
+
 def zero_forcing_by_pruned_search(g):
     """The exact zero forcing result by the ascending-cardinality subset
     search that skips every subset inside a known non-spanning closed set:

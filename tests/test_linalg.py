@@ -7,7 +7,9 @@ definition, with ``det_exact`` (a separate Bareiss loop) as the oracle.
 ``exact_rank`` returns the rank alone; the pivot witness it used to carry,
 and the test of that witness, are gone.  ``integer_rank``, the one entry
 from integer rows into that kernel, is property-tested against
-``exact_rank``, ``rank_mod_p`` and ``det_exact``.
+``exact_rank``, ``rank_mod_p`` and ``det_exact``, and against the minor
+definition on sparse rows, where the kernel leaves rows with a zero
+multiplier under a repeated pivot as they are.
 """
 
 import copy
@@ -173,3 +175,47 @@ def test_integer_rank_pads_ragged_rows_on_a_copy(rows):
     assert len(seen) == 1 and seen[0] is not rows
     assert len(seen[0]) == k and all(len(row) == k for row in seen[0])
     assert rank_mod_p(rows, 3) <= got
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Square integer rows, 1..6 of them, mostly zero and otherwise mostly
+    +-1, as in L(G, d): pivots often equal the one before, and many rows
+    below a pivot have a zero multiplier, the rows the kernel leaves as
+    they are."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, -1, 2])
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_integer_rank_of_sparse_rows_is_the_minor_rank(rows):
+    """On rows built to skip updates, the rank is the minor definition's,
+    over Q and (never above it) over F_3."""
+    rank = _minor_rank(rows)
+    assert integer_rank(copy.deepcopy(rows)) == rank
+    assert integer_rank([[x % 3 for x in row] for row in rows], 3) <= rank
+
+
+class _Row(list):
+    """A row that counts the entries written into it."""
+    writes = 0
+
+    def __setitem__(self, j, value):
+        _Row.writes += 1
+        super().__setitem__(j, value)
+
+
+def _writes(rows):
+    _Row.writes = 0
+    rank = integer_rank([_Row(row) for row in rows])
+    return rank, _Row.writes
+
+
+def test_rows_with_a_zero_multiplier_under_a_repeated_pivot_are_left_alone():
+    """The identity writes no entry over Q: each pivot is 1, as is the one
+    before, and each multiplier is 0.  A pivot that differs from the one
+    before scales the rows below it: diag(2, 3) writes entry (1, 1) once."""
+    assert _writes([[int(u == v) for v in range(5)] for u in range(5)]) == (5, 0)
+    assert _writes([[2, 0], [0, 3]]) == (2, 1)

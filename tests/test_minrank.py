@@ -9,16 +9,17 @@ import corank.graphs as graphs
 import corank.minrank as minrank
 from corank.cache import DecisionCache
 from corank.config import RunConfig
-from corank.criticalideals import gamma, generalized_laplacian
+from corank.criticalideals import gamma, generalized_laplacian, min_rank_scan, own_scan_bound
 from corank.enumeration import all_trees
 from corank.generators import (bull, complete, complete_multipartite, cycle,
                                octahedron, path, petersen, star)
-from corank.graphs import Graph
+from corank.graphs import Graph, relabel
 from corank.linalg import exact_rank
 from corank.minrank import (delta_oracle, delta_parameter, mr_small, mrcr_bounds,
                             nu2_oracle, path_cover_number, path_cover_oracle,
                             tree_suite, two_matching_number)
 from corank.polyring import QQ, ZZ
+from oracles import relabeled
 
 
 def test_mr_small_values():
@@ -145,6 +146,50 @@ def test_tree_suite_roots_each_tree_once(monkeypatch):
     for t in trees:
         tree_suite(t)
     assert calls == {name: len(trees) for name in calls} and len(calls) == 5
+
+
+def _first_diagonal(t, mz):
+    """(rank, point): the first d in {-1,0}^n, in lex order, with rank
+    L(t, d) <= mz, by a direct scan."""
+    return min_rank_scan(t, [(((-1, 0),) * t.n, None)], QQ, mz, mz + 1, None)[:2]
+
+
+def _takes_own_point(t, mz):
+    """Whether gamma's own scan of t ended at a nonzero point of {-1,0}^n
+    of rank mz."""
+    own = own_scan_bound(t)
+    return own is not None and own[0] == mz and any(own[1]) and set(own[1]) <= {-1, 0}
+
+
+def test_tree_suite_searches_for_its_diagonal_exactly_when_gammas_point_fails(
+        monkeypatch, tmp_path):
+    """Every tree with n <= 9 in three seeded relabelings, with no cache,
+    with a cold cache directory and with one filled by the tree's own
+    labeling: the diagonal is the first of {-1,0}^n of rank mz, and the
+    {-1,0}^n search runs exactly when gamma's own point is not taken.  A
+    directory that serves the box scan leaves gamma no scan of its own, so
+    the search runs."""
+    searches = []
+    scan = minrank.min_rank_scan
+    monkeypatch.setattr(minrank, "min_rank_scan",
+                        lambda *args: searches.append(args) or scan(*args))
+    trees = [t for n in range(1, 10) for t in all_trees(n)]
+    taken = Counter()
+    for k, (t, *labelings) in enumerate(zip(trees, *(relabeled(trees, s) for s in (1, 2, 3)))):
+        filled = tmp_path / f"filled-{k}"
+        tree_suite(t, cache=DecisionCache(filled))
+        for j, h in enumerate(labelings):
+            for mode, cache in (("none", None),
+                                ("cold", DecisionCache(tmp_path / f"cold-{k}-{j}")),
+                                ("filled", DecisionCache(filled))):
+                h = relabel(h, range(h.n))  # a fresh copy keeps no facts
+                searches.clear()
+                tp = tree_suite(h, cache=cache)
+                assert (tp.mz, tp.diagonal) == _first_diagonal(h, tp.mz), (h.pairs, mode)
+                own = _takes_own_point(h, tp.mz)
+                assert len(searches) == (not own), (h.pairs, mode)
+                taken[mode] += own
+    assert taken["none"] == taken["cold"] > taken["filled"], taken
 
 
 def test_delta_on_large_path_value():

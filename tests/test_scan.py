@@ -15,7 +15,7 @@ from corank.criticalideals import (box_blocks, box_points, field_blocks, field_p
 from corank.cache import DecisionCache
 from corank.enumeration import all_trees, enumerate_connected_graphs
 from corank.graphs import Digraph, Graph
-from corank.linalg import exact_rank, rank_mod_p, rank_scan
+from corank.linalg import exact_rank, integer_rank, rank_mod_p, rank_scan
 from corank.minrank import mrcr_bounds, tree_suite
 from corank.polyring import GF, QQ, ZZ
 
@@ -154,6 +154,32 @@ def test_rank_scan_every_budget():
                     _reference_scan(ranked, r, r + 1, None)
 
 
+@st.composite
+def sparse_scans(draw):
+    """Square integer rows with a zero diagonal, 1..6 of them, mostly zero
+    and otherwise mostly +-1, the box of radius 1 and bounds: at these
+    points pivots often repeat and many multipliers are 0, where the kernel
+    leaves a row as it is."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, -1, 2])
+    rows = [[0 if u == v else draw(entry) for v in range(n)] for u in range(n)]
+    lower = draw(st.just(0) | st.integers(0, n))
+    upper = draw(st.sampled_from([n, n + 1]) | st.integers(0, n + 1))
+    return rows, lower, upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_scans())
+def test_rank_scan_of_sparse_rows_matches_one_integer_rank_per_point(case):
+    rows, lower, upper = case
+    n = len(rows)
+    ranked = ((pt, integer_rank([[pt[u] if u == v else c for v, c in enumerate(row)]
+                                 for u, row in enumerate(rows)]))
+              for pt in box_points(n, 1))
+    assert rank_scan(rows, box_blocks(n, 1), None, lower, upper, None) == \
+        _reference_scan(ranked, lower, upper, None)
+
+
 def _count_eliminations(monkeypatch, run):
     calls = 0
     eliminate = linalg._eliminate
@@ -188,7 +214,7 @@ def test_elimination_counts(monkeypatch):
                 tree_suite(Graph(t.n, t.edges))
 
     assert _count_eliminations(monkeypatch, gap_table) <= 13_098
-    assert _count_eliminations(monkeypatch, trees) <= 396
+    assert _count_eliminations(monkeypatch, trees) <= 341
 
 
 def test_a_field_block_comes_before_the_whole_field_is_built():

@@ -15,8 +15,8 @@ from corank.polyring import ZZ, Polynomial
 from corank.zeroforcing import (CertificateError, ForceRecord, certificate_minor,
                                 closure, is_zero_forcing_set, mz,
                                 validate_record, zero_forcing_number)
-from oracles import (closure_by_rescan, closure_in_random_order, entry,
-                     zero_forcing_by_pruned_search)
+from oracles import (closure_by_rescan, closure_in_random_order, entry, relabeled,
+                     zero_forcing_by_plain_search, zero_forcing_by_pruned_search)
 
 
 def test_closure_examples():
@@ -75,6 +75,18 @@ def test_exact_search_matches_the_pruned_search():
               + [Graph(12), complete(12), complete_multipartite([6, 6])])
     for g in graphs:
         assert zeroforcing._exact_search(g) == zero_forcing_by_pruned_search(g), g
+
+
+def test_the_exact_search_from_the_least_out_degree_is_the_search_from_size_0():
+    """Below the least out-degree no set forces, so starting there keeps the
+    (Z, witness, forces) of the plain search from size 0: all graphs with
+    n <= 7 and all digraphs with n <= 4, each in its own labeling and in a
+    seeded relabeling, and the empty graph; the pruned search's Z agrees."""
+    graphs = enumerate_graphs(7) + enumerate_digraphs(4)
+    for g in graphs + relabeled(graphs, 1039) + [Graph(0), Digraph(0)]:
+        got = zeroforcing._exact_search(g)
+        assert got == zero_forcing_by_plain_search(g), g.pairs
+        assert got.z == zero_forcing_by_pruned_search(g).z, g.pairs
 
 
 def test_the_exact_search_closes_only_its_winner_with_a_force_list(monkeypatch):
