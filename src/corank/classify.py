@@ -15,6 +15,7 @@ from .config import DEFAULT_CONFIG
 from .criticalideals import gamma_row
 from .generators import forbidden_family_named, path
 from .graphs import Digraph, Graph, contains_induced, is_connected
+from .linalg import exact_rank
 from .zeroforcing import zero_forcing_number
 
 
@@ -199,7 +200,6 @@ def classify_digraph1(d: Digraph, config=DEFAULT_CONFIG, cache=None) -> Equivale
 
 
 def _assert_pattern(d, matrix):
-    from .linalg import exact_rank
     for i in range(d.n):
         for j in range(d.n):
             if i == j:

@@ -56,9 +56,7 @@ dropped minor lies in the ideal of the kept ones, over Z as over Q and
 F_p, so the ideal, its reduced bases and every decision are unchanged.
 
 What gamma learns about a graph alone, whatever the domain, is kept on it
-(_facts): per index i the minor scan's (unit minor, constant minors) and
-the first point of F_2^n where L has rank <= i - 1, and the box scan's own
-outcome over Z and Q, never one a cache served.  Z, Q and F_p share one
+by graphs.kept, whose docstring lists the facts.  Z, Q and F_p share one
 minor scan per index, and gamma_Q reads gamma_Z's box scan from the graph,
 so gamma needs no cache: without one it makes no cache key and no
 canonical form.  Two rules read these facts and change no answer:
@@ -79,7 +77,7 @@ from itertools import chain, combinations, islice, product
 from math import comb
 
 from .config import DEFAULT_CONFIG
-from .graphs import canonical_form
+from .graphs import canonical_form, kept
 from .linalg import integer_rank, rank_scan
 from .polyring import (ZZ, QQ, GF, DEGREVLEX, BudgetExceeded, IdealBasis, Polynomial,
                        buchberger, check_domain, is_trivial_over_Z)
@@ -397,8 +395,8 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
     inconclusive).
 
     Over Q the point is an integer box point; over Z it is a pair
-    (p, point) with all i-minors vanishing mod p, the F_2 search read from
-    g's facts (_f2_point).  Over F_p gamma asks for I_i only at i <= the
+    (p, point) with all i-minors vanishing mod p, each prime's search kept
+    on g (_field_point).  Over F_p gamma asks for I_i only at i <= the
     least rank its scan of the same points found under an equal budget, so
     a search there would find nothing: ValueError.
     """
@@ -410,9 +408,7 @@ def nontriviality_certificate(g, i, domain, config=DEFAULT_CONFIG):
     if domain is QQ:
         return variety_box_search(g, i - 1, QQ, config).point
     for p in config.primes:
-        point = (_f2_point(g, i, config) if p == 2 else
-                 min_rank_scan(g, field_blocks(n, p), GF(p), i - 1, i, None,
-                               config.modp_point_budget)[1])
+        point = _field_point(g, p, i, config)
         if point is not None:
             return p, point
     return None
@@ -565,10 +561,11 @@ def _is_vertex_subset(xs, size, n):
 def _decide_trivial(g, i, domain, config):
     """The decision of ideal_trivial, from g's facts where it has them."""
     if domain is ZZ and config.primes[0] == 2:
-        point = _f2_point(g, i, config)
+        point = _field_point(g, 2, i, config)
         if point is not None:
             return TrivialityDecision(False, "point-certificate", (2, point))
-    summary, gens = _scan_minors(g, i)
+    scans = []    # the minor scan, when this call runs it
+    summary = kept(g, ("minors", i), _minor_summary, g, i, scans)
     if summary is not None:
         unit, constants = summary
         if unit is not None:
@@ -578,7 +575,7 @@ def _decide_trivial(g, i, domain, config):
                 return TrivialityDecision(True, "constant-minor", minor)
 
     # over Q an uncut box scan ranking >= i leaves the box search nothing to find
-    scan = _facts(g).get(_box_scan_fact(config))
+    scan = g._facts.get(_box_scan_fact(config))
     if domain is ZZ or domain is QQ and not (scan and scan[2] and scan[0] >= i):
         cert = nontriviality_certificate(g, i, domain, config)
         if cert is not None:
@@ -587,8 +584,7 @@ def _decide_trivial(g, i, domain, config):
     if summary is None:
         return TrivialityDecision(None, "budget", "minor scan too large")
     try:
-        if gens is None:
-            gens = minor_generators(generalized_laplacian(g), i)
+        gens = scans[0] if scans else minor_generators(generalized_laplacian(g), i)
         return _groebner(gens, domain, DEGREVLEX, config)[1]
     except BudgetExceeded as exc:
         return TrivialityDecision(None, "budget", f"{exc.reason}, partial basis of "
@@ -719,24 +715,10 @@ def _budgeted_box_scan(g, lower, upper, upper_point, domain, config, cache):
     prove that an early stop is at the least rank).  The probe always
     leaves a point: L(g, out-degrees) has zero row sums.
     """
-    facts, key = _facts(g), _box_scan_fact(config)
-    if domain.p or key not in facts:
-        blocks = (field_blocks(g.n, domain.p) if domain.p
-                  else box_blocks(g.n, config.box_radius))
-        upper, upper_point, exhaustive, scanned = min_rank_scan(
-            g, list(islice(blocks, 2)), domain, lower, upper, upper_point,
-            config.gamma_box_budget)
-        shell = next(blocks, None)
-        if shell is not None and exhaustive and upper > lower:
-            stop = lower + 1 if _has_unit_minor(g, lower + 1, config) else lower
-            if upper > stop:
-                upper, upper_point, exhaustive, _ = min_rank_scan(
-                    g, chain([shell], blocks), domain, stop, upper, upper_point,
-                    config.gamma_box_budget - scanned)
-        if domain.p:
-            return upper, upper_point
-        facts[key] = upper, upper_point, exhaustive
-    upper, upper_point, _ = facts[key]
+    if domain.p:
+        return _box_scan(g, lower, upper, upper_point, domain, config)[:2]
+    upper, upper_point, _ = kept(g, _box_scan_fact(config), _box_scan, g, lower, upper,
+                                 upper_point, domain, config)
     if cache is not None:
         form = canonical_form(g)
         cache.put(_box_scan_key(form, lower, config),
@@ -744,14 +726,30 @@ def _budgeted_box_scan(g, lower, upper, upper_point, domain, config, cache):
     return upper, upper_point
 
 
+def _box_scan(g, lower, upper, upper_point, domain, config):
+    """(upper, point, exhaustive) of _budgeted_box_scan's scan."""
+    blocks = (field_blocks(g.n, domain.p) if domain.p
+              else box_blocks(g.n, config.box_radius))
+    upper, upper_point, exhaustive, scanned = min_rank_scan(
+        g, list(islice(blocks, 2)), domain, lower, upper, upper_point,
+        config.gamma_box_budget)
+    shell = next(blocks, None)
+    if shell is not None and exhaustive and upper > lower:
+        stop = lower + 1 if _has_unit_minor(g, lower + 1, config) else lower
+        if upper > stop:
+            upper, upper_point, exhaustive, _ = min_rank_scan(
+                g, chain([shell], blocks), domain, stop, upper, upper_point,
+                config.gamma_box_budget - scanned)
+    return upper, upper_point, exhaustive
+
+
 def own_scan_bound(g, config=DEFAULT_CONFIG):
     """(rank, point) of gamma's own evaluation scan of g over Z and Q: the
     box scan's outcome kept on g when there is one, else the probe scan's,
     else None.  Neither fact ever holds an entry a cache served
     (_budgeted_box_scan), so the answer is the same with or without one."""
-    facts = _facts(g)
-    box = facts.get(_box_scan_fact(config))
-    return box[:2] if box is not None else facts.get(("probe", None))
+    box = g._facts.get(_box_scan_fact(config))
+    return box[:2] if box is not None else g._facts.get(("probe", None))
 
 
 def _probe_points(g):
@@ -762,88 +760,46 @@ def _probe_points(g):
 
 
 # ---------------------------------------------------------------------------
-# facts of the graph alone
-#
-# A graph is immutable, so what gamma learns about it alone, whatever the
-# domain, the cache or the caller, is kept in its _sandwich slot: a dict by
-# name.  Only small summaries are kept, never a SymbolicMatrix or its minor
-# memo.
+# facts of the graph alone, kept on it by graphs.kept
 
-def _facts(g):
-    """g's dict of kept facts:
-    - "certificate": the zero forcing certificate minor;
-    - ("probe", p): (upper, point) of the probe scan over the scan prime p,
-      None for Z and Q, which share it because ranks over Z are taken over Q;
-    - ("minors", i): (unit minor, constant minors) of the i-minor scan
-      (_scan_minors);
-    - ("f2-point", i, budget): the first point of F_2^n where L has rank
-      <= i - 1 within the budget, or None;
-    - ("box-scan", radius, budget): (upper, point, exhaustive) of the box
-      scan over Z and Q from gamma's lower and probe bounds, its own
-      outcome and never a cache's (_budgeted_box_scan)."""
-    if g._sandwich is None:
-        g._sandwich = {}
-    return g._sandwich
+def _probe(g, lower, domain):
+    """(upper, point) of the probe-point scan over the domain."""
+    blocks = [(tuple(zip(p)), None) for p in _probe_points(g)]  # one-point blocks
+    return min_rank_scan(g, blocks, domain, lower, g.n, None)[:2]
 
 
-def _certificate(g, zf):
-    """The certificate minor of the zero forcing record, exact or greedy
-    (any zero forcing set's record certifies its own complement size),
-    validated once."""
-    facts = _facts(g)
-    if "certificate" not in facts:
-        facts["certificate"] = certificate_minor(g, zf.witness)
-    return facts["certificate"]
+def _field_point(g, p, i, config):
+    """The first point of F_p^n, in field_blocks order, where L(g, X) has
+    rank <= i - 1, or None: a scan under config.modp_point_budget, kept on
+    g."""
+    budget = config.modp_point_budget
+    return kept(g, ("field-point", p, i, budget), min_rank_scan, g, field_blocks(g.n, p),
+                GF(p), i - 1, i, None, budget)[1]
 
 
-def _probe(g, lower, domain, facts):
-    """(upper, point) of the probe-point scan over the domain, kept in the
-    dict facts (gamma passes g's)."""
-    key = ("probe", domain.p)
-    if key not in facts:
-        blocks = [(tuple(zip(p)), None) for p in _probe_points(g)]  # one-point blocks
-        facts[key] = min_rank_scan(g, blocks, domain, lower, g.n, None)[:2]
-    return facts[key]
-
-
-def _f2_point(g, i, config):
-    """The first point of F_2^n where L(g, X) has rank <= i - 1, or None:
-    the p = 2 search of nontriviality_certificate, under its budget."""
-    facts = _facts(g)
-    key = ("f2-point", i, config.modp_point_budget)
-    if key not in facts:
-        facts[key] = min_rank_scan(g, field_blocks(g.n, 2), GF(2), i - 1, i, None,
-                                   config.modp_point_budget)[1]
-    return facts[key]
-
-
-def _scan_minors(g, i):
-    """(summary, gens): the (unit minor, constant minors) of the i-minor
-    scan, kept in g's facts, or None past _MINOR_SCAN_CAP; and the scan's
-    MinorGenerators when this call ran it, else None.  Only the first
-    constant minor of each value is kept: whether a constant is a unit of
-    a domain depends on its value alone, so the first unit is among them."""
-    facts = _facts(g)
-    key = ("minors", i)
-    if key in facts:
-        return facts[key], None
+def _minor_summary(g, i, scans):
+    """(unit minor, constant minors) of the i-minor scan, or None past
+    _MINOR_SCAN_CAP; the scan's MinorGenerators is appended to scans.  Only
+    the first constant minor of each value is kept: whether a constant is a
+    unit of a domain depends on its value alone, so the first unit is among
+    them."""
     if comb(g.n, i) ** 2 > _MINOR_SCAN_CAP:
-        return None, None
+        return None
     gens = minor_generators(generalized_laplacian(g), i)
+    scans.append(gens)
     firsts = {}
     for minor in gens.constant_minors:
         firsts.setdefault(minor[2], minor)
-    facts[key] = (gens.unit_minor, tuple(firsts.values()))
-    return facts[key], gens
+    return gens.unit_minor, tuple(firsts.values())
 
 
 def _has_unit_minor(g, i, config):
     """Whether L(g, X) has a +-1 i-minor.  The F_2 point is read first: a
     +-1 minor is +-1 mod 2, so an F_2 point of rank <= i - 1 rules it out
     with no minor scan."""
-    if _f2_point(g, i, config) is not None:
+    if _field_point(g, 2, i, config) is not None:
         return False
-    summary = _scan_minors(g, i)[0]
+    summary = kept(g, ("minors", i), _minor_summary, g, i, [])
     return summary is not None and summary[0] is not None
 
 
@@ -854,7 +810,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     bound, evaluation ranks give the upper bound; no Groebner machinery
     runs unless a gap survives.  The certificate, the probe-point bound,
     the box scan and the other facts of the graph alone are kept on it
-    (_facts).  With a cache, box scans and per-index decisions also go
+    (graphs.kept).  With a cache, box scans and per-index decisions also go
     through it; without one (the default) gamma makes no cache key and no
     canonical form.
 
@@ -869,7 +825,8 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     n = g.n
     zf = zero_forcing_number(g)
     lower = n - zf.z
-    cert = _certificate(g, zf)
+    # any zero forcing set's record, exact or greedy, certifies its own size
+    cert = kept(g, "certificate", certificate_minor, g, zf.witness)
     lower_witness = {"force_record": zf.witness.to_json(),
                      "certificate_rows": list(cert.rows),
                      "certificate_cols": list(cert.cols),
@@ -880,7 +837,7 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     if hit is not None:
         upper, upper_point = hit
     else:
-        upper, upper_point = _probe(g, lower, domain, _facts(g))
+        upper, upper_point = kept(g, ("probe", domain.p), _probe, g, lower, domain)
         if upper > lower:
             upper, upper_point = _budgeted_box_scan(g, lower, upper, upper_point, domain,
                                                     config, cache)

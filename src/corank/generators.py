@@ -9,7 +9,7 @@ pendants on 3,4).
 
 from itertools import combinations
 
-from .graphs import Graph, Digraph
+from .graphs import Graph, Digraph, complement
 
 
 def path(n) -> Graph:
@@ -64,7 +64,6 @@ def matching_3k2() -> Graph:
 
 def octahedron() -> Graph:
     """Complement of the 3-edge matching; equals K_{2,2,2}."""
-    from .graphs import complement
     return complement(matching_3k2())
 
 

@@ -11,7 +11,7 @@ bases this artifact must reproduce up to ideal equality.
 from fractions import Fraction
 
 from .formats import canonical_graph6
-from .graphs import Graph
+from .graphs import Graph, complement
 from .generators import graph_a, graph_b, graph_c
 
 # (row id, n, edges, mz, gamma_Z, gamma_R)
@@ -89,7 +89,6 @@ OCTAHEDRON_I4_OVER_R = [
 def octahedron_for_reference_i4():
     """The matching-complement labeling the reference I4 basis was
     computed in (non-edges 0-3, 1-5, 2-4)."""
-    from .graphs import complement
     return complement(Graph(6, [(0, 3), (1, 5), (2, 4)]))
 
 GRAPH_A_I4 = [

@@ -7,12 +7,9 @@ also named `adj`), equality, hashing and the kept facts.  The bitmasks drive
 the search-heavy routines (closures, canonical labeling, induced-pattern
 embedding), which read `out_adj`/`in_adj` whatever the kind.  Instances are
 immutable after construction, so the facts that depend on the graph alone
-are computed once and kept on it: the bitmasks, the canonical form, the
-zero forcing result and gamma's facts (the certificate minor, the
-probe-point bound, minor-scan summaries, F_2 points and the box minimum;
-criticalideals._facts).  The kind matters only where the
-mathematics differs: the canonical segments, graph6 against digraph6, and
-the classifications.
+are computed once and kept on it: the bitmasks, and the facts of `kept`'s
+list.  The kind matters only where the mathematics differs: the canonical
+segments, graph6 against digraph6, and the classifications.
 """
 
 from itertools import combinations
@@ -30,7 +27,7 @@ class _PairGraph:
     """n vertices and a frozen set of ordered pairs, `pairs`; a subclass
     with _symmetric set stores each edge once as (min, max)."""
 
-    __slots__ = ("n", "pairs", "_out_adj", "_in_adj", "_canonical", "_zf", "_sandwich")
+    __slots__ = ("n", "pairs", "_out_adj", "_in_adj", "_facts")
     _symmetric = False
     _noun = "arc"
 
@@ -43,7 +40,8 @@ class _PairGraph:
             ps.add((min(u, v), max(u, v)) if self._symmetric else (u, v))
         self.n = n
         self.pairs = frozenset(ps)
-        self._out_adj = self._in_adj = self._canonical = self._zf = self._sandwich = None
+        self._out_adj = self._in_adj = None
+        self._facts = {}    # filled by kept
 
     @classmethod
     def _trusted(cls, n, pairs):
@@ -121,6 +119,32 @@ class Digraph(_PairGraph):
 
     def __init__(self, n, arcs=()):
         super().__init__(n, arcs)
+
+
+def kept(g, key, make, *args):
+    """g's fact under key: make(*args), made on the first call and kept on g.
+
+    The one writer of a graph's facts.  Each is a function of the graph
+    alone and of the budgets in its key, never of a cache or a caller:
+    - "canonical": its CanonicalForm (canonical_form);
+    - "zero-forcing": its ZeroForcingResult (zeroforcing.zero_forcing_number).
+    gamma's, in criticalideals:
+    - "certificate": the certificate minor of that result's force record;
+    - ("probe", p): (upper, point) of the probe scan over the scan prime p,
+      None for Z and Q, which share it because ranks over Z are taken over Q;
+    - ("minors", i): (unit minor, constant minors) of the i-minor scan, or
+      None past the scan's cap;
+    - ("field-point", p, i, budget): (upper, point, exhaustive, scanned) of
+      the scan of F_p^n, within the point budget, whose point is the first
+      where L(g, X) has rank <= i - 1, or None;
+    - ("box-scan", radius, budget): (upper, point, exhaustive) of the box
+      scan over Z and Q, its own outcome and never a cache's.
+    Only small summaries are kept, never a symbolic matrix or its minor
+    memo."""
+    facts = g._facts
+    if key not in facts:
+        facts[key] = make(*args)
+    return facts[key]
 
 
 def _bits(mask):
@@ -291,7 +315,7 @@ def contains_induced(g, pattern):
 # and then lose are searched in full, so long paths and cycles grow fast:
 # P_16 and C_16 take about 0.4 s, and P_20 and C_20 stop past
 # LABELING_WORK_CAP with LabelingOverCap, never wrong.  The form is
-# computed once per graph object and kept in its _canonical slot.
+# computed once per graph object and kept on it (kept).
 
 # Work of one canonical labeling: each segment evaluation costs 1 plus the
 # length of the placed prefix it reads; a pruned branch costs nothing.  The
@@ -421,8 +445,10 @@ def _canonical_order(n, seg_of, twin):
 
 
 def canonical_form(g) -> CanonicalForm:
-    if g._canonical is not None:
-        return g._canonical
+    return kept(g, "canonical", _canonical_form, g)
+
+
+def _canonical_form(g):
     directed = isinstance(g, Digraph)
     n = g.n
     if n == 0:
@@ -460,8 +486,7 @@ def canonical_form(g) -> CanonicalForm:
     perm = [0] * n
     for new, old in enumerate(order):
         perm[old] = new
-    g._canonical = CanonicalForm(_pack_key(n, segments, directed), tuple(perm))
-    return g._canonical
+    return CanonicalForm(_pack_key(n, segments, directed), tuple(perm))
 
 
 def _pack_key(n, segments, directed):

@@ -20,6 +20,7 @@ int, unflipped, is the packed monomial.
 import heapq
 import math
 import operator
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -164,18 +165,21 @@ def check_domain(domain):
 # monomial orders
 #
 # A Polynomial keys its terms by exponent tuples, one exponent per variable.
-# Order objects expose key(mono); bigger key means bigger monomial, so
-# max(terms, key=order.key) is the leading monomial.  `graded` and
-# `reverse` describe the order to the packed layout below: a graded order
-# compares total degrees first, and a reverse order breaks ties by the
-# smaller exponent of the last variable where two monomials differ.
+# `graded` and `reverse` describe an order, to key(mono) and to the packed
+# layout below: a graded order compares total degrees first, and a reverse
+# order breaks ties by the smaller exponent of the last variable where two
+# monomials differ.  Bigger key means bigger monomial, so
+# max(terms, key=order.key) is the leading monomial.
 
 class MonomialOrder:
-    def __init__(self, name, key, graded, reverse):
+    def __init__(self, name, graded, reverse):
         self.name = name
-        self.key = key
         self.graded = graded
         self.reverse = reverse
+
+    def key(self, m):
+        tie = tuple(-e for e in reversed(m)) if self.reverse else m
+        return (sum(m), tie) if self.graded else tie
 
     def __repr__(self):
         return self.name
@@ -187,23 +191,9 @@ class MonomialOrder:
         return hash(self.name)
 
 
-def _lex_key(m):
-    return m
-
-
-def _grlex_key(m):
-    return (sum(m), m)
-
-
-def _degrevlex_key(m):
-    # ties broken by the *smallest* exponent vector read from the last
-    # variable backwards, hence the negated reversal
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-LEX = MonomialOrder("lex", _lex_key, graded=False, reverse=False)
-GRLEX = MonomialOrder("grlex", _grlex_key, graded=True, reverse=False)
-DEGREVLEX = MonomialOrder("degrevlex", _degrevlex_key, graded=True, reverse=True)
+LEX = MonomialOrder("lex", graded=False, reverse=False)
+GRLEX = MonomialOrder("grlex", graded=True, reverse=False)
+DEGREVLEX = MonomialOrder("degrevlex", graded=True, reverse=True)
 
 ORDERS = {"lex": LEX, "grlex": GRLEX, "degrevlex": DEGREVLEX}
 
@@ -477,8 +467,6 @@ def parse_polynomial(text, nvars, domain=ZZ):
     Accepts integer or rational coefficients, '*' products, '^' or '**'
     powers and variables named x<i>.
     """
-    import re
-
     s = text.replace("**", "^").replace(" ", "")
     if not s:
         raise PolynomialParseError("empty polynomial text")

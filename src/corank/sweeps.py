@@ -7,9 +7,10 @@ command and the acceptance tests both drive these functions.
 
 import random
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import combinations, permutations
 
-from .classify import classify_digraph1, classify_rank1_graph
+from .classify import classify_digraph1, classify_rank1_graph, lambda_pattern_matrix
 from .config import DEFAULT_CONFIG
 from .criticalideals import (box_points, gamma, gamma_row, generalized_laplacian,
                              groebner_basis_of_critical_ideal, minor_generators,
@@ -313,7 +314,6 @@ def sweep_digraph1(config=DEFAULT_CONFIG, cache=None):
         m_z = lam.n - zero_forcing_number(lam).z
         if m_z > 1:
             failures.append({"lambda": parts, "mz": m_z})
-        from .classify import lambda_pattern_matrix
         if lambda_pattern_matrix(lam) is None:
             failures.append({"lambda": parts, "missing": "rank-1 witness"})
     return SweepResult("thm-digraph1", not failures,
@@ -379,7 +379,6 @@ def _check_quadratic_points():
     Arithmetic in Q(t) with t*t rewritten by the defining relation; the
     4-minors must all vanish and some 3-minor must not.
     """
-    from fractions import Fraction
     failures = []
     data = exceptional_real_points()
     for name, g, _ in exceptional_graphs():
@@ -411,7 +410,6 @@ def _check_quadratic_points():
                 total = (total[0] + ta, total[1] + tb)
             return total
 
-        from itertools import combinations
         all4_zero = all(qdet(r, c) == (0, 0)
                         for r in combinations(range(6), 4)
                         for c in combinations(range(6), 4))

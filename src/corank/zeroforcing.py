@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .config import RunConfig
+from .graphs import kept
 
 
 class CertificateError(ValueError):
@@ -96,12 +97,10 @@ def zero_forcing_number(g) -> ZeroForcingResult:
     Exact for n <= RunConfig.zf_exact_max_n; the witness is the
     lexicographically least minimum set.  Beyond that tier a greedy upper
     bound is returned with exact=False.  Either result depends on the graph
-    alone, so it is computed once per graph object and kept in its _zf slot.
+    alone, so it is kept on the graph (graphs.kept).
     """
-    if g._zf is None:
-        g._zf = (_exact_search(g) if g.n <= RunConfig.zf_exact_max_n
-                 else _greedy_upper_bound(g))
-    return g._zf
+    return kept(g, "zero-forcing",
+                _exact_search if g.n <= RunConfig.zf_exact_max_n else _greedy_upper_bound, g)
 
 
 def _exact_search(g):

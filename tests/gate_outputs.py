@@ -26,14 +26,18 @@ own n; ``gb --digraph --index 1|2|3``
 over z, q and fp:3 on two digraphs with n = 4; the principal rule at
 i = n: ``gb --digraph --index 4`` over z, q and fp:3 in lex and grlex on
 the second of those digraphs, and ``gb --index 6 --budget-degree 5`` over
-z, q and fp:3 on graph-a, past the rule's degree cap; the nine sweeps;
+z, q and fp:3 on graph-a, past the rule's degree cap; ``gamma`` on F?U`w,
+whose index 5 closes by a Q box point and a Z point, and ``gb --domain z
+--index 4`` on FLr~o, whose Z decision is non-trivial mod 5; the nine sweeps;
 ``zf`` on E_12, K_{6,6} and G(12, 1/2) drawn with seed 5, at the top of
 the exact zero forcing tier.  Then the runs over ``--cache`` directories,
 each in a fresh temporary directory: ``reproduce-appendix`` twice over one
 directory (cold, then warm); ``gamma`` over the catalog, then over the
 eight relabeled lines, through a second; ``params --jobs 1`` over the
 catalog, then over the relabeled lines, through a third; ``trees`` on the
-25 trees with n <= 7 through a fourth.  A directory's digest is the sha256
+25 trees with n <= 7 through a fourth; ``gamma`` on F?]ug, whose Z
+certificate at index 5 is a point mod 3, and on F?U`w, whose Q certificate
+there is a box point, through a fifth.  A directory's digest is the sha256
 over its sorted (file name, sha256 of the bytes).
 """
 
@@ -132,6 +136,8 @@ def runs():
                    GB_DIGRAPHS[1]]
         yield ["gb", "--index", "6", "--budget-degree", "5", "--domain", domain,
                write_graph6(graph_a())]
+    yield ["gamma", "F?U`w"]
+    yield ["gb", "--domain", "z", "--index", "4", "FLr~o"]
     for name in SWEEPS:
         yield ["sweep", name]
     for g in EXACT_TOP:
@@ -140,8 +146,8 @@ def runs():
 
 def cache_runs(root):
     """The runs over cache directories under root, and the directories."""
-    appendix, catalog, params, trees = (os.path.join(root, d)
-                                        for d in ("appendix", "gamma", "params", "trees"))
+    appendix, catalog, params, trees, points = (
+        os.path.join(root, d) for d in ("appendix", "gamma", "params", "trees", "points"))
     yield ["reproduce-appendix", "--cache", appendix]
     yield ["reproduce-appendix", "--cache", appendix]
     yield ["gamma", "--cache", catalog, CATALOG]
@@ -149,6 +155,7 @@ def cache_runs(root):
     yield ["params", "--jobs", "1", "--cache", params, CATALOG]
     yield ["params", "--jobs", "1", "--cache", params, RELABELED]
     yield ["trees", "--cache", trees, TREES]
+    yield ["gamma", "--cache", points, "F?]ug\nF?U`w\n"]
 
 
 def run_digest(argv):

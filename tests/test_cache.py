@@ -182,9 +182,9 @@ def test_the_probe_follows_every_relabeling():
             perm = list(range(g.n))
             rng.shuffle(perm)
             lower = g.n - criticalideals.zero_forcing_number(g).z
-            rank, point = criticalideals._probe(g, lower, QQ, {})
+            rank, point = criticalideals._probe(g, lower, QQ)
             h = relabel(g, perm)
-            assert criticalideals._probe(h, lower, QQ, {}) == \
+            assert criticalideals._probe(h, lower, QQ) == \
                 (rank, criticalideals._relabel_point(point, perm)), (g, perm)
 
 
@@ -283,7 +283,7 @@ def test_kept_box_scans_leave_the_directory_as_a_fresh_graph_does(tmp_path):
     before reading g's kept box scan, and puts what it read from g."""
     def gapped(g):
         lower = g.n - criticalideals.zero_forcing_number(g).z
-        return criticalideals._probe(g, lower, QQ, {})[0] > lower
+        return criticalideals._probe(g, lower, QQ)[0] > lower
 
     graphs = [octahedron()] + [g for g in enumerate_connected_graphs(6) if gapped(g)]
     for k, g in enumerate(graphs):

@@ -1,8 +1,8 @@
-"""Facts kept on the graph object: the canonical form, the zero forcing
-result and gamma's facts (its certificate minor, probe-point bound, minor
-summaries, F_2 points and box scan) are computed once per graph, and
-are never served across labelings.  The probe bound is kept per scan
-prime, one entry shared by Z and Q."""
+"""Facts kept on the graph object by graphs.kept: the canonical form, the
+zero forcing result and gamma's facts (its certificate minor, probe-point
+bound, minor summaries, field points and box scan) are computed once per
+graph, and are never served across labelings.  The probe bound is kept per
+scan prime, one entry shared by Z and Q."""
 
 from collections import Counter
 
@@ -13,6 +13,7 @@ from corank.cache import DecisionCache
 from corank.config import RunConfig
 from corank.criticalideals import gamma, gamma_row, ideal_trivial
 from corank.enumeration import all_trees, enumerate_connected_graphs, enumerate_digraphs
+from corank.formats import parse_graph6
 from corank.generators import cycle, octahedron, petersen
 from corank.graphs import Graph, canonical_form, relabel
 from corank.minrank import tree_suite
@@ -81,7 +82,7 @@ def test_kept_facts_stay_out_of_equality_and_repr():
     canonical_form(g)
     zero_forcing_number(g)
     gamma(g, ZZ)
-    assert g._sandwich is not None and h._sandwich is None
+    assert g._facts and not h._facts
     assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
 
 
@@ -106,9 +107,9 @@ def test_the_sandwich_prefix_is_kept_once_per_graph_and_scan_prime(monkeypatch):
     assert runs == {"certificate": 1, ("probe", None): 1, ("probe", 3): 1}
     # the box scan's F_2 point at lower + 1 = 3 rules out a floor there and
     # is gamma_Z's certificate at 3; the one 3-minor scan serves Q and F_3
-    assert set(g._sandwich) == {"certificate", ("probe", None), ("probe", 3),
-                                ("f2-point", 3, RunConfig.modp_point_budget),
-                                ("box-scan", 2, RunConfig.gamma_box_budget), ("minors", 3)}
+    assert set(g._facts) == {"canonical", "zero-forcing", "certificate", ("probe", None),
+                             ("probe", 3), ("field-point", 2, 3, RunConfig.modp_point_budget),
+                             ("box-scan", 2, RunConfig.gamma_box_budget), ("minors", 3)}
     monkeypatch.undo()
     assert [gamma(fresh(g), dom).to_json() for dom in domains] == kept
 
@@ -165,3 +166,24 @@ def test_a_parameter_report_scans_each_box_once(monkeypatch):
     report = build_parameter_report(petersen())
     assert sorted(domains) == ["Q=R", "Z"]
     assert report["mr"]["upper"] == report["mrcr"]["Q=R"]["upper"]
+
+
+@pytest.mark.parametrize("g6", ["ELrw", "ELv_"])
+def test_a_second_z_decision_makes_no_second_field_scan(g6, monkeypatch):
+    """Each prime's point search of the Z certificate is kept on the graph:
+    a second decision at the same index scans no field again.  Both graphs
+    close index 4 by a point mod 5, after F_2 and F_3 found none."""
+    scans = Counter()
+    scan = criticalideals.min_rank_scan
+
+    def counted(g, blocks, domain, *rest):
+        scans[domain.p] += 1
+        return scan(g, blocks, domain, *rest)
+
+    monkeypatch.setattr(criticalideals, "min_rank_scan", counted)
+    g = parse_graph6(g6)
+    first = ideal_trivial(g, 4, ZZ)
+    assert first.method == "point-certificate" and first.detail[0] == 5
+    before = Counter(scans)
+    assert ideal_trivial(g, 4, ZZ) == first
+    assert scans == before and before[5] == 1

@@ -19,8 +19,8 @@ from corank import criticalideals
 from corank.cache import DecisionCache
 from corank.config import DEFAULT_CONFIG, RunConfig
 from corank.criticalideals import (_box_scan_fact, _budgeted_box_scan, _decide_trivial,
-                                   _facts, _probe, box_blocks, field_blocks, gamma,
-                                   gamma_row, ideal_trivial, min_rank_scan)
+                                   _probe, box_blocks, field_blocks, gamma, gamma_row,
+                                   ideal_trivial, min_rank_scan)
 from corank.enumeration import all_trees, enumerate_connected_graphs, enumerate_digraphs
 from corank.graphs import relabel
 from corank.minrank import tree_suite
@@ -64,7 +64,7 @@ def test_the_floor_keeps_the_box_scan_result(family, monkeypatch):
             for domain, radius, budget in SCANS:
                 monkeypatch.setattr(RunConfig, "gamma_box_budget", budget)
                 config = replace(DEFAULT_CONFIG, box_radius=radius)
-                upper, point = _probe(g, lower, domain, {})
+                upper, point = _probe(g, lower, domain)
                 if upper <= lower:
                     continue
                 blocks = (field_blocks(g.n, domain.p) if domain.p
@@ -76,7 +76,7 @@ def test_the_floor_keeps_the_box_scan_result(family, monkeypatch):
                 assert got == want, (g, domain, radius, budget)
                 if domain.p:
                     continue
-                least, kept_point, exhaustive = _facts(g)[_box_scan_fact(config)]
+                least, kept_point, exhaustive = g._facts[_box_scan_fact(config)]
                 assert (least, kept_point) == got
                 # past lower, which the zero forcing minor certifies
                 if exhaustive and least > lower:
