@@ -57,8 +57,9 @@ F_p, so the ideal, its reduced bases and every decision are unchanged.
 
 What gamma learns about a graph alone, whatever the domain, is kept on it
 by graphs.kept, whose docstring lists the facts.  Z, Q and F_p share one
-minor scan per index, and gamma_Q reads gamma_Z's box scan from the graph,
-so gamma needs no cache: without one it makes no cache key and no
+minor scan per index, and each scan prime keeps one evaluation bound
+(_bound: the probe, then the box or field scan), which gamma_Q reads from
+gamma_Z, so gamma needs no cache: without one it makes no cache key and no
 canonical form.  Two rules read these facts and change no answer:
 - the floor: a box scan past shell 1 stops at the first point of rank
   lower + 1 when L has a +-1 (lower + 1)-minor, since that minor is
@@ -66,9 +67,9 @@ canonical form.  Two rules read these facts and change no answer:
 - F_2 first over Z: an F_2 point of rank <= i - 1 is Z's certificate
   (2, point) before any minor scan, since a +-1 minor stays +-1 mod 2, so
   no unit minor exists and the scan-first order returns that same point.
-Over Q the box point search is skipped when a kept box scan that its budget
-did not cut ranks >= i: the search scans the same box, where no point ranks
-that low.
+Over Q the box point search is skipped when the kept bound's box scan,
+uncut by its budget, ranks >= i: the search scans the same box, where no
+point ranks that low.
 """
 
 from dataclasses import dataclass
@@ -575,8 +576,8 @@ def _decide_trivial(g, i, domain, config):
                 return TrivialityDecision(True, "constant-minor", minor)
 
     # over Q an uncut box scan ranking >= i leaves the box search nothing to find
-    scan = g._facts.get(_box_scan_fact(config))
-    if domain is ZZ or domain is QQ and not (scan and scan[2] and scan[0] >= i):
+    bound = g._facts.get(_bound_key(None, config))
+    if domain is ZZ or domain is QQ and not (bound and bound[2] and bound[0] >= i):
         cert = nontriviality_certificate(g, i, domain, config)
         if cert is not None:
             return TrivialityDecision(False, "point-certificate", cert)
@@ -655,13 +656,16 @@ def _box_scan_key(form, lower, config):
     return ("gamma-box-scan", form.hex(), lower, config.box_radius, config.gamma_box_budget)
 
 
-def _box_scan_fact(config):
-    return ("box-scan", config.box_radius, config.gamma_box_budget)
+def _bound_key(p, config):
+    return ("bound", p, config.box_radius, config.gamma_box_budget)
 
 
-def _cached_box_scan(g, lower, config, cache):
-    """The box scan's cached (rank, point), mapped back to g's labeling, or
-    None.
+def _cached_bound(g, lower, config, cache):
+    """(upper, point) of gamma's evaluation bound over Z and Q through the
+    cache: the gamma-box-scan entry mapped back to g's labeling on a hit;
+    on a miss g's kept bound (_bound), put in the canonical labeling exactly
+    when a box scan made it, so a directory gets the same entries whatever
+    g's facts hold.
 
     An entry read from a directory is trusted only when it is [rank, point]
     with n integer coordinates, the point is one the scan could have
@@ -676,6 +680,7 @@ def _cached_box_scan(g, lower, config, cache):
     form = canonical_form(g)
     inv = _inverse(form.perm)
     r = config.box_radius
+    key = _box_scan_key(form, lower, config)
 
     def holds(entry):
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -688,68 +693,21 @@ def _cached_box_scan(g, lower, config, cache):
         return ((all(-r <= x <= r for x in pt) or pt in _probe_points(g))
                 and integer_rank(_laplacian_rows(g.out_adj, pt)) == rank)
 
-    hit = cache.get(_box_scan_key(form, lower, config), holds)
-    return None if hit is None else (hit[0], _relabel_point(hit[1], inv))
-
-
-def _budgeted_box_scan(g, lower, upper, upper_point, domain, config, cache):
-    """Improve the evaluation upper bound by a budgeted scan of the field
-    over F_p, or of the integer box over Z and Q.
-
-    Shells 0 and 1 are scanned first.  If a shell follows and the bound is
-    still above lower, a +-1 (lower + 1)-minor (_has_unit_minor) raises the
-    stop bound to lower + 1: that minor is nonzero at every point over
-    every field, so no point ranks below it, and the first point of least
-    rank over the budgeted prefix is the one the whole scan would give.
-    The other shells stay lazy under the budget left.
-
-    Over Z and Q the scan evaluates integer points at rational rank, so its
-    outcome is domain-independent.  gamma starts it from its lower bound
-    and probe bound, both facts of g, so the outcome (upper, point,
-    exhaustive) is one more, kept in g's facts and read there instead of
-    scanning again.  Given a cache, the outcome is put in it once per
-    (graph, target), in the canonical labeling, whether scanned or read
-    from g: gamma asks the cache first, so a directory gets the same
-    entries whatever g's facts hold.  When exhaustive, upper is the least
-    rank over the probe and the box (the zero forcing minor and the floor
-    prove that an early stop is at the least rank).  The probe always
-    leaves a point: L(g, out-degrees) has zero row sums.
-    """
-    if domain.p:
-        return _box_scan(g, lower, upper, upper_point, domain, config)[:2]
-    upper, upper_point, _ = kept(g, _box_scan_fact(config), _box_scan, g, lower, upper,
-                                 upper_point, domain, config)
-    if cache is not None:
-        form = canonical_form(g)
-        cache.put(_box_scan_key(form, lower, config),
-                  [upper, list(_relabel_point(upper_point, form.perm))])
-    return upper, upper_point
-
-
-def _box_scan(g, lower, upper, upper_point, domain, config):
-    """(upper, point, exhaustive) of _budgeted_box_scan's scan."""
-    blocks = (field_blocks(g.n, domain.p) if domain.p
-              else box_blocks(g.n, config.box_radius))
-    upper, upper_point, exhaustive, scanned = min_rank_scan(
-        g, list(islice(blocks, 2)), domain, lower, upper, upper_point,
-        config.gamma_box_budget)
-    shell = next(blocks, None)
-    if shell is not None and exhaustive and upper > lower:
-        stop = lower + 1 if _has_unit_minor(g, lower + 1, config) else lower
-        if upper > stop:
-            upper, upper_point, exhaustive, _ = min_rank_scan(
-                g, chain([shell], blocks), domain, stop, upper, upper_point,
-                config.gamma_box_budget - scanned)
-    return upper, upper_point, exhaustive
+    hit = cache.get(key, holds)
+    if hit is not None:
+        return hit[0], _relabel_point(hit[1], inv)
+    upper, point, _, boxed = kept(g, _bound_key(None, config), _bound, g, lower, QQ, config)
+    if boxed:
+        cache.put(key, [upper, list(_relabel_point(point, form.perm))])
+    return upper, point
 
 
 def own_scan_bound(g, config=DEFAULT_CONFIG):
-    """(rank, point) of gamma's own evaluation scan of g over Z and Q: the
-    box scan's outcome kept on g when there is one, else the probe scan's,
-    else None.  Neither fact ever holds an entry a cache served
-    (_budgeted_box_scan), so the answer is the same with or without one."""
-    box = g._facts.get(_box_scan_fact(config))
-    return box[:2] if box is not None else g._facts.get(("probe", None))
+    """(rank, point) of gamma's own evaluation bound of g over Z and Q, kept
+    on g, or None.  The kept bound never holds an entry a cache served
+    (_cached_bound), so the answer is the same with or without one."""
+    bound = g._facts.get(_bound_key(None, config))
+    return None if bound is None else bound[:2]
 
 
 def _probe_points(g):
@@ -761,12 +719,6 @@ def _probe_points(g):
 
 # ---------------------------------------------------------------------------
 # facts of the graph alone, kept on it by graphs.kept
-
-def _probe(g, lower, domain):
-    """(upper, point) of the probe-point scan over the domain."""
-    blocks = [(tuple(zip(p)), None) for p in _probe_points(g)]  # one-point blocks
-    return min_rank_scan(g, blocks, domain, lower, g.n, None)[:2]
-
 
 def _field_point(g, p, i, config):
     """The first point of F_p^n, in field_blocks order, where L(g, X) has
@@ -803,23 +755,63 @@ def _has_unit_minor(g, i, config):
     return summary is not None and summary[0] is not None
 
 
+def _bound(g, lower, domain, config):
+    """(upper, point, exhaustive, boxed): gamma's evaluation upper bound over
+    the domain from its lower bound, a fact of g kept per scan prime.
+
+    The probe points come first.  Only when they leave upper > lower does a
+    budgeted scan follow (boxed), of the field over F_p or of the integer
+    box over Z and Q, from the probe's bound and point; exhaustive says
+    that its budget did not cut it, and is False when no such scan ran.
+    Over Z and Q the scans evaluate integer points at rational rank, so
+    their outcome is domain-independent and both share it.
+
+    The scan takes shells 0 and 1 first.  If a shell follows and the bound
+    is still above lower, a +-1 (lower + 1)-minor (_has_unit_minor) raises
+    the stop bound to lower + 1: that minor is nonzero at every point over
+    every field, so no point ranks below it, and the first point of least
+    rank over the budgeted prefix is the one the whole scan would give.
+    The other shells stay lazy under the budget left.  When exhaustive,
+    upper is the least rank over the probe and the box (the zero forcing
+    minor and the floor prove that an early stop is at the least rank).
+    The probe always leaves a point: L(g, out-degrees) has zero row sums.
+    """
+    probe = [(tuple(zip(p)), None) for p in _probe_points(g)]  # one-point blocks
+    upper, point = min_rank_scan(g, probe, domain, lower, g.n, None)[:2]
+    if upper <= lower:
+        return upper, point, False, False
+    blocks = (field_blocks(g.n, domain.p) if domain.p
+              else box_blocks(g.n, config.box_radius))
+    upper, point, exhaustive, scanned = min_rank_scan(
+        g, list(islice(blocks, 2)), domain, lower, upper, point, config.gamma_box_budget)
+    shell = next(blocks, None)
+    if shell is not None and exhaustive and upper > lower:
+        stop = lower + 1 if _has_unit_minor(g, lower + 1, config) else lower
+        if upper > stop:
+            upper, point, exhaustive, _ = min_rank_scan(
+                g, chain([shell], blocks), domain, stop, upper, point,
+                config.gamma_box_budget - scanned)
+    return upper, point, exhaustive, True
+
+
 def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
     """The largest i with I_i(g) trivial over the domain.
 
     Sandwich first: the zero-forcing certificate minor gives the lower
     bound, evaluation ranks give the upper bound; no Groebner machinery
-    runs unless a gap survives.  The certificate, the probe-point bound,
-    the box scan and the other facts of the graph alone are kept on it
-    (graphs.kept).  With a cache, box scans and per-index decisions also go
-    through it; without one (the default) gamma makes no cache key and no
-    canonical form.
+    runs unless a gap survives.  The certificate, the evaluation bound of
+    each scan prime (_bound) and the other facts of the graph alone are
+    kept on it (graphs.kept).  With a cache, the bound over Z and Q and the
+    per-index decisions also go through it; without one (the default)
+    gamma makes no cache key and no canonical form.
 
-    Over Z and Q the box scan's cache entry is looked up before the probe
-    scan, and a hit is the upper bound with no probe.  That is the bound a
-    miss gives: an entry is put only after the probe left a gap, the scan
-    keeps its probe point unless a box point has strictly lower rank, and
-    the probe points, their order and their ranks follow any relabeling,
-    so the filler's probe point maps back to the caller's own.
+    Over Z and Q the bound's cache entry is looked up before the probe
+    scan, and a hit is the upper bound with no probe (_cached_bound).  That
+    is the bound a miss gives: an entry is put only after the probe left a
+    gap, the box scan keeps its probe point unless a box point has strictly
+    lower rank, and the probe points, their order and their ranks follow
+    any relabeling, so the filler's probe point maps back to the caller's
+    own.
     """
     name = check_domain(domain).name
     n = g.n
@@ -833,14 +825,11 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
                      "determinant": cert.determinant}
     provenance = dict.fromkeys(range(1, lower + 1), "zero-forcing-certificate")
 
-    hit = None if domain.p or cache is None else _cached_box_scan(g, lower, config, cache)
-    if hit is not None:
-        upper, upper_point = hit
+    if domain.p or cache is None:
+        upper, upper_point = kept(g, _bound_key(domain.p, config), _bound, g, lower, domain,
+                                  config)[:2]
     else:
-        upper, upper_point = kept(g, ("probe", domain.p), _probe, g, lower, domain)
-        if upper > lower:
-            upper, upper_point = _budgeted_box_scan(g, lower, upper, upper_point, domain,
-                                                    config, cache)
+        upper, upper_point = _cached_bound(g, lower, config, cache)
     upper_witness = {"point": list(upper_point) if upper_point else None, "rank": upper}
     if upper_point is not None and upper < n:
         provenance[upper + 1] = "evaluation-rank"
@@ -864,8 +853,8 @@ def gamma(g, domain=QQ, config=DEFAULT_CONFIG, cache=None) -> GammaResult:
 def gamma_row(g, config=DEFAULT_CONFIG, cache=None):
     """A graph's row of the paper's comparison: Z, mz = n - Z, and the
     GammaResults over Z and Q, both through the cache if one is given (none
-    by default), so gamma_Q reads gamma_Z's box scan: from the entry gamma_Z
-    put when there is a cache, else from g's facts."""
+    by default), so gamma_Q reads gamma_Z's bound: from the entry gamma_Z
+    put or read when there is a cache, else from g's facts."""
     z = zero_forcing_number(g).z
     return {"graph": g, "z": z, "mz": g.n - z,
             "gamma_z": gamma(g, ZZ, config, cache), "gamma_q": gamma(g, QQ, config, cache)}

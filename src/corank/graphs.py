@@ -130,15 +130,16 @@ def kept(g, key, make, *args):
     - "zero-forcing": its ZeroForcingResult (zeroforcing.zero_forcing_number).
     gamma's, in criticalideals:
     - "certificate": the certificate minor of that result's force record;
-    - ("probe", p): (upper, point) of the probe scan over the scan prime p,
-      None for Z and Q, which share it because ranks over Z are taken over Q;
+    - ("bound", p, radius, budget): (upper, point, exhaustive, boxed) of
+      gamma's evaluation bound over the scan prime p: the probe scan and,
+      after a gap, the budgeted box or field scan (criticalideals._bound),
+      never a cache's entry; p is None for Z and Q, which share it because
+      ranks over Z are taken over Q;
     - ("minors", i): (unit minor, constant minors) of the i-minor scan, or
       None past the scan's cap;
     - ("field-point", p, i, budget): (upper, point, exhaustive, scanned) of
       the scan of F_p^n, within the point budget, whose point is the first
-      where L(g, X) has rank <= i - 1, or None;
-    - ("box-scan", radius, budget): (upper, point, exhaustive) of the box
-      scan over Z and Q, its own outcome and never a cache's.
+      where L(g, X) has rank <= i - 1, or None.
     Only small summaries are kept, never a symbolic matrix or its minor
     memo."""
     facts = g._facts

@@ -408,9 +408,9 @@ def tree_suite(t: Graph, config=DEFAULT_CONFIG, cache=None) -> TreeParams:
 
     The diagonal is the first d in {-1,0}^n, in lex order, with rank
     L(t, d) <= mz; no diagonal ranks below n - Z, so its rank is mz.  When
-    gamma's own scan of t (own_scan_bound) ends at a nonzero point of
-    {-1,0}^n with rank mz, that point is the diagonal and the search is not
-    run.  It is the search's first point of rank <= mz (lower = mz in both
+    gamma's own bound of t over Q (own_scan_bound: the probe scan, then the
+    box scan after a gap) ends at a nonzero point of {-1,0}^n with rank mz,
+    that point is the diagonal and the search is not run.  It is the search's first point of rank <= mz (lower = mz in both
     scans):
     - a probe point stops the probe scan at the first rank <= lower, and
       the only nonzero probe point of a tree in {-1,0}^n is (-1,...,-1),

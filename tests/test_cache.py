@@ -6,6 +6,7 @@ import json
 import os
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -170,10 +171,15 @@ def test_file_names_and_entry_bytes_are_pinned(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(e[1] for e in PINNED_ENTRIES)
 
 
+PROBE_ONLY = replace(DEFAULT_CONFIG, box_radius=0)
+
+
 def test_the_probe_follows_every_relabeling():
     """The probe's (rank, point) in a relabeling is the relabeled probe
     result, so the filler's probe point of a box-scan entry maps back to
-    the reader's own."""
+    the reader's own.  A radius-0 bound whose probe leaves a gap scans
+    only the zero point, which the probe ranks first, so it keeps the
+    probe's point; without a gap it is the probe's."""
     graphs = (enumerate_connected_graphs(6) + enumerate_digraphs(4)
               + [t for n in range(1, 8) for t in all_trees(n)])
     for seed in (1, 2, 3):
@@ -182,9 +188,9 @@ def test_the_probe_follows_every_relabeling():
             perm = list(range(g.n))
             rng.shuffle(perm)
             lower = g.n - criticalideals.zero_forcing_number(g).z
-            rank, point = criticalideals._probe(g, lower, QQ)
+            rank, point = criticalideals._bound(g, lower, QQ, PROBE_ONLY)[:2]
             h = relabel(g, perm)
-            assert criticalideals._probe(h, lower, QQ) == \
+            assert criticalideals._bound(h, lower, QQ, PROBE_ONLY)[:2] == \
                 (rank, criticalideals._relabel_point(point, perm)), (g, perm)
 
 
@@ -283,7 +289,7 @@ def test_kept_box_scans_leave_the_directory_as_a_fresh_graph_does(tmp_path):
     before reading g's kept box scan, and puts what it read from g."""
     def gapped(g):
         lower = g.n - criticalideals.zero_forcing_number(g).z
-        return criticalideals._probe(g, lower, QQ)[0] > lower
+        return criticalideals._bound(g, lower, QQ, DEFAULT_CONFIG)[3]
 
     graphs = [octahedron()] + [g for g in enumerate_connected_graphs(6) if gapped(g)]
     for k, g in enumerate(graphs):

@@ -1,8 +1,9 @@
 """Facts kept on the graph object by graphs.kept: the canonical form, the
-zero forcing result and gamma's facts (its certificate minor, probe-point
-bound, minor summaries, field points and box scan) are computed once per
-graph, and are never served across labelings.  The probe bound is kept per
-scan prime, one entry shared by Z and Q."""
+zero forcing result and gamma's facts (its certificate minor, evaluation
+bound, minor summaries and field points) are computed once per graph, and
+are never served across labelings.  The bound (the probe scan and the box
+or field scan after it) is kept per scan prime, one entry shared by Z and
+Q."""
 
 from collections import Counter
 
@@ -14,7 +15,7 @@ from corank.config import RunConfig
 from corank.criticalideals import gamma, gamma_row, ideal_trivial
 from corank.enumeration import all_trees, enumerate_connected_graphs, enumerate_digraphs
 from corank.formats import parse_graph6
-from corank.generators import cycle, octahedron, petersen
+from corank.generators import cycle, graph_a, octahedron, petersen
 from corank.graphs import Graph, canonical_form, relabel
 from corank.minrank import tree_suite
 from corank.polyring import GF, QQ, ZZ
@@ -107,11 +108,33 @@ def test_the_sandwich_prefix_is_kept_once_per_graph_and_scan_prime(monkeypatch):
     assert runs == {"certificate": 1, ("probe", None): 1, ("probe", 3): 1}
     # the box scan's F_2 point at lower + 1 = 3 rules out a floor there and
     # is gamma_Z's certificate at 3; the one 3-minor scan serves Q and F_3
-    assert set(g._facts) == {"canonical", "zero-forcing", "certificate", ("probe", None),
-                             ("probe", 3), ("field-point", 2, 3, RunConfig.modp_point_budget),
-                             ("box-scan", 2, RunConfig.gamma_box_budget), ("minors", 3)}
+    budget = RunConfig.gamma_box_budget
+    assert set(g._facts) == {"canonical", "zero-forcing", "certificate",
+                             ("bound", None, 2, budget), ("bound", 3, 2, budget),
+                             ("field-point", 2, 3, RunConfig.modp_point_budget), ("minors", 3)}
     monkeypatch.undo()
     assert [gamma(fresh(g), dom).to_json() for dom in domains] == kept
+
+
+@pytest.mark.parametrize("make", [octahedron, graph_a])
+def test_a_second_field_gamma_makes_no_second_field_scan(make, monkeypatch):
+    """The F_p bound, the field scan after the probe's gap included, is kept
+    on the graph: a second gamma over F_3 scans no field points again."""
+    scans = []
+    scan = criticalideals.min_rank_scan
+
+    def counted(g, blocks, domain, lower, upper, upper_point, budget=None):
+        if budget is not None:
+            scans.append(domain.p)
+        return scan(g, blocks, domain, lower, upper, upper_point, budget)
+
+    monkeypatch.setattr(criticalideals, "min_rank_scan", counted)
+    g = make()
+    first = gamma(g, GF(3)).to_json()
+    assert 3 in scans
+    scans.clear()
+    assert gamma(g, GF(3)).to_json() == first
+    assert scans == []
 
 
 def bench_item(g, cache):

@@ -1,7 +1,7 @@
 """gamma's facts of the graph alone change no answer.
 
 A graph keeps, whatever the domain, its i-minor scan summaries, its first
-F_2 point of rank <= i - 1 and its box scan's outcome over Z and Q.  The
+F_2 point of rank <= i - 1 and, per scan prime, its evaluation bound.  The
 box scan stops at a +-1-minor floor, Z tries the F_2 point before the
 minor scan, Q skips a box point search an uncut box scan rules out, and Z,
 Q and F_p share one minor scan per index.  Each is held here against the
@@ -18,8 +18,8 @@ import pytest
 from corank import criticalideals
 from corank.cache import DecisionCache
 from corank.config import DEFAULT_CONFIG, RunConfig
-from corank.criticalideals import (_box_scan_fact, _budgeted_box_scan, _decide_trivial,
-                                   _probe, box_blocks, field_blocks, gamma, gamma_row,
+from corank.criticalideals import (_bound, _bound_key, _decide_trivial, _probe_points,
+                                   box_blocks, field_blocks, gamma, gamma_row,
                                    ideal_trivial, min_rank_scan)
 from corank.enumeration import all_trees, enumerate_connected_graphs, enumerate_digraphs
 from corank.graphs import relabel
@@ -53,33 +53,34 @@ SCANS = ((QQ, 0, BUDGET), (QQ, 1, BUDGET), (QQ, 2, BUDGET), (QQ, 2, 40), (GF(3),
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_floor_keeps_the_box_scan_result(family, monkeypatch):
-    """_budgeted_box_scan gives the (upper, point) of one min_rank_scan over
-    all of its blocks, from gamma's lower bound and probe, over Q at radius
-    0, 1 and 2, also under a small budget, and over F_3 and F_5.  Over Q it
-    keeps that outcome on g, and when the kept scan is marked uncut, no box
-    point ranks below its upper bound, if that is above lower."""
+    """_bound gives the (upper, point) of the probe scan and, when that
+    leaves a gap, of one min_rank_scan over all of the box's or field's
+    blocks from the probe's bound, over Q at radius 0, 1 and 2, also under
+    a small budget, and over F_3 and F_5; boxed says whether the probe left
+    a gap.  gamma keeps that outcome on g under its scan prime, and when
+    the kept box scan is marked uncut, no box point ranks below its upper
+    bound, if that is above lower."""
     for seed in (1, 2):
         for g in relabeled(FAMILIES[family](), seed):
             lower = g.n - zero_forcing_number(g).z
+            probe = [(tuple(zip(p)), None) for p in _probe_points(g)]
             for domain, radius, budget in SCANS:
                 monkeypatch.setattr(RunConfig, "gamma_box_budget", budget)
                 config = replace(DEFAULT_CONFIG, box_radius=radius)
-                upper, point = _probe(g, lower, domain)
-                if upper <= lower:
-                    continue
-                blocks = (field_blocks(g.n, domain.p) if domain.p
-                          else box_blocks(g.n, radius))
-                want = min_rank_scan(g, blocks, domain, lower, upper, point,
-                                     config.gamma_box_budget)[:2]
-                got = _budgeted_box_scan(g, lower, upper, point, domain, config,
-                                         DecisionCache())
-                assert got == want, (g, domain, radius, budget)
-                if domain.p:
-                    continue
-                least, kept_point, exhaustive = g._facts[_box_scan_fact(config)]
-                assert (least, kept_point) == got
+                want = min_rank_scan(g, probe, domain, lower, g.n, None)[:2]
+                gap = want[0] > lower
+                if gap:
+                    blocks = (field_blocks(g.n, domain.p) if domain.p
+                              else box_blocks(g.n, radius))
+                    want = min_rank_scan(g, blocks, domain, lower, *want,
+                                         config.gamma_box_budget)[:2]
+                least, kept_point, exhaustive, boxed = _bound(g, lower, domain, config)
+                assert ((least, kept_point), boxed) == (want, gap), (g, domain, radius)
+                gamma(g, domain, config)
+                assert g._facts[_bound_key(domain.p, config)] == \
+                    (least, kept_point, exhaustive, boxed)
                 # past lower, which the zero forcing minor certifies
-                if exhaustive and least > lower:
+                if not domain.p and exhaustive and least > lower:
                     assert min_rank_scan(g, box_blocks(g.n, radius), QQ, least - 1, least,
                                          None)[1] is None, (g, radius)
 
