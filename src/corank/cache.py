@@ -9,7 +9,8 @@ then a rename), so concurrent writers of the same entry are safe, and an
 entry that cannot be parsed, or that a caller's check rejects, is counted
 in ``corrupt`` and treated as a miss.  Entries put, or read and accepted,
 are also kept in memory, so gamma_Q reads gamma_Z's box-scan entry without
-reading its file again.
+reading its file again, and so are misses of a missing file, so gamma_Q
+repeats no failed open of gamma_Z's either.
 """
 
 import hashlib
@@ -47,17 +48,18 @@ class DecisionCache:
         A value this cache put, or read and accepted before, comes from
         memory and is not checked again.  Otherwise the entry's file is read
         in one call, its bytes handed to json.loads; a missing file is a
-        miss.  An entry that does not decode or parse, or that the predicate
-        check rejects, is counted in corrupt and is a miss, so the caller
-        recomputes it and its put overwrites the file.
+        miss, remembered as None so that its file is not looked for again
+        until a put.  An entry that does not decode or parse, or that the
+        predicate check rejects, is counted in corrupt and is a miss, so the
+        caller recomputes it and its put overwrites the file.
         """
-        value = self._mem.get(key)
-        if value is not None or not self._dir:
-            return value
+        if key in self._mem or not self._dir:
+            return self._mem.get(key)
         try:
             with open(os.path.join(self._dir, self._filename(key)), "rb") as fh:
                 value = json.loads(fh.read())
         except FileNotFoundError:
+            self._mem[key] = None
             return None
         except ValueError:  # truncated, undecodable or otherwise unreadable
             self.corrupt += 1

@@ -2,17 +2,28 @@
 
 Graphs (n <= 7) and digraphs (n <= 4) are generated by one-vertex
 extension: every class on n - 1 vertices is joined to a new vertex by an
-in-set and an out-set of old vertices (a graph's two are one), and the
+in-set s and an out-set t of old vertices (a graph's two are one), and the
 first graph of each canonical key is kept, canonically relabeled (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998).  The
 representative therefore depends on its class alone.  A join is built and
-labeled only if no old vertex has a strictly larger (out-degree,
-in-degree), compared as a tuple, than the new vertex.  No class is lost:
+labeled only if it passes two filters:
+- degrees: no old vertex has a strictly larger (out-degree, in-degree),
+  compared as a tuple, than the new vertex;
+- twins: along each twin class of the parent (graphs.twin_classes),
+  members taken in label order, the join's (s, t) bits do not increase.
+No class is lost:
 - every class has a vertex of largest (out-degree, in-degree), and that
   pair is an isomorphism invariant;
 - deleting that vertex gives a graph in some class on n - 1 vertices, and
   one join of that class's representative rebuilds the class with the new
-  vertex in the deleted vertex's role, so that join passes the filter;
+  vertex in the deleted vertex's role, so that join passes the degree
+  filter;
+- a swap of two twins of the parent fixes every other vertex and keeps
+  every degree, so it maps that join to one that also passes the degree
+  filter, and extended by the new vertex it is an isomorphism between the
+  two children.  The swaps within a class permute its members' (s, t) bits
+  in every way, so each orbit of joins holds exactly one whose bits do not
+  increase along every class, and it passes both filters;
 - so the output is the same tuple of representatives in the same order.
 Free trees (n <= 12, past the reach of canonical labeling) are grown by
 leaf augmentation and deduplicated with a centroid-rooted AHU code.
@@ -20,7 +31,8 @@ leaf augmentation and deduplicated with a centroid-rooted AHU code.
 
 from functools import lru_cache
 
-from .graphs import Graph, Digraph, canonical_form, is_connected, rooted_tree
+from .graphs import (Graph, Digraph, canonical_form, is_connected, rooted_tree,
+                     twin_classes)
 
 
 class EnumerationRangeError(ValueError):
@@ -37,10 +49,10 @@ def _classes(kind, n):
 
     Each class on n - 1 vertices is joined to the new vertex n - 1 by every
     in-set s and out-set t of earlier vertices, as bitmasks (a graph's t is
-    s); a join that fails the module docstring's degree filter is skipped
-    before any graph is built.  A join that passes, and the representative
-    relabeled from it, are built unchecked (_trusted): their pairs come
-    from a valid parent, in-range bitmasks and a permutation.
+    s); a join that fails the module docstring's twin or degree filter is
+    skipped before any graph is built.  A join that passes, and the
+    representative relabeled from it, are built unchecked (_trusted): their
+    pairs come from a valid parent, in-range bitmasks and a permutation.
     """
     if n == 0:
         return (kind(0),)
@@ -52,8 +64,17 @@ def _classes(kind, n):
         base = parent.pairs
         degrees = list(zip((a.bit_count() for a in parent.out_adj),
                            (a.bit_count() for a in parent.in_adj)))
+        # each twin with the member of its class before it
+        steps, last = [], {}
+        for w, c in enumerate(twin_classes(parent)):
+            if c in last:
+                steps.append((last[c], w))
+            last[c] = w
         for s in subsets:
             for t in (subsets if directed else (s,)):
+                if any((s >> u & 1, t >> u & 1) < (s >> w & 1, t >> w & 1)
+                       for u, w in steps):
+                    continue
                 top = (t.bit_count(), s.bit_count())
                 if any((out + (s >> v & 1), into + (t >> v & 1)) > top
                        for v, (out, into) in enumerate(degrees)):

@@ -445,6 +445,25 @@ def _canonical_order(n, seg_of, twin):
     return best, best_order
 
 
+def twin_classes(g):
+    """g's twin classes: for each vertex v, the least vertex of v's class.
+
+    Twins have equal (out, in) rows, or rows that are equal once each sets
+    its own bit, so swapping two members of a class is an automorphism that
+    fixes every other vertex.  No vertex has twins of both kinds (a twin of
+    each would be both adjacent and not adjacent to it), and no rows of one
+    kind equal rows of the other (that needs an arc each way between two
+    vertices that have none), so one dict finds both."""
+    out_adj, in_adj = g.out_adj, g.in_adj
+    first = {}
+    twin = []
+    for v in range(g.n):
+        b = 1 << v
+        twin.append(min(first.setdefault((out_adj[v], in_adj[v]), v),
+                        first.setdefault((out_adj[v] | b, in_adj[v] | b), v)))
+    return twin
+
+
 def canonical_form(g) -> CanonicalForm:
     return kept(g, "canonical", _canonical_form, g)
 
@@ -474,16 +493,7 @@ def _canonical_form(g):
                 bits = bits << 1 | (out_adj[v] >> p & 1)
             return (deg[v], bits)
 
-    # twins have equal (out, in) rows, or rows that are equal once each sets
-    # its own bit; no vertex has twins of both kinds
-    first = {}
-    twin = []
-    for v in range(n):
-        b = 1 << v
-        twin.append(min(first.setdefault((0, out_adj[v], in_adj[v]), v),
-                        first.setdefault((1, out_adj[v] | b, in_adj[v] | b), v)))
-
-    segments, order = _canonical_order(n, seg_of, twin)
+    segments, order = _canonical_order(n, seg_of, twin_classes(g))
     perm = [0] * n
     for new, old in enumerate(order):
         perm[old] = new

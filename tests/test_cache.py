@@ -10,14 +10,14 @@ from dataclasses import replace
 
 import pytest
 
-from corank import criticalideals
+from corank import cache as cache_module, criticalideals
 from corank.cache import DecisionCache
 from corank.cli import main
 from corank.config import DEFAULT_CONFIG
 from corank.criticalideals import gamma, gamma_row, generalized_laplacian, ideal_trivial
 from corank.enumeration import all_trees, enumerate_connected_graphs, enumerate_digraphs
 from corank.formats import write_graph6
-from corank.generators import octahedron
+from corank.generators import octahedron, path as path_graph
 from corank.graphs import canonical_form, relabel
 from corank.linalg import exact_rank, rank_mod_p
 from corank.polyring import QQ, ZZ
@@ -125,6 +125,31 @@ def test_put_is_atomic(tmp_path, monkeypatch):
     cache.put(("k",), {"v": 2})
     assert DecisionCache(tmp_path).get(("k",)) == {"v": 2}
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_a_missing_entry_is_looked_for_once_per_cache(tmp_path, monkeypatch):
+    """P_4's probe closes gamma's gap, so no box scan puts its entry:
+    gamma_Z misses the gamma-box-scan entry and gamma_Q, through the same
+    cache, repeats that miss from memory without opening its file again."""
+    g = path_graph(4)
+    opened = Counter()
+
+    def counting(name, *args):
+        opened[os.path.basename(name)] += 1
+        return open(name, *args)
+
+    monkeypatch.setattr(cache_module, "open", counting, raising=False)
+    want = gamma_row(g)
+    assert gamma_row(g, cache=DecisionCache(tmp_path)) == want
+    assert not _box_entry(g, tmp_path).exists()
+    assert opened[_box_entry(g, tmp_path).name] == 1
+    assert set(opened.values()) == {1}
+    # a put after the remembered miss is served, from memory and from disk
+    cache, key = DecisionCache(tmp_path), ("k",)
+    assert cache.get(key) is None and cache.get(key) is None
+    cache.put(key, {"v": 1})
+    assert cache.get(key) == {"v": 1} == DecisionCache(tmp_path).get(key)
+    assert opened[DecisionCache._filename(key)] == 2
 
 
 def _labeling(graphs, seed):

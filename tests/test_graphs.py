@@ -10,7 +10,8 @@ from corank import graphs
 from corank.criticalideals import gamma, generalized_laplacian
 from corank.graphs import (Digraph, Graph, LabelingOverCap, canonical_form,
                            complement, contains_induced, induced_subgraph,
-                           is_connected, is_tree, line_graph, relabel, rooted_tree)
+                           is_connected, is_tree, line_graph, relabel, rooted_tree,
+                           twin_classes)
 from corank.enumeration import all_trees, enumerate_digraphs, enumerate_graphs
 from corank.generators import (NAMED_GRAPHS, bull, complete, cycle, matching_3k2, path,
                                petersen, star)
@@ -174,6 +175,25 @@ def test_canonical_form_digraph_invariance():
         canonical_form(Digraph(2, [(1, 0)])).key
     assert canonical_form(Digraph(3, [(0, 1), (1, 2)])).key != \
         canonical_form(Digraph(3, [(0, 1), (2, 1)])).key
+
+
+def test_twin_classes_are_exactly_the_swaps_that_fix_the_pairs():
+    """The canonical labeling's twin pruning and enumeration's twin filter
+    both rest on this: swapping two members of a class maps the pair set
+    onto itself, and every such swap is within one class, in the
+    enumeration's labeling and in a seeded relabeling of it."""
+    rng = random.Random(47)
+    for g in enumerate_graphs(6) + enumerate_digraphs(4):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, relabel(g, perm)):
+            twin = twin_classes(h)
+            assert all(twin[twin[v]] == twin[v] <= v for v in range(h.n)), h
+            for u in range(h.n):
+                for w in range(u + 1, h.n):
+                    swap = list(range(h.n))
+                    swap[u], swap[w] = w, u
+                    assert (relabel(h, swap) == h) == (twin[u] == twin[w]), (h, u, w)
 
 
 def test_contains_induced_examples():
